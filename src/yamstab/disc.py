@@ -4,7 +4,9 @@ Interval models use Chebyshev-Lobatto nodes with Clenshaw-Curtis weights and
 the dense Chebyshev differentiation matrix; circle models use uniform nodes
 with trapezoid weights and the Fourier differentiation matrix.  All forms are
 assembled dense: the grids are desk-scale (N of a few hundred) and the
-eigenvalue work downstream needs full matrices anyway.
+eigenvalue work downstream needs full matrices anyway.  The Sobolev Cholesky
+factor is cached on the operator set, and linearly constrained Newton steps
+go through one bordered (KKT) solve instead of an explicit null-space basis.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .model import SymmetricModel, eval_profile
 
@@ -153,6 +156,23 @@ class DiscreteOperators:
         return self._cache["w12"]
 
     @property
+    def w12_cho(self):
+        """Cholesky factor of S + M, computed once per operator set."""
+        if "w12_cho" not in self._cache:
+            self._cache["w12_cho"] = sla.cho_factor(self.w12_gram)
+        return self._cache["w12_cho"]
+
+    def riesz(self, G: np.ndarray) -> np.ndarray:
+        """Sobolev Riesz representative (S+M)^-1 G of a covector."""
+        return sla.cho_solve(self.w12_cho, G)
+
+    def dual_norm(self, G: np.ndarray, riesz: np.ndarray | None = None) -> float:
+        """Sobolev dual norm sqrt(G'(S+M)^-1 G); pass riesz if already known."""
+        if riesz is None:
+            riesz = self.riesz(G)
+        return math.sqrt(max(float(G @ riesz), 0.0))
+
+    @property
     def volume(self) -> float:
         return float(self.vol_weights.sum())
 
@@ -215,6 +235,33 @@ def assemble_operators(m: SymmetricModel, grid: Grid) -> DiscreteOperators:
         model=m, grid=grid, stiffness=S, mass=M, curv_mass=C, bdry_mass=B,
         normal_derivs=normal_derivs, vol_weights=mvec, density=a, curvature=curv,
     )
+
+
+def bordered_solve(A: np.ndarray, C: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve min 1/2 x'Ax - b'x subject to C'x = 0 via the bordered system.
+
+        [ A   C ] [x]   [b]
+        [ C'  0 ] [l] = [0]
+
+    is factored by symmetric-indefinite LAPACK ?sysv (Bunch-Kaufman) and x is
+    returned.  This is the range-space form of a null-space solve: x equals
+    Z (Z'AZ)^-1 Z'b for any basis Z of ker C', without building Z.  An exactly
+    singular pivot raises LinAlgError; an ill-conditioned system returns its
+    (possibly poor) solution silently, and callers judge the step instead.
+    """
+    N, k = C.shape
+    K = np.zeros((N + k, N + k))
+    K[:N, :N] = A
+    K[:N, N:] = C
+    K[N:, :N] = C.T
+    rhs = np.zeros(N + k)
+    rhs[:N] = b
+    sysv, sysv_lwork = sla.get_lapack_funcs(("sysv", "sysv_lwork"), (K,))
+    lwork = int(sysv_lwork(N + k)[0])
+    _, _, x, info = sysv(K, rhs, lwork=lwork, overwrite_a=True, overwrite_b=True)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"bordered system is singular (zero pivot {info})")
+    return x[:N]
 
 
 def lp_norm(ops: DiscreteOperators, u: np.ndarray, p: float) -> float:

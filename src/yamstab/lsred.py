@@ -9,7 +9,11 @@ whose growth at 0 carries the stability exponent.
 
 The complement equation is solved by damped Newton iteration on complement
 coordinates; the Hessian block is invertible there because the first
-eigenvalue off the kernel is strictly positive.
+eigenvalue off the kernel is strictly positive.  The complement basis Z is
+M-orthonormal, so each Levenberg step (Z'HZ + mu I) s = -r is taken as one
+bordered (KKT) solve of [[H + mu M, C], [C', 0]] with C the constraint
+covectors and right-hand side -M Z r, mapped back by s = Z'M delta; the
+product Z'HZ is never formed.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .disc import DiscreteOperators
+from .disc import DiscreteOperators, bordered_solve
 from .spectrum import KernelSplit, mass_scaled_complement
 from . import energy
 
@@ -51,6 +55,7 @@ class ReductionChart:
     radius: float = field(init=False)
     _halvings: int = field(init=False, default=0)
     _Z: np.ndarray = field(init=False, repr=False)
+    _C: np.ndarray = field(init=False, repr=False)
     _q0: float = field(init=False)
 
     def __post_init__(self):
@@ -63,6 +68,7 @@ class ReductionChart:
         for j in range(self.split.kernel_dim):
             covs.append(mvec * self.split.K_basis[:, j])
         self._Z = mass_scaled_complement(self.ops, covs)
+        self._C = np.column_stack(covs)
         self.radius = 0.1 * self.ops.w12_norm(self.v.u)
         self._q0 = energy.yamabe_quotient(self.ops, self.v.u).Q
         # fixed references for the incremental residual evaluation
@@ -138,6 +144,19 @@ class ReducedSample:
     scale: float = 0.0
 
 
+def _correction_step(chart: ReductionChart, H: np.ndarray, res_vec: np.ndarray,
+                     mu: float) -> np.ndarray:
+    """Complement-coordinate step s with (Z'HZ + mu I) s = -res_vec.
+
+    Exact because Z'MZ = I and Z'C = 0: the bordered solution delta lies in
+    the range of Z and Z'(H + mu M) delta = Z'(-M Z res_vec) = -res_vec.
+    """
+    ops = chart.ops
+    m = ops.vol_weights
+    delta = bordered_solve(H + mu * ops.mass, chart._C, -m * (chart._Z @ res_vec))
+    return chart._Z.T @ (m * delta)
+
+
 def _correction_solve(chart: ReductionChart, phi: np.ndarray):
     """Newton iteration for the complement coefficients at kernel offset phi."""
     ops = chart.ops
@@ -151,11 +170,11 @@ def _correction_solve(chart: ReductionChart, phi: np.ndarray):
     iters = 0
     mu = 0.0
     while res > chart.newton_tol and iters < chart.max_newton:
-        J = Z.T @ energy.raw_hessian(ops, v + xi) @ Z
+        H = energy.raw_hessian(ops, v + xi)
         step_ok = False
         for _ in range(30):
             try:
-                step = sla.solve(J + mu * np.eye(J.shape[0]), -res_vec, assume_a="sym")
+                step = _correction_step(chart, H, res_vec, mu)
             except sla.LinAlgError:
                 mu = max(10.0 * mu, 1e-8)
                 continue

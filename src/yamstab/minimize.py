@@ -1,22 +1,24 @@
 """Constrained minimization of the quotient over the unit-volume manifold.
 
 Projected gradient descent with a Sobolev (S+M) Riesz preconditioner and
-Armijo backtracking, optionally polished by a damped projected Newton method.
-Convergence is declared on the preconditioned gradient norm alone: degenerate
-minimizers move arbitrarily slowly along their kernel, so state movement is
-not a usable criterion.
+Armijo backtracking, optionally polished by a damped Newton method on the
+tangent space.  Each polish step is one bordered (KKT) solve of
+[[H + mu W, p], [p', 0]] with H the projected Hessian, W = S + M and p the
+volume covector: the Levenberg step restricted to p.d = 0, obtained without
+building a tangent basis.  Convergence is declared on the preconditioned
+gradient norm alone: degenerate minimizers move arbitrarily slowly along
+their kernel, so state movement is not a usable criterion.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
-from .disc import DiscreteOperators, assemble_operators, build_grid
+from .disc import DiscreteOperators, assemble_operators, bordered_solve, build_grid
 from .model import SymmetricModel, dim_constant, sphere_area
 from . import energy
 
@@ -57,17 +59,11 @@ NEWTON_SWITCH = 1e-2
 MAX_BACKTRACK = 60
 
 
-def _dual_grad_norm(G: np.ndarray, gram_chol) -> tuple[float, np.ndarray]:
-    """Sobolev dual norm of a covector and its Riesz representative."""
-    r = sla.cho_solve(gram_chol, G)
-    return math.sqrt(max(float(G @ r), 0.0)), r
-
-
-def _tangent_complement_basis(p: np.ndarray) -> np.ndarray:
-    """Euclidean-orthonormal basis of {u : p.u = 0} via a Householder frame."""
-    N = p.size
-    q = np.linalg.qr(np.column_stack([p, np.eye(N)[:, : N - 1]]), mode="complete")[0]
-    return q[:, 1:]
+def _polish_step(state: energy.NormalizedState, H: np.ndarray, G: np.ndarray,
+                 mu: float) -> np.ndarray:
+    """Levenberg step min 1/2 d'(H + mu W)d + G.d over the tangent space p.d = 0."""
+    p = energy.volume_covector(state)
+    return bordered_solve(H + mu * state.ops.w12_gram, p[:, None], -G)
 
 
 def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
@@ -77,14 +73,14 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
     if np.any(u0 < 0) or not np.any(u0 > 0):
         raise ValueError("starting point must be nonnegative and nonzero")
 
-    gram_chol = sla.cho_factor(ops.w12_gram)
     state = energy.normalize(ops, u0)
     q_val = energy.yamabe_quotient(ops, state.u).Q
     history = [q_val]
     iterations = 0
 
     G = energy.gradient(state)
-    grad_norm, riesz = _dual_grad_norm(G, gram_chol)
+    riesz = ops.riesz(G)
+    grad_norm = ops.dual_norm(G, riesz)
     switch_tol = max(opts.grad_tol, NEWTON_SWITCH) if opts.newton_polish else opts.grad_tol
 
     # --- preconditioned descent phase
@@ -112,7 +108,8 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
         history.append(q_val)
         iterations += 1
         G = energy.gradient(state)
-        grad_norm, riesz = _dual_grad_norm(G, gram_chol)
+        riesz = ops.riesz(G)
+        grad_norm = ops.dual_norm(G, riesz)
 
     # --- damped Newton polish on the tangent space
     # Near a degenerate minimizer the energy decrease per step falls under the
@@ -124,29 +121,23 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
         bonus = 12  # keep polishing below tolerance while progress is rapid
         while (grad_norm > opts.grad_tol or bonus > 0) and newton_iters < 80 \
                 and iterations < opts.max_iters + 80:
-            B = _tangent_complement_basis(energy.volume_covector(state))
-            H_red = B.T @ energy.hessian_form(state) @ B
-            g_red = B.T @ G
-            gram_red = B.T @ ops.w12_gram @ B
+            H = energy.hessian_form(state)
             accepted = False
             for _ in range(40):
                 try:
                     # on a degenerate kernel the undamped system is singular;
                     # a garbage step is simply rejected and damping increased
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", sla.LinAlgWarning)
-                        step = sla.solve(H_red + mu * gram_red, -g_red,
-                                         assume_a="sym")
+                    step = _polish_step(state, H, G, mu)
                 except sla.LinAlgError:
                     mu = max(10.0 * mu, 1e-10)
                     continue
-                trial = np.clip(state.u + B @ step, 0.0, None)
+                trial = np.clip(state.u + step, 0.0, None)
                 if not np.any(trial > 0):
                     mu = max(10.0 * mu, 1e-10)
                     continue
                 trial_state = energy.normalize(ops, trial)
                 trial_q = energy.yamabe_quotient(ops, trial_state.u).Q
-                trial_norm, trial_riesz = _dual_grad_norm(energy.gradient(trial_state), gram_chol)
+                trial_norm = ops.dual_norm(energy.gradient(trial_state))
                 if trial_norm < grad_norm and trial_q <= q_val + 1e-13 * max(abs(q_val), 1.0):
                     accepted = True
                     break

@@ -94,10 +94,7 @@ def eigen_decompose(v: energy.NormalizedState, k: int) -> SpectrumReport:
     ops = v.ops
     if not 1 <= k <= ops.N - 1:
         raise ValueError(f"k must lie in [1, {ops.N - 1}], got {k}")
-    G = energy.gradient(v)
-    gram_chol = sla.cho_factor(ops.w12_gram)
-    r = sla.cho_solve(gram_chol, G)
-    grad_norm = math.sqrt(max(float(G @ r), 0.0))
+    grad_norm = ops.dual_norm(energy.gradient(v))
     if grad_norm > 1e-6:
         warnings.warn(
             f"spectrum requested at a non-critical state (grad norm {grad_norm:.3e}); "

@@ -10,14 +10,13 @@ coercivity floor predicted by the smallest nonzero Hessian eigenvalue.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.optimize
 
-from .lsred import (FitRejectedError, InsufficientDataError, NOISE_FLOOR,
+from .lsred import (ChartError, FitRejectedError, InsufficientDataError, NOISE_FLOOR,
                     ReductionChart, solve_correction)
 from .spectrum import KernelSplit, SpectrumReport, mass_scaled_complement
 from . import energy
@@ -91,10 +90,7 @@ def reduced_family(chart: ReductionChart, critical_phis, *, continuum: bool = Tr
 
 
 def _check_member(state: energy.NormalizedState, tol: float):
-    ops = state.ops
-    G = energy.gradient(state)
-    r = sla.cho_solve(sla.cho_factor(ops.w12_gram), G)
-    gn = math.sqrt(max(float(G @ r), 0.0))
+    gn = state.ops.dual_norm(energy.gradient(state))
     if gn > tol:
         raise ValueError(f"family member has gradient norm {gn:.3e} > {tol:.1e}; "
                          "not a usable minimizer")
@@ -121,7 +117,7 @@ def distance_to_minimizers(u: energy.NormalizedState, fam: MinimizerFamily) -> f
                 return 1e6
             try:
                 z = solve_correction(chart, phi)
-            except Exception:
+            except ChartError:
                 return 1e6
             cand = energy.normalize(ops, chart.v.u + chart.kernel_vector(phi) + z)
             return ops.w12_norm(u.u - cand.u)

@@ -159,3 +159,28 @@ def test_lp_norm_homogeneity(c, seed):
     u = np.abs(np.random.default_rng(seed).standard_normal(g.N)) + 0.1
     assert disc.lp_norm(ops, c * u, ops.two_star) == pytest.approx(
         c * disc.lp_norm(ops, u, ops.two_star), rel=1e-12)
+
+
+def test_bordered_solve_constrained_minimizer():
+    # min 1/2 x'Ax - b'x on c.x = 0: the multiplier absorbs the normal part
+    rng = np.random.default_rng(3)
+    Q = rng.standard_normal((6, 6))
+    A = Q @ Q.T + np.eye(6)
+    c = rng.standard_normal((6, 1))
+    b = rng.standard_normal(6)
+    x = disc.bordered_solve(A, c, b)
+    assert abs(float(c[:, 0] @ x)) <= 1e-12
+    g = A @ x - b
+    assert np.linalg.norm(g - (c[:, 0] @ g) / (c[:, 0] @ c[:, 0]) * c[:, 0]) <= 1e-12
+    with pytest.raises(np.linalg.LinAlgError):
+        disc.bordered_solve(np.zeros((3, 3)), np.zeros((3, 1)), np.ones(3))
+
+
+def test_dual_norm_factors_once():
+    m = model.cylinder(3, 1.0)
+    ops = disc.assemble_operators(m, disc.build_grid(m, 32))
+    G = np.linspace(-1.0, 1.0, ops.N)
+    r = np.linalg.solve(ops.w12_gram, G)
+    assert ops.dual_norm(G) == pytest.approx(math.sqrt(G @ r), rel=1e-12)
+    assert np.allclose(ops.riesz(G), r, rtol=1e-10, atol=0)
+    assert ops.w12_cho is ops.w12_cho

@@ -229,3 +229,30 @@ def test_coercivity_off_kernel(frank_deg, frank_deg_chart):
         z = Z @ rng.standard_normal(Z.shape[1])
         z /= ops.w12_norm(z)
         assert float(z @ H @ z) >= 0.5 * coer.lambda1_w - 1e-9
+
+
+def test_correction_step_matches_projected_hessian_solve(frank_deg_chart):
+    # reference: the complement-coordinate system (Z'HZ + mu I) s = -r
+    chart = frank_deg_chart
+    Z = chart._Z
+    xi = chart.kernel_vector(np.array([0.02, -0.01]))
+    res_vec = chart.complement_residual(xi)
+    H = energy.raw_hessian(chart.ops, chart.v.u + xi)
+    for mu in (0.0, 1e-3):
+        ref = np.linalg.solve(Z.T @ H @ Z + mu * np.eye(Z.shape[1]), -res_vec)
+        step = lsred._correction_step(chart, H, res_vec, mu)
+        assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def test_newton_loops_build_no_qr_frames(frank_deg_chart, monkeypatch):
+    chart = frank_deg_chart
+    ops = chart.ops
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+    u0 = 1.0 + 0.05 * np.cos(2 * math.pi * ops.grid.nodes / ops.model.length)
+    rep = minimize.minimize_energy(ops, u0)
+    assert rep.converged and rep.iterations > 0
+    z, (iters, _) = lsred.solve_correction_full(chart, [0.02, -0.01])
+    assert iters > 0 and np.any(z)
+    assert calls == []

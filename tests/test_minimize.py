@@ -149,3 +149,22 @@ def test_hemisphere_comparison_value():
     ops = disc.assemble_operators(m, g)
     q_const = energy.yamabe_quotient(ops, np.ones(g.N)).Q
     assert minimize.hemisphere_comparison_value(3) == pytest.approx(q_const, rel=1e-11)
+
+
+def test_polish_step_matches_tangent_basis_step():
+    # reference: the same Levenberg step through an explicit Householder
+    # basis B of the tangent space {p.d = 0}, (B'HB + mu B'WB) s = -B'G
+    m = model.frank_product(5, SUB_RADIUS)
+    g = disc.build_grid(m, 64)
+    ops = disc.assemble_operators(m, g)
+    state = energy.normalize(ops, 1.0 + 0.05 * np.cos(2 * math.pi * g.nodes / m.length))
+    H = energy.hessian_form(state)
+    G = energy.gradient(state)
+    p = energy.volume_covector(state)
+    frame = np.column_stack([p, np.eye(ops.N)[:, : ops.N - 1]])
+    B = np.linalg.qr(frame, mode="complete")[0][:, 1:]
+    for mu in (0.0, 1e-3):
+        ref = B @ np.linalg.solve(B.T @ (H + mu * ops.w12_gram) @ B, -(B.T @ G))
+        step = minimize._polish_step(state, H, G, mu)
+        assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
+        assert abs(float(p @ step)) <= 1e-12 * np.linalg.norm(p) * np.linalg.norm(step)

@@ -219,3 +219,25 @@ def test_reduced_family_rejects_noncritical_phi(frank_deg_chart, frank_deg):
     with pytest.raises(ValueError, match="not a usable minimizer|critical"):
         stability.reduced_family(frank_deg_chart, [np.array([0.05, 0.0])],
                                  spectrum=spec)
+
+
+def test_distance_search_penalizes_only_chart_errors(frank_deg_chart, frank_deg, monkeypatch):
+    # a chart failure is a penalty point for the local search; any other
+    # exception is a bug and must reach the caller
+    _, rep, spec, _ = frank_deg
+    fam = stability.reduced_family(frank_deg_chart, [np.zeros(2)],
+                                   continuum=True, spectrum=spec)
+    ops = rep.v.ops
+    u = energy.normalize(ops, np.clip(rep.v.u + 0.005 * fam.split.K_basis[:, 0], 0, None))
+    d_member = ops.w12_norm(u.u - rep.v.u) / ops.w12_norm(u.u)
+
+    def failing(exc):
+        def solve(chart, phi):
+            raise exc("injected")
+        return solve
+
+    monkeypatch.setattr(stability, "solve_correction", failing(lsred.ChartError))
+    assert stability.distance_to_minimizers(u, fam) == pytest.approx(d_member, rel=1e-12)
+    monkeypatch.setattr(stability, "solve_correction", failing(ZeroDivisionError))
+    with pytest.raises(ZeroDivisionError):
+        stability.distance_to_minimizers(u, fam)
