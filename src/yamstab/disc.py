@@ -6,7 +6,8 @@ with trapezoid weights and the Fourier differentiation matrix.  All forms are
 assembled dense: the grids are desk-scale (N of a few hundred) and the
 eigenvalue work downstream needs full matrices anyway.  The Sobolev Cholesky
 factor is cached on the operator set, and linearly constrained Newton steps
-go through one bordered (KKT) solve instead of an explicit null-space basis.
+go through a bordered (KKT) factor instead of an explicit null-space basis;
+one factor serves any number of right-hand sides.
 """
 
 from __future__ import annotations
@@ -237,31 +238,93 @@ def assemble_operators(m: SymmetricModel, grid: Grid) -> DiscreteOperators:
     )
 
 
-def bordered_solve(A: np.ndarray, C: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve min 1/2 x'Ax - b'x subject to C'x = 0 via the bordered system.
+class BorderedFactor:
+    """Bunch-Kaufman LDL' factor of the bordered matrix [[A, C], [C', 0]].
+
+    The matrix is factored once, in place, by LAPACK ?sytrf; each solve(b)
+    is then O(N^2) and returns the x of
 
         [ A   C ] [x]   [b]
-        [ C'  0 ] [l] = [0]
+        [ C'  0 ] [l] = [0],
 
-    is factored by symmetric-indefinite LAPACK ?sysv (Bunch-Kaufman) and x is
-    returned.  This is the range-space form of a null-space solve: x equals
-    Z (Z'AZ)^-1 Z'b for any basis Z of ker C', without building Z.  An exactly
-    singular pivot raises LinAlgError; an ill-conditioned system returns its
-    (possibly poor) solution silently, and callers judge the step instead.
+    which minimizes 1/2 x'Ax - b'x subject to C'x = 0.  This is the
+    range-space form of a null-space solve: x equals Z (Z'AZ)^-1 Z'b for any
+    basis Z of ker C', without building Z.  An exactly singular pivot raises
+    LinAlgError here; an ill-conditioned system gives its (possibly poor)
+    solutions silently, and callers judge the steps instead.
+
+    solve() repeats the arithmetic of LAPACK ?sytrs2, the solve inside ?sysv
+    (?syconv'd factor, two unit-triangular ?trsm passes, the 1x1 and 2x2
+    pivot blocks), so a factor-then-solve gives the bits of one ?sysv call;
+    plain ?sytrs differs from it in the last digits.
     """
-    N, k = C.shape
-    K = np.zeros((N + k, N + k))
-    K[:N, :N] = A
-    K[:N, N:] = C
-    K[N:, :N] = C.T
-    rhs = np.zeros(N + k)
-    rhs[:N] = b
-    sysv, sysv_lwork = sla.get_lapack_funcs(("sysv", "sysv_lwork"), (K,))
-    lwork = int(sysv_lwork(N + k)[0])
-    _, _, x, info = sysv(K, rhs, lwork=lwork, overwrite_a=True, overwrite_b=True)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"bordered system is singular (zero pivot {info})")
-    return x[:N]
+
+    def __init__(self, A: np.ndarray, C: np.ndarray):
+        N, k = C.shape
+        n = N + k
+        K = np.zeros((n, n), order="F")
+        K[:N, :N] = A
+        K[:N, N:] = C
+        K[N:, :N] = C.T
+        sytrf, sytrf_lwork, syconv = sla.get_lapack_funcs(
+            ("sytrf", "sytrf_lwork", "syconv"), (K,))
+        lwork = int(sytrf_lwork(n)[0])
+        ldu, ipiv, info = sytrf(K, lwork=lwork, overwrite_a=True)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"bordered system is singular (zero pivot {info})")
+        # U with the interchanges applied and the 2x2 off-diagonals moved to e
+        self._U, e, _ = syconv(ldu, ipiv, way=0, overwrite_a=True)
+        self._trsm = sla.get_blas_funcs("trsm", (K,))
+        self._N = N
+
+        # P' as a gather index, and the 2x2 pivot blocks (lo, hi)
+        perm = list(range(n))
+        hi = []
+        j = n - 1
+        piv = ipiv.tolist()
+        while j >= 0:
+            if piv[j] > 0:
+                p = piv[j] - 1
+                perm[j], perm[p] = perm[p], perm[j]
+                j -= 1
+            else:
+                p = -piv[j] - 1
+                perm[j - 1], perm[p] = perm[p], perm[j - 1]
+                hi.append(j)
+                j -= 2
+        self._perm = np.array(perm)
+        self._hi = np.array(hi, dtype=int)
+        self._lo = self._hi - 1
+        d = np.diag(self._U)
+        self._one = np.ones(n, dtype=bool)
+        self._one[self._hi] = False
+        self._one[self._lo] = False
+        self._inv_d = 1.0 / d[self._one]
+        self._e = e[self._hi]
+        self._d_lo = d[self._lo] / self._e
+        self._d_hi = d[self._hi] / self._e
+        self._denom = self._d_lo * self._d_hi - 1.0
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        rhs = np.zeros((self._U.shape[0], 1), order="F")
+        rhs[:self._N, 0] = b
+        x = rhs[self._perm]
+        x = self._trsm(1.0, self._U, x, side=0, lower=0, trans_a=0, diag=1, overwrite_b=True)
+        y = x[:, 0]
+        y[self._one] *= self._inv_d
+        b_lo = y[self._lo] / self._e
+        b_hi = y[self._hi] / self._e
+        y[self._lo] = (self._d_hi * b_lo - b_hi) / self._denom
+        y[self._hi] = (self._d_lo * b_hi - b_lo) / self._denom
+        x = self._trsm(1.0, self._U, x, side=0, lower=0, trans_a=1, diag=1, overwrite_b=True)
+        out = np.empty(x.shape[0])
+        out[self._perm] = x[:, 0]
+        return out[:self._N]
+
+
+def bordered_solve(A: np.ndarray, C: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One constrained solve: BorderedFactor(A, C).solve(b)."""
+    return BorderedFactor(A, C).solve(b)
 
 
 def lp_norm(ops: DiscreteOperators, u: np.ndarray, p: float) -> float:

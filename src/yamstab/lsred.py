@@ -7,13 +7,21 @@ complement component of the chart gradient vanishes.  The reduced energy
 q(phi) = Q(v + phi + F(phi)) is then a finite-dimensional analytic function
 whose growth at 0 carries the stability exponent.
 
-The complement equation is solved by damped Newton iteration on complement
-coordinates; the Hessian block is invertible there because the first
-eigenvalue off the kernel is strictly positive.  The complement basis Z is
-M-orthonormal, so each Levenberg step (Z'HZ + mu I) s = -r is taken as one
-bordered (KKT) solve of [[H + mu M, C], [C', 0]] with C the constraint
-covectors and right-hand side -M Z r, mapped back by s = Z'M delta; the
-product Z'HZ is never formed.
+The complement equation is solved by a chord (Shamanskii) Newton iteration
+on complement coordinates.  The complement basis Z is M-orthonormal, so a
+Newton step (Z'HZ + mu I) s = -r is one bordered (KKT) solve of
+[[H + mu M, C], [C', 0]] with C the constraint covectors and right-hand side
+-M Z r, mapped back by s = Z'M delta; the product Z'HZ is never formed.  The
+chart factors this system once, at v with mu = 0, where it is invertible
+because the first eigenvalue off the kernel is strictly positive; by the
+implicit-function contraction argument a step with the Jacobian frozen at v
+still contracts at a rate of O(|phi|).  Each solve therefore first takes
+O(N^2) chord steps with the current factor, accepting one when it cuts the
+residual by CHORD_CONTRACTION.  When a chord step fails that test or leaves
+the positive cone, the solve refreshes: a damped Newton step at the current
+iterate on a new factor of raw_hessian(v + xi) + mu M, with a mu ladder and
+a backtracking line search, whose factor the following chord steps reuse.
+The sample's newton_iters counts every accepted step, chord or refreshed.
 """
 
 from __future__ import annotations
@@ -22,9 +30,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
-from .disc import DiscreteOperators, bordered_solve
+from .disc import BorderedFactor, DiscreteOperators
 from .spectrum import KernelSplit, mass_scaled_complement
 from . import energy
 
@@ -43,6 +50,7 @@ class InsufficientDataError(RuntimeError):
 
 NOISE_FLOOR = 1e-13
 RADIUS_HALVINGS = 4
+CHORD_CONTRACTION = 0.5  # residual ratio a chord step must reach to be kept
 
 
 @dataclass(eq=False)
@@ -56,6 +64,7 @@ class ReductionChart:
     _halvings: int = field(init=False, default=0)
     _Z: np.ndarray = field(init=False, repr=False)
     _C: np.ndarray = field(init=False, repr=False)
+    _factor: BorderedFactor | None = field(init=False, repr=False)
     _q0: float = field(init=False)
 
     def __post_init__(self):
@@ -69,6 +78,10 @@ class ReductionChart:
             covs.append(mvec * self.split.K_basis[:, j])
         self._Z = mass_scaled_complement(self.ops, covs)
         self._C = np.column_stack(covs)
+        try:
+            self._factor = BorderedFactor(energy.raw_hessian(self.ops, self.v.u), self._C)
+        except np.linalg.LinAlgError:
+            self._factor = None  # every correction solve starts with a refresh
         self.radius = 0.1 * self.ops.w12_norm(self.v.u)
         self._q0 = energy.yamabe_quotient(self.ops, self.v.u).Q
         # fixed references for the incremental residual evaluation
@@ -144,57 +157,80 @@ class ReducedSample:
     scale: float = 0.0
 
 
-def _correction_step(chart: ReductionChart, H: np.ndarray, res_vec: np.ndarray,
-                     mu: float) -> np.ndarray:
-    """Complement-coordinate step s with (Z'HZ + mu I) s = -res_vec.
+def _factor_step(chart: ReductionChart, factor: BorderedFactor,
+                 res_vec: np.ndarray) -> np.ndarray:
+    """Complement-coordinate step s with (Z'AZ) s = -res_vec, A the factored block.
 
     Exact because Z'MZ = I and Z'C = 0: the bordered solution delta lies in
-    the range of Z and Z'(H + mu M) delta = Z'(-M Z res_vec) = -res_vec.
+    the range of Z and Z'A delta = Z'(-M Z res_vec) = -res_vec.
     """
-    ops = chart.ops
-    m = ops.vol_weights
-    delta = bordered_solve(H + mu * ops.mass, chart._C, -m * (chart._Z @ res_vec))
+    m = chart.ops.vol_weights
+    delta = factor.solve(-m * (chart._Z @ res_vec))
     return chart._Z.T @ (m * delta)
 
 
-def _correction_solve(chart: ReductionChart, phi: np.ndarray):
-    """Newton iteration for the complement coefficients at kernel offset phi."""
-    ops = chart.ops
-    Z = chart._Z
-    v = chart.v.u
+def _correction_step(chart: ReductionChart, H: np.ndarray, res_vec: np.ndarray,
+                     mu: float) -> np.ndarray:
+    """Complement-coordinate step s with (Z'HZ + mu I) s = -res_vec."""
+    return _factor_step(chart, BorderedFactor(H + mu * chart.ops.mass, chart._C), res_vec)
 
-    coeffs = np.zeros(Z.shape[1])
+
+def _trial(chart: ReductionChart, phi: np.ndarray, coeffs: np.ndarray):
+    """(xi, residual vector, residual norm) at complement coefficients coeffs.
+
+    None when v + xi leaves the positive cone, where the chart energy is not
+    defined.
+    """
+    xi = phi + chart._Z @ coeffs
+    if not np.all(chart.v.u + xi > 0):
+        return None
+    res_vec = chart.complement_residual(xi)
+    return xi, res_vec, float(np.linalg.norm(res_vec))
+
+
+def _correction_solve(chart: ReductionChart, phi: np.ndarray):
+    """Chord Newton iteration for the complement coefficients at kernel offset phi."""
+    ops = chart.ops
+    coeffs = np.zeros(chart._Z.shape[1])
     xi = phi.copy()
     res_vec = chart.complement_residual(xi)
     res = float(np.linalg.norm(res_vec))
     iters = 0
     mu = 0.0
+    factor = chart._factor
     while res > chart.newton_tol and iters < chart.max_newton:
-        H = energy.raw_hessian(ops, v + xi)
+        if factor is not None:
+            cand = coeffs + _factor_step(chart, factor, res_vec)
+            trial = _trial(chart, phi, cand)
+            if trial is not None and trial[2] <= CHORD_CONTRACTION * res:
+                coeffs, (xi, res_vec, res) = cand, trial
+                iters += 1
+                continue
+        # refresh: damped Newton step on a new factor at the current iterate
+        H = energy.raw_hessian(ops, chart.v.u + xi)
         step_ok = False
         for _ in range(30):
             try:
-                step = _correction_step(chart, H, res_vec, mu)
-            except sla.LinAlgError:
+                fresh = BorderedFactor(H + mu * ops.mass, chart._C)
+            except np.linalg.LinAlgError:
                 mu = max(10.0 * mu, 1e-8)
                 continue
+            step = _factor_step(chart, fresh, res_vec)
             damp = 1.0
             for _ in range(25):
                 cand = coeffs + damp * step
-                xi_cand = phi + Z @ cand
-                if np.all(v + xi_cand > 0):
-                    cand_vec = chart.complement_residual(xi_cand)
-                    cand_res = float(np.linalg.norm(cand_vec))
-                    if cand_res < res:
-                        coeffs, xi, res_vec, res = cand, xi_cand, cand_vec, cand_res
-                        step_ok = True
-                        break
+                trial = _trial(chart, phi, cand)
+                if trial is not None and trial[2] < res:
+                    coeffs, (xi, res_vec, res) = cand, trial
+                    step_ok = True
+                    break
                 damp *= 0.5
             if step_ok:
                 break
             mu = max(10.0 * mu, 1e-8)
         if not step_ok:
             break
+        factor = fresh
         mu *= 0.1
         iters += 1
     return coeffs, res, iters

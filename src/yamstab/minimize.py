@@ -5,9 +5,11 @@ Armijo backtracking, optionally polished by a damped Newton method on the
 tangent space.  Each polish step is one bordered (KKT) solve of
 [[H + mu W, p], [p', 0]] with H the projected Hessian, W = S + M and p the
 volume covector: the Levenberg step restricted to p.d = 0, obtained without
-building a tangent basis.  Convergence is declared on the preconditioned
-gradient norm alone: degenerate minimizers move arbitrarily slowly along
-their kernel, so state movement is not a usable criterion.
+building a tangent basis.  A rejected step is retried with ten times the
+damping until it shrinks to round-off (POLISH_STEP_FLOOR), where the polish
+stops.  Convergence is declared on the preconditioned gradient norm alone:
+degenerate minimizers move arbitrarily slowly along their kernel, so state
+movement is not a usable criterion.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ class MinimizeReport:
 ARMIJO_C1 = 1e-4
 NEWTON_SWITCH = 1e-2
 MAX_BACKTRACK = 60
+# A rejected polish step whose Sobolev norm is at most this times |u|_W is
+# round-off: more damping only shrinks it, so the damping ladder stops there.
+POLISH_STEP_FLOOR = np.finfo(float).eps
 
 
 def _polish_step(state: energy.NormalizedState, H: np.ndarray, G: np.ndarray,
@@ -122,6 +127,7 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
         while (grad_norm > opts.grad_tol or bonus > 0) and newton_iters < 80 \
                 and iterations < opts.max_iters + 80:
             H = energy.hessian_form(state)
+            step_floor = POLISH_STEP_FLOOR * ops.w12_norm(state.u)
             accepted = False
             for _ in range(40):
                 try:
@@ -140,6 +146,8 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
                 trial_norm = ops.dual_norm(energy.gradient(trial_state))
                 if trial_norm < grad_norm and trial_q <= q_val + 1e-13 * max(abs(q_val), 1.0):
                     accepted = True
+                    break
+                if ops.w12_norm(step) <= step_floor:
                     break
                 mu = max(10.0 * mu, 1e-10)
             if not accepted:

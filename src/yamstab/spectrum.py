@@ -9,7 +9,6 @@ Eigenvectors are therefore tangent and M-orthonormal by construction.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -109,17 +108,6 @@ def eigen_decompose(v: energy.NormalizedState, k: int) -> SpectrumReport:
     return SpectrumReport(eigenvalues=lam, eigenvectors=vecs, v=v, grad_norm=grad_norm)
 
 
-def _gram_schmidt_m(ops: DiscreteOperators, cols: np.ndarray) -> np.ndarray:
-    mvec = ops.vol_weights
-    out = cols.copy()
-    for j in range(out.shape[1]):
-        for i in range(j):
-            out[:, j] -= float(out[:, i] @ (mvec * out[:, j])) * out[:, i]
-        nrm = math.sqrt(float(out[:, j] @ (mvec * out[:, j])))
-        out[:, j] /= nrm
-    return out
-
-
 def kernel_split(spec: SpectrumReport, tol_rel: float = 1e-6) -> KernelSplit:
     """Split the computed spectrum into a kernel and its complement.
 
@@ -146,8 +134,7 @@ def kernel_split(spec: SpectrumReport, tol_rel: float = 1e-6) -> KernelSplit:
                 f"kernel threshold splits a near-degenerate cluster: "
                 f"|last kernel| = {last_kernel:.3e}, |first retained| = {abs(lambda1):.3e}; "
                 "change the tolerance or the resolution")
-        K = _gram_schmidt_m(spec.v.ops, spec.eigenvectors[:, in_kernel])
-        K = _fix_signs(K)
+        K = spec.eigenvectors[:, in_kernel]
     else:
         K = np.zeros((spec.eigenvectors.shape[0], 0))
     return KernelSplit(K_basis=K, lambda1=lambda1, kernel_dim=kernel_dim,

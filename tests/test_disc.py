@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -174,6 +175,28 @@ def test_bordered_solve_constrained_minimizer():
     assert np.linalg.norm(g - (c[:, 0] @ g) / (c[:, 0] @ c[:, 0]) * c[:, 0]) <= 1e-12
     with pytest.raises(np.linalg.LinAlgError):
         disc.bordered_solve(np.zeros((3, 3)), np.zeros((3, 1)), np.ones(3))
+
+
+def test_bordered_factor_solves_many_right_hand_sides():
+    # an indefinite block with three constraints: Bunch-Kaufman takes 2x2 pivots
+    rng = np.random.default_rng(5)
+    Q = rng.standard_normal((40, 40))
+    A = Q + Q.T
+    C = rng.standard_normal((40, 3))
+    B = rng.standard_normal((40, 3))
+    factor = disc.BorderedFactor(A, C)
+    K = np.block([[A, C], [C.T, np.zeros((3, 3))]])
+    sysv, sysv_lwork = sla.get_lapack_funcs(("sysv", "sysv_lwork"), (K,))
+    for b in B.T:
+        x = factor.solve(b)
+        ref = disc.bordered_solve(A, C, b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(C.T @ x) <= 1e-12 * np.linalg.norm(C) * np.linalg.norm(x)
+        # the solve repeats ?sysv's arithmetic bit for bit
+        rhs = np.concatenate([b, np.zeros(3)])
+        assert np.array_equal(x, sysv(K, rhs, lwork=int(sysv_lwork(43)[0]))[2][:40])
+    with pytest.raises(np.linalg.LinAlgError):
+        disc.BorderedFactor(np.zeros((3, 3)), np.zeros((3, 1)))
 
 
 def test_dual_norm_factors_once():

@@ -256,3 +256,43 @@ def test_newton_loops_build_no_qr_frames(frank_deg_chart, monkeypatch):
     z, (iters, _) = lsred.solve_correction_full(chart, [0.02, -0.01])
     assert iters > 0 and np.any(z)
     assert calls == []
+
+
+def test_chord_correction_matches_full_newton(frank_deg_chart):
+    # reference: undamped Newton with a fresh Hessian at every step
+    chart = frank_deg_chart
+    ops = chart.ops
+    Z = chart._Z
+    for phi_coords in (np.array([0.02, -0.01]), 0.1 * np.array([1.0, 1.0]) / math.sqrt(2)):
+        phi = chart.kernel_vector(phi_coords)
+        coeffs = np.zeros(Z.shape[1])
+        res_vec = chart.complement_residual(phi)
+        for _ in range(chart.max_newton):
+            if np.linalg.norm(res_vec) <= chart.newton_tol:
+                break
+            H = energy.raw_hessian(ops, chart.v.u + phi + Z @ coeffs)
+            coeffs = coeffs + lsred._correction_step(chart, H, res_vec, 0.0)
+            res_vec = chart.complement_residual(phi + Z @ coeffs)
+        z_ref = Z @ coeffs
+        z, (iters, res) = lsred.solve_correction_full(chart, phi_coords)
+        assert res <= chart.newton_tol
+        assert ops.w12_norm(z - z_ref) <= 1e-9 * ops.w12_norm(z_ref)
+
+
+def test_quartic_sweep_factors_once(frank_deg, monkeypatch):
+    _, rep, _, split = frank_deg
+    factors = []
+
+    class CountingFactor(lsred.BorderedFactor):
+        def __init__(self, *args):
+            factors.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(lsred, "BorderedFactor", CountingFactor)
+    chart = lsred.ReductionChart(v=rep.v, split=split, ops=rep.v.ops)
+    samples = lsred.sample_reduced(
+        chart, [np.array([1.0, 0.0]), np.array([1.0, 1.0]) / math.sqrt(2)],
+        np.geomspace(1e-3, 1e-1, 8))
+    assert all(s.residual <= chart.newton_tol for s in samples)
+    assert max(s.newton_iters for s in samples) < chart.max_newton
+    assert len(factors) <= 4

@@ -168,3 +168,31 @@ def test_polish_step_matches_tangent_basis_step():
         step = minimize._polish_step(state, H, G, mu)
         assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
         assert abs(float(p @ step)) <= 1e-12 * np.linalg.norm(p) * np.linalg.norm(step)
+
+
+def test_polish_stops_damping_at_roundoff_steps(frank_deg, monkeypatch):
+    # grad_tol 1e-15 is out of reach, so the last polish iteration stalls; its
+    # damping ladder must stop at round-off-sized steps without changing the result
+    _, rep, _, _ = frank_deg
+    ops = rep.v.ops
+    u0 = 1.0 + 0.05 * np.cos(2 * math.pi * ops.grid.nodes / ops.model.length)
+    opts = minimize.MinimizeOptions(grad_tol=1e-15)
+    solve = minimize.bordered_solve
+    counts = []
+
+    def run():
+        calls = []
+        monkeypatch.setattr(minimize, "bordered_solve",
+                            lambda *a: calls.append(1) or solve(*a))
+        out = minimize.minimize_energy(ops, u0, opts)
+        counts.append(len(calls))
+        return out
+
+    stopped = run()
+    monkeypatch.setattr(minimize, "POLISH_STEP_FLOOR", 0.0)
+    full = run()
+    assert not stopped.converged
+    assert np.array_equal(stopped.v.u, full.v.u)
+    assert stopped.iterations == full.iterations
+    assert stopped.grad_norm == full.grad_norm
+    assert counts[0] < counts[1]
