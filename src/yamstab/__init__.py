@@ -8,8 +8,8 @@ from .model import (BoundaryData, Pole, SymmetricModel, conformal_deform,
 from .disc import DiscreteOperators, Grid, assemble_operators, build_grid, lp_norm
 from .energy import (ELResidual, EnergyReport, NormalizedState, el_residual,
                      energy_deficit, gradient, hessian_form, metric_distance,
-                     metric_distance_star, normalize, project_tangent,
-                     w12_norm, yamabe_quotient)
+                     metric_distance_star, normalize, power_increment,
+                     project_tangent, yamabe_quotient)
 from .minimize import (ConvergenceError, MinimizeOptions, MinimizeReport,
                        estimate_yamabe_constant, hemisphere_comparison_value,
                        minimize_energy)
@@ -18,7 +18,7 @@ from .spectrum import (KernelSplit, KernelThresholdError, SpectrumReport,
 from .lsred import (ChartError, FitRejectedError, GrowthFit,
                     InsufficientDataError, ReducedSample, ReductionChart,
                     detect_integrability, fit_growth_exponent, reduced_energy,
-                    sample_reduced, solve_correction)
+                    sample_reduced, solve_correction_full)
 from .stability import (CoercivityData, MinimizerFamily, SampleSpec,
                         StabilityFit, StabilityRecord, coercivity_data,
                         distance_to_minimizers, fit_stability_exponent,

@@ -87,12 +87,25 @@ class ExperimentConfig:
         }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A finite JSON number; json.load also yields booleans, NaN and Infinity."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def validate_dict(raw: dict) -> list[str]:
-    """Schema diagnostics with field paths; empty list means valid."""
+    """Schema diagnostics with field paths; empty list means valid.
+
+    The model is built here, so bad params and pole models fail before a run.
+    """
     diags: list[str] = []
     if not isinstance(raw, dict):
         return ["config: expected a JSON object"]
 
+    built = None
     model = raw.get("model")
     if model is None:
         diags.append("model: missing required field")
@@ -108,11 +121,18 @@ def validate_dict(raw: dict) -> list[str]:
         params = model.get("params", {})
         if not isinstance(params, dict):
             diags.append("model.params: expected an object")
+        elif not all(_is_number(val) for val in params.values()):
+            diags.append("model.params: expected finite numbers")
+        elif kind in MODEL_KINDS:
+            try:
+                built = make_model(kind, **params)
+            except (TypeError, ValueError) as exc:
+                diags.append(f"model.params: {exc}")
 
     N = raw.get("N")
     if N is None:
         diags.append("N: missing required field")
-    elif not isinstance(N, int) or isinstance(N, bool):
+    elif not _is_int(N):
         diags.append("N: expected an integer")
     elif N < MIN_NODES:
         diags.append(f"N: below minimum {MIN_NODES}")
@@ -123,10 +143,14 @@ def validate_dict(raw: dict) -> list[str]:
     elif exp not in EXPERIMENTS:
         diags.append(f"experiment: unknown experiment {exp!r}; "
                      f"choose from {sorted(EXPERIMENTS)}")
+    elif exp in ("spectrum", "lsred", "stability") and built is not None \
+            and any(built.pole_endpoints()):
+        diags.append(f"experiment: {exp} needs a positive-definite mass matrix; "
+                     f"{built.label} has a pole endpoint with zero mass")
 
     if "seed" not in raw:
         diags.append("seed: missing required field")
-    elif not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool):
+    elif not _is_int(raw["seed"]):
         diags.append("seed: expected an integer")
 
     if "output" not in raw:
@@ -141,8 +165,8 @@ def validate_dict(raw: dict) -> list[str]:
         for key, val in tol.items():
             if key not in DEFAULT_TOLERANCES:
                 diags.append(f"tolerances.{key}: unknown tolerance")
-            elif not isinstance(val, (int, float)) or val <= 0:
-                diags.append(f"tolerances.{key}: expected a positive number")
+            elif not _is_number(val) or val <= 0:
+                diags.append(f"tolerances.{key}: expected a positive finite number")
 
     samp = raw.get("sampling", {})
     if not isinstance(samp, dict):
@@ -152,13 +176,12 @@ def validate_dict(raw: dict) -> list[str]:
             if key not in DEFAULT_SAMPLING:
                 diags.append(f"sampling.{key}: unknown sampling field")
         for key in ("directions", "count"):
-            if key in samp and (not isinstance(samp[key], int) or samp[key] < 1):
+            if key in samp and (not _is_int(samp[key]) or samp[key] < 1):
                 diags.append(f"sampling.{key}: expected a positive integer")
         if "scales" in samp:
             scl = samp["scales"]
-            if not isinstance(scl, list) or any(
-                    not isinstance(s, (int, float)) or s <= 0 for s in scl):
-                diags.append("sampling.scales: expected a list of positive numbers")
+            if not isinstance(scl, list) or any(not _is_number(s) or s <= 0 for s in scl):
+                diags.append("sampling.scales: expected a list of positive finite numbers")
         if "kinds" in samp:
             kinds = samp["kinds"]
             ok = isinstance(kinds, list) and all(
@@ -228,13 +251,8 @@ def _model(cfg: ExperimentConfig):
 
 def _best_report(cfg: ExperimentConfig):
     m = _model(cfg)
-    starts = cfg.sampling["count"]
-    reports = minimize.run_multistart(m, cfg.N, starts, _opts(cfg))
-    converged = [r for r in reports if r.converged]
-    if not converged:
-        raise ConvergenceError(f"no start converged on {m.label} at N={cfg.N}")
-    best = min(converged, key=lambda r: (r.Y_est, r.grad_norm, r.start_index))
-    return m, reports, best
+    reports = minimize.run_multistart(m, cfg.N, cfg.sampling["count"], _opts(cfg))
+    return m, reports, minimize.best_converged(reports, m, cfg.N)
 
 
 def run_minimize(cfg: ExperimentConfig):

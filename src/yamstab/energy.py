@@ -165,21 +165,35 @@ def raw_hessian(ops: DiscreteOperators, w: np.ndarray) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
+def power_increment(v: np.ndarray, xi: np.ndarray, p: float) -> np.ndarray:
+    """Nodal (v + xi)^p - v^p around a nonnegative base function v.
+
+    Where v is not negligible the increment goes through expm1/log1p, so
+    its round-off scales with |xi| instead of |v|; at the remaining nodes it
+    is the plain difference.
+    """
+    w = v + xi
+    big = v > 1e-12 * np.max(v)
+    out = np.empty_like(w)
+    out[big] = v[big] ** p * np.expm1(p * np.log1p(xi[big] / v[big]))
+    out[~big] = w[~big] ** p - v[~big] ** p
+    return out
+
+
 def energy_deficit(v: NormalizedState, xi: np.ndarray) -> float:
     """Q(v + xi) - Q(v), evaluated in incremental form.
 
     The direct difference of two quotient evaluations loses to round-off once
     it falls below ~1e-12; here the energy increment is expanded exactly
     (the numerator is a quadratic form) and the volume increment goes through
-    expm1/log1p, keeping the difference accurate down to ~1e-15 relative to
-    the energy scale.
+    power_increment, keeping the difference accurate down to ~1e-15 relative
+    to the energy scale.
     """
     ops = v.ops
     ts = ops.two_star
     m = ops.vol_weights
     xi = np.asarray(xi, dtype=float)
-    w = v.u + xi
-    if np.any(w < 0):
+    if np.any(v.u + xi < 0):
         raise ValueError("perturbed state leaves the nonnegative cone")
 
     A = ops.total_form
@@ -188,11 +202,7 @@ def energy_deficit(v: NormalizedState, xi: np.ndarray) -> float:
     dE = 2.0 * float(xi @ Av) + float(xi @ (A @ xi))
 
     P_v = float(np.sum(m * v.u**ts))
-    big = v.u > 1e-12 * np.max(v.u)
-    delta_terms = np.empty_like(w)
-    delta_terms[big] = v.u[big] ** ts * np.expm1(ts * np.log1p(xi[big] / v.u[big]))
-    delta_terms[~big] = w[~big] ** ts - v.u[~big] ** ts
-    delta = float(np.sum(m * delta_terms))
+    delta = float(np.sum(m * power_increment(v.u, xi, ts)))
 
     growth = math.expm1((2.0 / ts) * math.log1p(delta / P_v))
     denom = P_v ** (2.0 / ts) * (1.0 + growth)
@@ -257,7 +267,3 @@ def metric_distance_star(ops: DiscreteOperators, u: np.ndarray, w: np.ndarray,
         val += 2.0 * (ops.n - 1) * ep.h * ep.b * delta[idx] ** 2
     return math.sqrt(max(val, 0.0))
 
-
-def w12_norm(ops: DiscreteOperators, u: np.ndarray) -> float:
-    """Sobolev norm used for all reported distances: sqrt(u'(S+M)u)."""
-    return ops.w12_norm(np.asarray(u, dtype=float))

@@ -7,21 +7,22 @@ complement component of the chart gradient vanishes.  The reduced energy
 q(phi) = Q(v + phi + F(phi)) is then a finite-dimensional analytic function
 whose growth at 0 carries the stability exponent.
 
-The complement equation is solved by a chord (Shamanskii) Newton iteration
-on complement coordinates.  The complement basis Z is M-orthonormal, so a
-Newton step (Z'HZ + mu I) s = -r is one bordered (KKT) solve of
-[[H + mu M, C], [C', 0]] with C the constraint covectors and right-hand side
--M Z r, mapped back by s = Z'M delta; the product Z'HZ is never formed.  The
-chart factors this system once, at v with mu = 0, where it is invertible
-because the first eigenvalue off the kernel is strictly positive; by the
-implicit-function contraction argument a step with the Jacobian frozen at v
-still contracts at a rate of O(|phi|).  Each solve therefore first takes
-O(N^2) chord steps with the current factor, accepting one when it cuts the
-residual by CHORD_CONTRACTION.  When a chord step fails that test or leaves
-the positive cone, the solve refreshes: a damped Newton step at the current
-iterate on a new factor of raw_hessian(v + xi) + mu M, with a mu ladder and
-a backtracking line search, whose factor the following chord steps reuse.
-The sample's newton_iters counts every accepted step, chord or refreshed.
+The complement has no basis: with C = [p, M K] the constraint covectors, z
+ranges over ker C', the residual is the nodal chart gradient g minus its
+range(C) part, r = g - C (C'M^-1 C)^-1 C'M^-1 g, in the norm sqrt(r'M^-1 r),
+and a Newton step is one bordered (KKT) solve of [[H + mu M, C], [C', 0]]
+with right-hand side -r, which lands in ker C' (the range-space form of the
+null-space method).  The chart factors this system once, at v with mu = 0,
+where it is invertible because the first eigenvalue off the kernel is
+strictly positive; by the implicit-function contraction argument a step
+with the Jacobian frozen at v still contracts at a rate of O(|phi|).  Each
+solve therefore first takes O(N^2) chord steps with the current factor,
+accepting one when it cuts the residual by CHORD_CONTRACTION.  When a chord
+step fails that test or leaves the positive cone, the solve refreshes: a
+damped Newton step at the current iterate on a new factor of
+raw_hessian(v + phi + z) + mu M, with a mu ladder and a backtracking line
+search, whose factor the following chord steps reuse.  The sample's
+newton_iters counts every accepted step, chord or refreshed.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disc import BorderedFactor, DiscreteOperators
-from .spectrum import KernelSplit, mass_scaled_complement
+from .spectrum import KernelSplit, constraint_covectors
 from . import energy
 
 
@@ -62,7 +63,6 @@ class ReductionChart:
     max_newton: int = 40
     radius: float = field(init=False)
     _halvings: int = field(init=False, default=0)
-    _Z: np.ndarray = field(init=False, repr=False)
     _C: np.ndarray = field(init=False, repr=False)
     _factor: BorderedFactor | None = field(init=False, repr=False)
     _q0: float = field(init=False)
@@ -72,12 +72,11 @@ class ReductionChart:
             raise ValueError(
                 "a reduction chart needs a nontrivial kernel; the "
                 "nondegenerate case has constant reduced energy and no chart")
-        mvec = self.ops.vol_weights
-        covs = [energy.volume_covector(self.v)]
-        for j in range(self.split.kernel_dim):
-            covs.append(mvec * self.split.K_basis[:, j])
-        self._Z = mass_scaled_complement(self.ops, covs)
-        self._C = np.column_stack(covs)
+        self._C = constraint_covectors(self.v, self.split.K_basis)
+        # range(C) component y = (C'M^-1 C)^-1 C'M^-1 g of a covector g
+        self._inv_m = 1.0 / self.ops.vol_weights
+        minv_c = self._inv_m[:, None] * self._C
+        self._range_coeffs = np.linalg.solve(self._C.T @ minv_c, minv_c.T)
         try:
             self._factor = BorderedFactor(energy.raw_hessian(self.ops, self.v.u), self._C)
         except np.linalg.LinAlgError:
@@ -86,15 +85,15 @@ class ReductionChart:
         self._q0 = energy.yamabe_quotient(self.ops, self.v.u).Q
         # fixed references for the incremental residual evaluation
         ts = self.ops.two_star
+        mvec = self.ops.vol_weights
         self._Av = self.ops.total_form @ self.v.u
         self._Ev = float(self.v.u @ self._Av)
         self._Pv = float(np.sum(mvec * self.v.u**ts))
-        self._pv = mvec * self.v.u ** (ts - 1.0)
-        self._ZAv = self._Z.T @ self._Av
-        self._Zpv = self._Z.T @ self._pv
+        # range(C) holds p = M v^(2*-1), so of g(v) only A v has a complement part
+        self._rAv = self._Av - self._C @ (self._range_coeffs @ self._Av)
 
     def complement_residual(self, xi: np.ndarray) -> np.ndarray:
-        """Complement-coordinate gradient of the chart energy at offset xi.
+        """Nodal chart gradient g at offset xi minus its range(C) part.
 
         Evaluated incrementally around v so the round-off scales with |xi|
         instead of |v|; this is what lets the Newton solve reach residuals
@@ -104,25 +103,16 @@ class ReductionChart:
         ts = ops.two_star
         m = ops.vol_weights
         v = self.v.u
-        w = v + xi
         Axi = ops.total_form @ xi
         E = self._Ev + 2.0 * float(xi @ self._Av) + float(xi @ Axi)
+        P = self._Pv + float(np.sum(m * energy.power_increment(v, xi, ts)))
+        dg = Axi - (E / P) * m * energy.power_increment(v, xi, ts - 1.0)
+        return 2.0 * P ** (-2.0 / ts) * (self._rAv + dg - self._C @ (self._range_coeffs @ dg))
 
-        big = v > 1e-12 * np.max(v)
-        ratio = np.zeros_like(v)
-        ratio[big] = xi[big] / v[big]
-        dP_terms = np.empty_like(v)
-        dP_terms[big] = v[big] ** ts * np.expm1(ts * np.log1p(ratio[big]))
-        dP_terms[~big] = w[~big] ** ts - v[~big] ** ts
-        P = self._Pv + float(np.sum(m * dP_terms))
-
-        dp_terms = np.empty_like(v)
-        dp_terms[big] = v[big] ** (ts - 1.0) * np.expm1((ts - 1.0) * np.log1p(ratio[big]))
-        dp_terms[~big] = w[~big] ** (ts - 1.0) - v[~big] ** (ts - 1.0)
-        Zdp = self._Z.T @ (m * dp_terms)
-
-        core = self._ZAv + self._Z.T @ Axi - (E / P) * (self._Zpv + Zdp)
-        return 2.0 * P ** (-2.0 / ts) * core
+    def residual_norm(self, r: np.ndarray) -> float:
+        """sqrt(r'M^-1 r), which is |Z'g| for r = complement_residual(xi) and
+        any M-orthonormal basis Z of ker C'."""
+        return math.sqrt(float(r @ (self._inv_m * r)))
 
     @property
     def kernel_dim(self) -> int:
@@ -157,57 +147,38 @@ class ReducedSample:
     scale: float = 0.0
 
 
-def _factor_step(chart: ReductionChart, factor: BorderedFactor,
-                 res_vec: np.ndarray) -> np.ndarray:
-    """Complement-coordinate step s with (Z'AZ) s = -res_vec, A the factored block.
+def _trial(chart: ReductionChart, phi: np.ndarray, z: np.ndarray):
+    """(residual vector, residual norm) at the correction z.
 
-    Exact because Z'MZ = I and Z'C = 0: the bordered solution delta lies in
-    the range of Z and Z'A delta = Z'(-M Z res_vec) = -res_vec.
+    None when v + phi + z leaves the positive cone, where the chart energy
+    is not defined.
     """
-    m = chart.ops.vol_weights
-    delta = factor.solve(-m * (chart._Z @ res_vec))
-    return chart._Z.T @ (m * delta)
-
-
-def _correction_step(chart: ReductionChart, H: np.ndarray, res_vec: np.ndarray,
-                     mu: float) -> np.ndarray:
-    """Complement-coordinate step s with (Z'HZ + mu I) s = -res_vec."""
-    return _factor_step(chart, BorderedFactor(H + mu * chart.ops.mass, chart._C), res_vec)
-
-
-def _trial(chart: ReductionChart, phi: np.ndarray, coeffs: np.ndarray):
-    """(xi, residual vector, residual norm) at complement coefficients coeffs.
-
-    None when v + xi leaves the positive cone, where the chart energy is not
-    defined.
-    """
-    xi = phi + chart._Z @ coeffs
+    xi = phi + z
     if not np.all(chart.v.u + xi > 0):
         return None
     res_vec = chart.complement_residual(xi)
-    return xi, res_vec, float(np.linalg.norm(res_vec))
+    return res_vec, chart.residual_norm(res_vec)
 
 
 def _correction_solve(chart: ReductionChart, phi: np.ndarray):
-    """Chord Newton iteration for the complement coefficients at kernel offset phi."""
+    """Chord Newton iteration for the nodal correction z at kernel offset phi."""
     ops = chart.ops
-    coeffs = np.zeros(chart._Z.shape[1])
-    xi = phi.copy()
-    res_vec = chart.complement_residual(xi)
-    res = float(np.linalg.norm(res_vec))
+    z = np.zeros(ops.N)
+    res_vec = chart.complement_residual(phi)
+    res = chart.residual_norm(res_vec)
     iters = 0
     mu = 0.0
     factor = chart._factor
     while res > chart.newton_tol and iters < chart.max_newton:
         if factor is not None:
-            cand = coeffs + _factor_step(chart, factor, res_vec)
+            cand = z + factor.solve(-res_vec)
             trial = _trial(chart, phi, cand)
-            if trial is not None and trial[2] <= CHORD_CONTRACTION * res:
-                coeffs, (xi, res_vec, res) = cand, trial
+            if trial is not None and trial[1] <= CHORD_CONTRACTION * res:
+                z, (res_vec, res) = cand, trial
                 iters += 1
                 continue
         # refresh: damped Newton step on a new factor at the current iterate
-        H = energy.raw_hessian(ops, chart.v.u + xi)
+        H = energy.raw_hessian(ops, chart.v.u + phi + z)
         step_ok = False
         for _ in range(30):
             try:
@@ -215,13 +186,13 @@ def _correction_solve(chart: ReductionChart, phi: np.ndarray):
             except np.linalg.LinAlgError:
                 mu = max(10.0 * mu, 1e-8)
                 continue
-            step = _factor_step(chart, fresh, res_vec)
+            step = fresh.solve(-res_vec)
             damp = 1.0
             for _ in range(25):
-                cand = coeffs + damp * step
+                cand = z + damp * step
                 trial = _trial(chart, phi, cand)
-                if trial is not None and trial[2] < res:
-                    coeffs, (xi, res_vec, res) = cand, trial
+                if trial is not None and trial[1] < res:
+                    z, (res_vec, res) = cand, trial
                     step_ok = True
                     break
                 damp *= 0.5
@@ -233,21 +204,16 @@ def _correction_solve(chart: ReductionChart, phi: np.ndarray):
         factor = fresh
         mu *= 0.1
         iters += 1
-    return coeffs, res, iters
-
-
-def solve_correction(chart: ReductionChart, phi_coords) -> np.ndarray:
-    """Correction F(phi): the complement part of the nearest critical slice.
-
-    Returns the nodal function z, mass-orthogonal to the kernel basis and to
-    the radial direction, with complement gradient norm below the chart's
-    Newton tolerance.  phi = 0 returns the zero function exactly.
-    """
-    z, _ = solve_correction_full(chart, phi_coords)
-    return z
+    return z, res, iters
 
 
 def solve_correction_full(chart: ReductionChart, phi_coords):
+    """Correction F(phi) with its solve diagnostics (newton_iters, residual).
+
+    F(phi) is the nodal function z, mass-orthogonal to the kernel basis and
+    to the radial direction, with complement gradient norm below the chart's
+    Newton tolerance.  phi = 0 returns the zero function exactly.
+    """
     phi_coords = np.atleast_1d(np.asarray(phi_coords, dtype=float))
     if phi_coords.size != chart.kernel_dim:
         raise ValueError(f"expected {chart.kernel_dim} kernel coordinates")
@@ -260,14 +226,14 @@ def solve_correction_full(chart: ReductionChart, phi_coords):
             f"kernel offset leaves the chart (|phi| = {chart.ops.w12_norm(phi):.3e}, "
             f"radius = {chart.radius:.3e})")
 
-    coeffs, res, iters = _correction_solve(chart, phi)
+    z, res, iters = _correction_solve(chart, phi)
     if res > chart.newton_tol:
         chart.halve_radius()
         raise ChartError(
             f"correction Newton stalled at residual {res:.3e} "
             f"(tolerance {chart.newton_tol:.1e}); chart radius reduced to "
             f"{chart.radius:.3e}")
-    return chart._Z @ coeffs, (iters, res)
+    return z, (iters, res)
 
 
 def reduced_energy(chart: ReductionChart, phi_coords) -> ReducedSample:
@@ -287,12 +253,11 @@ def reduced_energy(chart: ReductionChart, phi_coords) -> ReducedSample:
     )
 
 
-def sample_reduced(chart: ReductionChart, directions, scales,
-                   symmetrize: bool = True) -> list[ReducedSample]:
+def sample_reduced(chart: ReductionChart, directions, scales) -> list[ReducedSample]:
     """Deterministic sweep of the reduced energy over direction/scale pairs.
 
-    With symmetrize, each pair is evaluated at +phi and -phi and the deficits
-    averaged: a chart centered a hair off the true minimizer picks up an odd
+    Each pair is evaluated at +phi and -phi and the deficits averaged: a
+    chart centered a hair off the true minimizer picks up an odd
     contamination term linear in that offset, and the average cancels it.
     The averaged growth matches the smaller of the two one-sided exponents,
     which is what the minimum-over-directions fit reports anyway.
@@ -305,24 +270,16 @@ def sample_reduced(chart: ReductionChart, directions, scales,
             raise ValueError("sample directions must be nonzero")
         direction = direction / nrm
         for scale in scales:
-            sample = reduced_energy(chart, scale * direction)
-            deficit = sample.deficit
-            corr = sample.correction_norm
-            iters = sample.newton_iters
-            res = sample.residual
-            if symmetrize and np.any(sample.phi_coords):
-                mirror = reduced_energy(chart, -scale * direction)
-                deficit = 0.5 * (deficit + mirror.deficit)
-                corr = 0.5 * (corr + mirror.correction_norm)
-                iters = max(iters, mirror.newton_iters)
-                res = max(res, mirror.residual)
+            plus = reduced_energy(chart, scale * direction)
+            minus = reduced_energy(chart, -scale * direction)
+            deficit = 0.5 * (plus.deficit + minus.deficit)
             out.append(ReducedSample(
-                phi_coords=sample.phi_coords,
+                phi_coords=plus.phi_coords,
                 q_value=chart.q0 + deficit,
-                correction_norm=corr,
-                newton_iters=iters,
+                correction_norm=0.5 * (plus.correction_norm + minus.correction_norm),
+                newton_iters=max(plus.newton_iters, minus.newton_iters),
                 deficit=deficit,
-                residual=res,
+                residual=max(plus.residual, minus.residual),
                 direction_index=d_idx,
                 scale=float(scale),
             ))
@@ -339,7 +296,8 @@ class GrowthFit:
     n_below_floor: int
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line y ~ slope x + intercept: (slope, intercept, r2)."""
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     total = y - np.mean(y)
@@ -362,7 +320,7 @@ def _best_window(log_s: np.ndarray, log_y: np.ndarray):
             sl = slice(start, start + length)
             if log_s[sl][-1] - log_s[sl][0] < math.log(10.0) * (1.0 - 1e-9):
                 continue
-            slope, intercept, r2 = _line_fit(log_s[sl], log_y[sl])
+            slope, intercept, r2 = line_fit(log_s[sl], log_y[sl])
             candidates.append((r2, start, slope, intercept, sl))
         for r2, start, slope, intercept, sl in candidates:
             if r2 >= 0.999:
@@ -378,7 +336,7 @@ def _best_window(log_s: np.ndarray, log_y: np.ndarray):
     return slope, intercept, r2, sl
 
 
-def fit_growth_exponent(samples: list[ReducedSample], q0: float | None = None) -> GrowthFit:
+def fit_growth_exponent(samples: list[ReducedSample]) -> GrowthFit:
     """Power-law exponent of the reduced energy growth, per direction.
 
     Fits log(q(s) - q(0)) against log s on the window policy above and
@@ -395,10 +353,7 @@ def fit_growth_exponent(samples: list[ReducedSample], q0: float | None = None) -
     for d_idx, group in sorted(by_dir.items()):
         group = sorted(group, key=lambda s: s.scale)
         scales = np.array([s.scale for s in group])
-        if q0 is None:
-            ys = np.array([s.deficit for s in group])
-        else:
-            ys = np.array([s.q_value - q0 for s in group])
+        ys = np.array([s.deficit for s in group])
         keep = ys > NOISE_FLOOR
         n_below = int(np.sum(~keep))
         scales, ys = scales[keep], ys[keep]

@@ -14,6 +14,7 @@ movement is not a usable criterion.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -33,7 +34,6 @@ class ConvergenceError(RuntimeError):
 class MinimizeOptions:
     max_iters: int = 500
     grad_tol: float = 1e-11
-    step0: float = 1.0
     newton_polish: bool = True
     seed: int = 0
 
@@ -94,7 +94,7 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
         slope = float(G @ eta)
         if slope >= 0:
             break
-        alpha = opts.step0
+        alpha = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACK):
             trial = np.clip(state.u + alpha * eta, 0.0, None)
@@ -221,26 +221,27 @@ def run_multistart(m: SymmetricModel, N: int, starts: int,
     ops = assemble_operators(m, grid)
     reports = []
     for j, u0 in enumerate(random_starts(ops, starts, opts.seed)):
-        rep = minimize_energy(ops, u0, opts)
-        reports.append(MinimizeReport(
-            v=rep.v, Y_est=rep.Y_est, grad_norm=rep.grad_norm,
-            residual=rep.residual, iterations=rep.iterations,
-            converged=rep.converged, start_index=j, q_history=rep.q_history,
-        ))
+        reports.append(dataclasses.replace(minimize_energy(ops, u0, opts), start_index=j))
     return reports
 
 
-def estimate_yamabe_constant(m: SymmetricModel, N: int, starts: int = 1,
-                             opts: MinimizeOptions = MinimizeOptions()) -> MinimizeReport:
-    """Multi-start minimization; returns the lowest converged report.
+def best_converged(reports: list[MinimizeReport], m: SymmetricModel,
+                   N: int) -> MinimizeReport:
+    """The lowest converged report of a multi-start run.
 
     Ties are broken by lower gradient norm, then lower start index, so the
     reduction over starts is order-independent.
     """
-    converged = [r for r in run_multistart(m, N, starts, opts) if r.converged]
+    converged = [r for r in reports if r.converged]
     if not converged:
         raise ConvergenceError(f"no start converged on {m.label} at N={N}")
     return min(converged, key=lambda r: (r.Y_est, r.grad_norm, r.start_index))
+
+
+def estimate_yamabe_constant(m: SymmetricModel, N: int, starts: int = 1,
+                             opts: MinimizeOptions = MinimizeOptions()) -> MinimizeReport:
+    """Multi-start minimization; returns best_converged of the run."""
+    return best_converged(run_multistart(m, N, starts, opts), m, N)
 
 
 def hemisphere_comparison_value(n: int) -> float:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .disc import DiscreteOperators
 from . import energy
 
 
@@ -43,36 +42,36 @@ class KernelSplit:
     threshold: float
 
 
-def mass_scaled_complement(ops: DiscreteOperators, covectors: list[np.ndarray]) -> np.ndarray:
-    """M-orthonormal basis of the joint annihilator of the given covectors.
-
-    A vector u is kept orthogonal to each covector c in the sense c.u = 0;
-    the returned columns satisfy u_i' M u_j = delta_ij.  Needs the mass to be
-    positive definite, which excludes models with pole endpoints.
+def constraint_covectors(v: energy.NormalizedState,
+                         K: np.ndarray | None = None) -> np.ndarray:
+    """Columns [p, M K_1, ..., M K_k]: the volume normal at v and the mass
+    covectors of the kernel basis K (if given).  Needs a positive-definite
+    mass, which excludes models with pole endpoints.
     """
-    mvec = ops.vol_weights
+    mvec = v.ops.vol_weights
     if np.any(mvec <= 0):
         raise ValueError(
-            "mass-orthonormal bases need a positive-definite mass matrix; "
+            "the constraint geometry needs a positive-definite mass matrix; "
             "models with pole endpoints carry a zero-mass node")
-    wd = np.sqrt(mvec)
-    cols = [np.asarray(c, dtype=float) / wd for c in covectors]
-    k = len(cols)
-    frame = np.column_stack(cols + [np.eye(ops.N)[:, : ops.N - k]])
+    cols = [energy.volume_covector(v)]
+    if K is not None:
+        cols += [mvec * K[:, j] for j in range(K.shape[1])]
+    return np.column_stack(cols)
+
+
+def tangent_basis(v: energy.NormalizedState, K: np.ndarray | None = None) -> np.ndarray:
+    """M-orthonormal basis of the tangent space at v, mass-orthogonal to K.
+
+    The columns u satisfy c.u = 0 for every constraint covector c and
+    u_i' M u_j = delta_ij: a Householder frame in mass-scaled coordinates,
+    the one explicit basis, which only the eigensolves need.
+    """
+    C = constraint_covectors(v, K)
+    N, k = C.shape
+    wd = np.sqrt(v.ops.vol_weights)
+    frame = np.column_stack([C / wd[:, None], np.eye(N)[:, : N - k]])
     q = np.linalg.qr(frame, mode="complete")[0]
     return q[:, k:] / wd[:, None]
-
-
-def tangent_basis(v: energy.NormalizedState, extra_vectors: tuple = ()) -> np.ndarray:
-    """M-orthonormal basis of the tangent space at v, minus extra directions.
-
-    Extra directions are given as nodal vectors and removed in the M inner
-    product (their covector is M x vector).
-    """
-    covs = [energy.volume_covector(v)]
-    for vec in extra_vectors:
-        covs.append(v.ops.vol_weights * np.asarray(vec, dtype=float))
-    return mass_scaled_complement(v.ops, covs)
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ import scipy.linalg as sla
 import scipy.optimize
 
 from .lsred import (ChartError, FitRejectedError, InsufficientDataError, NOISE_FLOOR,
-                    ReductionChart, solve_correction)
-from .spectrum import KernelSplit, SpectrumReport, mass_scaled_complement
+                    ReductionChart, line_fit, solve_correction_full)
+from .spectrum import KernelSplit, SpectrumReport, tangent_basis
 from . import energy
 
 
@@ -71,7 +71,7 @@ def reduced_family(chart: ReductionChart, critical_phis, *, continuum: bool = Tr
     members = []
     y_est = chart.q0
     for phi in critical_phis:
-        z = solve_correction(chart, phi)
+        z, _ = solve_correction_full(chart, phi)
         member = energy.normalize(ops, chart.v.u + chart.kernel_vector(phi) + z)
         _check_member(member, member_tol)
         q_mem = energy.yamabe_quotient(ops, member.u).Q
@@ -116,7 +116,7 @@ def distance_to_minimizers(u: energy.NormalizedState, fam: MinimizerFamily) -> f
             if np.linalg.norm(phi) > 0.99 * chart.radius:
                 return 1e6
             try:
-                z = solve_correction(chart, phi)
+                z, _ = solve_correction_full(chart, phi)
             except ChartError:
                 return 1e6
             cand = energy.normalize(ops, chart.v.u + chart.kernel_vector(phi) + z)
@@ -157,17 +157,20 @@ class SampleBatch:
 N_TRANSVERSE_MODES = 6
 
 
+def _directions(fam: MinimizerFamily, cols: np.ndarray, count: int, rng) -> list[np.ndarray]:
+    """The first column, then count - 1 seeded random combinations of cols."""
+    dirs = [cols[:, 0]]
+    for _ in range(count - 1):
+        dirs.append(cols @ rng.standard_normal(cols.shape[1]))
+    # Sobolev-normalized so every direction sweeps the same distance ladder
+    return [d / fam.v.ops.w12_norm(d) for d in dirs]
+
+
 def _kernel_directions(fam: MinimizerFamily, count: int, rng) -> list[np.ndarray]:
     split = fam.split
     if split is None or split.kernel_dim == 0:
         raise ValueError("kernel sampling needs a nontrivial kernel")
-    ops = fam.v.ops
-    dirs = [split.K_basis[:, 0]]
-    for _ in range(count - 1):
-        coeff = rng.standard_normal(split.kernel_dim)
-        dirs.append(split.K_basis @ coeff)
-    # Sobolev-normalized so every direction sweeps the same distance ladder
-    return [d / ops.w12_norm(d) for d in dirs]
+    return _directions(fam, split.K_basis, count, rng)
 
 
 def _transverse_directions(fam: MinimizerFamily, count: int, rng) -> list[np.ndarray]:
@@ -178,12 +181,7 @@ def _transverse_directions(fam: MinimizerFamily, count: int, rng) -> list[np.nda
     cols = spec.eigenvectors[:, kd: kd + N_TRANSVERSE_MODES]
     if cols.shape[1] == 0:
         raise ValueError("spectrum holds no modes beyond the kernel")
-    ops = fam.v.ops
-    dirs = [cols[:, 0]]
-    for _ in range(count - 1):
-        coeff = rng.standard_normal(cols.shape[1])
-        dirs.append(cols @ coeff)
-    return [d / ops.w12_norm(d) for d in dirs]
+    return _directions(fam, cols, count, rng)
 
 
 def sample_deficit_distance(fam: MinimizerFamily, spec: SampleSpec) -> SampleBatch:
@@ -308,16 +306,11 @@ def fit_stability_exponent(records) -> StabilityFit:
     log_d, log_y = np.log(d), np.log(y)
     env = _binned_minima(log_d, log_y)
     hull = env[_lower_hull(log_d[env], log_y[env])]
-    hx, hy = log_d[hull], log_y[hull]
-    slope, intercept = np.polyfit(hx, hy, 1)
-    resid = hy - (slope * hx + intercept)
-    total = hy - np.mean(hy)
-    denom = float(total @ total)
-    r2 = 1.0 - float(resid @ resid) / denom if denom > 0 else 1.0
+    slope, _, r2 = line_fit(log_d[hull], log_y[hull])
     if r2 < 0.99:
         raise FitRejectedError(f"envelope fit r2 = {r2:.5f} < 0.99")
     c_lower = float(np.min(y / d**slope))
-    return StabilityFit(exponent=float(slope), c_lower=c_lower, r2=float(r2),
+    return StabilityFit(exponent=slope, c_lower=c_lower, r2=r2,
                         window=(float(d.min()), float(d.max())),
                         n_records=len(usable), n_below_floor=n_below,
                         hull_size=int(hull.size))
@@ -343,10 +336,7 @@ class CoercivityData:
 
 def coercivity_data(v: energy.NormalizedState, split: KernelSplit) -> CoercivityData:
     ops = v.ops
-    covs = [energy.volume_covector(v)]
-    for j in range(split.kernel_dim):
-        covs.append(ops.vol_weights * split.K_basis[:, j])
-    B = mass_scaled_complement(ops, covs)
+    B = tangent_basis(v, split.K_basis)
     H_red = B.T @ energy.hessian_form(v) @ B
     gram_red = B.T @ ops.w12_gram @ B
     lam_w = float(sla.eigh(0.5 * (H_red + H_red.T), 0.5 * (gram_red + gram_red.T),

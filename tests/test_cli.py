@@ -40,6 +40,48 @@ def test_validate_reports_field_paths(tmp_path, capsys):
     assert "N: below minimum 16" in out
 
 
+@pytest.mark.parametrize("field, value, diag", [
+    ("tolerances", {"grad_tol": True}, "tolerances.grad_tol:"),
+    ("tolerances", {"grad_tol": float("nan")}, "tolerances.grad_tol:"),
+    ("tolerances", {"newton_tol": float("inf")}, "tolerances.newton_tol:"),
+    ("sampling", {"count": True}, "sampling.count:"),
+    ("sampling", {"scales": [1e-3, True]}, "sampling.scales:"),
+    ("sampling", {"scales": [1e-3, float("nan")]}, "sampling.scales:"),
+    ("sampling", {"scales": [float("inf")]}, "sampling.scales:"),
+])
+def test_validate_rejects_bools_and_nonfinite(tmp_path, capsys, field, value, diag):
+    # json.load parses true, NaN and Infinity; none of them is a usable number
+    path, _ = base_config(tmp_path, "minimize", **{field: value})
+    assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert diag in capsys.readouterr().out
+    assert cli.main(["minimize", "--config", str(path)]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("params", [{"d": 5, "radius": 0.5}, {"d": 5, "r": -0.5},
+                                    {"d": 5, "r": 0.0}])
+def test_bad_model_params_are_config_errors(tmp_path, capsys, params):
+    path, _ = base_config(tmp_path, "minimize",
+                          model={"kind": "frank_product", "params": params})
+    assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().out.startswith("model.params:")
+    assert cli.main(["minimize", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert "model.params:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, params", [("hemisphere", {"n": 3}), ("ball", {"n": 3}),
+                                          ("spherical_cap", {"n": 3, "t0": 1.0})])
+@pytest.mark.parametrize("experiment", ["spectrum", "lsred", "stability"])
+def test_pole_models_refuse_mass_geometry_experiments(tmp_path, capsys, monkeypatch,
+                                                      kind, params, experiment):
+    # refused before any minimization starts
+    monkeypatch.setattr(cli.minimize, "run_multistart", None)
+    path, _ = base_config(tmp_path, experiment, model={"kind": kind, "params": params})
+    assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert "pole" in capsys.readouterr().out
+    assert cli.main([experiment, "--config", str(path)]) == cli.EXIT_CONFIG
+    assert "pole" in capsys.readouterr().err
+
+
 def test_validate_unreadable_file(tmp_path):
     assert cli.main(["validate", "--config", str(tmp_path / "nope.json")]) == \
         cli.EXIT_CONFIG

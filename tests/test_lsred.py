@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from yamstab import energy, lsred, minimize, model, spectrum, stability
+from yamstab import disc, energy, lsred, minimize, model, spectrum, stability
 from conftest import BIF_RADIUS
 
 
@@ -25,7 +25,7 @@ def test_chart_refuses_trivial_kernel(frank_nondeg):
 
 
 def test_correction_at_origin_is_exact_zero(frank_deg_chart):
-    z = lsred.solve_correction(frank_deg_chart, np.zeros(2))
+    z = lsred.solve_correction_full(frank_deg_chart, np.zeros(2))[0]
     assert np.all(z == 0.0)
     sample = lsred.reduced_energy(frank_deg_chart, np.zeros(2))
     assert sample.newton_iters == 0
@@ -35,7 +35,7 @@ def test_correction_at_origin_is_exact_zero(frank_deg_chart):
 def test_correction_lives_in_complement(frank_deg_chart):
     chart = frank_deg_chart
     ops = chart.ops
-    z = lsred.solve_correction(chart, np.array([0.02, -0.01]))
+    z = lsred.solve_correction_full(chart, np.array([0.02, -0.01]))[0]
     p = energy.volume_covector(chart.v)
     assert abs(float(p @ z)) <= 1e-9
     for j in range(chart.kernel_dim):
@@ -114,7 +114,7 @@ def test_sample_sweep_empty_ladder(frank_deg_chart):
 def test_chart_radius_enforced(frank_deg_chart):
     big = 2.0 * frank_deg_chart.radius
     with pytest.raises(lsred.ChartError, match="chart"):
-        lsred.solve_correction(frank_deg_chart, [big, 0.0])
+        lsred.solve_correction_full(frank_deg_chart, [big, 0.0])
 
 
 def test_radius_halves_on_newton_failure(frank_deg):
@@ -123,11 +123,11 @@ def test_radius_halves_on_newton_failure(frank_deg):
                                  newton_tol=1e-16, max_newton=1)
     r0 = chart.radius
     with pytest.raises(lsred.ChartError):
-        lsred.solve_correction(chart, [0.05, 0.0])
+        lsred.solve_correction_full(chart, [0.05, 0.0])
     assert chart.radius == pytest.approx(r0 / 2)
     for _ in range(lsred.RADIUS_HALVINGS):
         with pytest.raises(lsred.ChartError):
-            lsred.solve_correction(chart, [min(0.05, 0.5 * chart.radius), 0.0])
+            lsred.solve_correction_full(chart, [min(0.05, 0.5 * chart.radius), 0.0])
 
 
 def test_fit_exact_quartic():
@@ -224,7 +224,7 @@ def test_coercivity_off_kernel(frank_deg, frank_deg_chart):
     H = energy.hessian_form(rep.v)
     coer = stability.coercivity_data(rep.v, split)
     rng = np.random.default_rng(8)
-    Z = frank_deg_chart._Z
+    Z = spectrum.tangent_basis(rep.v, split.K_basis)
     for _ in range(20):
         z = Z @ rng.standard_normal(Z.shape[1])
         z /= ops.w12_norm(z)
@@ -232,47 +232,56 @@ def test_coercivity_off_kernel(frank_deg, frank_deg_chart):
 
 
 def test_correction_step_matches_projected_hessian_solve(frank_deg_chart):
-    # reference: the complement-coordinate system (Z'HZ + mu I) s = -r
+    # the chart's step is one bordered solve with the constraint covectors;
+    # reference: the complement-coordinate system (Z'HZ + mu I) s = -Z'r
     chart = frank_deg_chart
-    Z = chart._Z
+    C = spectrum.constraint_covectors(chart.v, chart.split.K_basis)
+    Z = spectrum.tangent_basis(chart.v, chart.split.K_basis)
     xi = chart.kernel_vector(np.array([0.02, -0.01]))
     res_vec = chart.complement_residual(xi)
     H = energy.raw_hessian(chart.ops, chart.v.u + xi)
     for mu in (0.0, 1e-3):
-        ref = np.linalg.solve(Z.T @ H @ Z + mu * np.eye(Z.shape[1]), -res_vec)
-        step = lsred._correction_step(chart, H, res_vec, mu)
-        assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
+        ref = Z @ np.linalg.solve(Z.T @ H @ Z + mu * np.eye(Z.shape[1]), -Z.T @ res_vec)
+        step = disc.bordered_solve(H + mu * chart.ops.mass, C, -res_vec)
+        assert chart.ops.w12_norm(step - ref) <= 1e-9 * chart.ops.w12_norm(ref)
 
 
-def test_newton_loops_build_no_qr_frames(frank_deg_chart, monkeypatch):
-    chart = frank_deg_chart
-    ops = chart.ops
+def test_newton_loops_build_no_qr_frames(frank_deg, monkeypatch):
+    _, base, _, split = frank_deg
+    ops = base.v.ops
     calls = []
     qr = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
-    u0 = 1.0 + 0.05 * np.cos(2 * math.pi * ops.grid.nodes / ops.model.length)
-    rep = minimize.minimize_energy(ops, u0)
-    assert rep.converged and rep.iterations > 0
-    z, (iters, _) = lsred.solve_correction_full(chart, [0.02, -0.01])
-    assert iters > 0 and np.any(z)
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+        u0 = 1.0 + 0.05 * np.cos(2 * math.pi * ops.grid.nodes / ops.model.length)
+        rep = minimize.minimize_energy(ops, u0)
+        assert rep.converged and rep.iterations > 0
+        chart = lsred.ReductionChart(v=base.v, split=split, ops=ops)
+        z, (iters, _) = lsred.solve_correction_full(chart, [0.02, -0.01])
+        assert iters > 0 and np.any(z)
     assert calls == []
+    # the basis-free residual norm is the complement-coordinate norm |Z'g|
+    Z = spectrum.tangent_basis(chart.v, split.K_basis)
+    res_vec = chart.complement_residual(chart.kernel_vector(np.array([0.02, -0.01])))
+    ref = np.linalg.norm(Z.T @ res_vec)
+    assert chart.residual_norm(res_vec) == pytest.approx(ref, rel=1e-12)
 
 
 def test_chord_correction_matches_full_newton(frank_deg_chart):
     # reference: undamped Newton with a fresh Hessian at every step
     chart = frank_deg_chart
     ops = chart.ops
-    Z = chart._Z
+    Z = spectrum.tangent_basis(chart.v, chart.split.K_basis)
     for phi_coords in (np.array([0.02, -0.01]), 0.1 * np.array([1.0, 1.0]) / math.sqrt(2)):
         phi = chart.kernel_vector(phi_coords)
         coeffs = np.zeros(Z.shape[1])
-        res_vec = chart.complement_residual(phi)
+        res_vec = Z.T @ chart.complement_residual(phi)
         for _ in range(chart.max_newton):
             if np.linalg.norm(res_vec) <= chart.newton_tol:
                 break
             H = energy.raw_hessian(ops, chart.v.u + phi + Z @ coeffs)
-            coeffs = coeffs + lsred._correction_step(chart, H, res_vec, 0.0)
-            res_vec = chart.complement_residual(phi + Z @ coeffs)
+            coeffs = coeffs + np.linalg.solve(Z.T @ H @ Z, -res_vec)
+            res_vec = Z.T @ chart.complement_residual(phi + Z @ coeffs)
         z_ref = Z @ coeffs
         z, (iters, res) = lsred.solve_correction_full(chart, phi_coords)
         assert res <= chart.newton_tol

@@ -236,8 +236,8 @@ def test_distance_search_penalizes_only_chart_errors(frank_deg_chart, frank_deg,
             raise exc("injected")
         return solve
 
-    monkeypatch.setattr(stability, "solve_correction", failing(lsred.ChartError))
+    monkeypatch.setattr(stability, "solve_correction_full", failing(lsred.ChartError))
     assert stability.distance_to_minimizers(u, fam) == pytest.approx(d_member, rel=1e-12)
-    monkeypatch.setattr(stability, "solve_correction", failing(ZeroDivisionError))
+    monkeypatch.setattr(stability, "solve_correction_full", failing(ZeroDivisionError))
     with pytest.raises(ZeroDivisionError):
         stability.distance_to_minimizers(u, fam)
