@@ -9,7 +9,7 @@ from .disc import DiscreteOperators, Grid, assemble_operators, build_grid, lp_no
 from .energy import (ELResidual, EnergyReport, NormalizedState, el_residual,
                      energy_deficit, gradient, hessian_form, metric_distance,
                      metric_distance_star, normalize, power_increment,
-                     project_tangent, yamabe_quotient)
+                     project_tangent, second_variation, yamabe_quotient)
 from .minimize import (ConvergenceError, MinimizeOptions, MinimizeReport,
                        estimate_yamabe_constant, hemisphere_comparison_value,
                        minimize_energy)

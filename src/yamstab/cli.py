@@ -398,16 +398,19 @@ def run_stability(cfg: ExperimentConfig):
 COVARIANCE_AMPLITUDES = (0.2, 0.35, 0.5)
 
 
+def _cosine_mode(m, grid, k: int) -> np.ndarray:
+    """k-th cosine mode of the coordinate: periodic on circle models, with
+    zero end slopes (a half period per k) on intervals."""
+    base = 2 * math.pi if m.topology == "circle" else math.pi
+    return np.cos(base * k * grid.nodes / m.length)
+
+
 def run_covariance(cfg: ExperimentConfig):
     m = _model(cfg)
     grid = build_grid(m, cfg.N)
     ops = assemble_operators(m, grid)
     rng = np.random.default_rng(cfg.seed)
-    T = m.length
-    if m.topology == "circle":
-        base_profile = np.cos(2.0 * math.pi * grid.nodes / T)
-    else:
-        base_profile = np.cos(math.pi * grid.nodes / T)
+    base_profile = _cosine_mode(m, grid, 1)
     rows = []
     worst = 0.0
     for f_idx, amp in enumerate(COVARIANCE_AMPLITUDES):
@@ -415,12 +418,7 @@ def run_covariance(cfg: ExperimentConfig):
         ops_def = assemble_operators(conformal_deform(m, w, grid), grid)
         for s_idx in range(cfg.sampling["count"]):
             coeffs = rng.standard_normal(3)
-            if m.topology == "circle":
-                pert = sum(c * np.cos(2 * math.pi * (j + 1) * grid.nodes / T)
-                           for j, c in enumerate(coeffs))
-            else:
-                pert = sum(c * np.cos(math.pi * (j + 1) * grid.nodes / T)
-                           for j, c in enumerate(coeffs))
+            pert = sum(c * _cosine_mode(m, grid, j + 1) for j, c in enumerate(coeffs))
             u = np.clip(1.0 + 0.3 * pert / max(1.0, np.max(np.abs(pert))), 0.1, None)
             q_def = energy.yamabe_quotient(ops_def, u).Q
             q_pull = energy.yamabe_quotient(ops, u * w).Q
@@ -454,15 +452,20 @@ def run(cfg: ExperimentConfig) -> int:
 # command line
 # ---------------------------------------------------------------------------
 
-def _load_config(path: str, experiment: str | None, out: str | None,
-                 seed: int | None) -> ExperimentConfig:
+def _read_json(path: str):
+    """The parsed config file; ConfigError if it cannot be read or parsed."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+
+
+def _load_config(path: str, experiment: str | None, out: str | None,
+                 seed: int | None) -> ExperimentConfig:
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")
     if experiment is not None:
@@ -499,10 +502,9 @@ def main(argv=None) -> int:
 
     if args.command == "validate":
         try:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config unreadable: {exc}", file=sys.stderr)
+            raw = _read_json(args.config)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         diags = validate_dict(raw)
         for d in diags:

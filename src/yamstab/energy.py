@@ -9,6 +9,11 @@ energy under study.  Zero-homogeneity is used systematically: the normalized
 chart through a state v sends xi to (v+xi)/||v+xi||_{2*}, so the chart pullback
 of Q is simply xi -> Q(v+xi), and raw nodal derivatives of Q double as chart
 derivatives.
+
+The second variation at a normalized state comes in two forms: hessian_form,
+projected onto the tangent space, and second_variation, the unprojected form
+the Newton polish and the eigensolves use, which agrees with it on every
+tangent direction up to a multiple of the constraint normal.
 """
 
 from __future__ import annotations
@@ -110,6 +115,24 @@ def gradient(v: NormalizedState) -> np.ndarray:
     return 2.0 * (ops.total_form @ v.u - rep.Q * volume_covector(v))
 
 
+def second_variation(v: NormalizedState) -> np.ndarray:
+    """Unprojected second-variation form at v, O(N^2) to build.
+
+    H0 = 2 ( A - (2*-1) Q(v) diag(m v^(2*-2)) ),  hessian_form = P' H0 P.
+
+    On tangent directions (p.d = 0, so P d = d) the two forms differ only by
+    a multiple of the constraint normal p: P'H0P d = H0 d - p (v'H0 d).  A
+    solve bordered by p absorbs that term in its multiplier, and B'H0B equals
+    B'(P'H0P)B for any tangent basis B, so the Newton polish and the
+    eigensolves use H0 and skip the projection's two N^3 products.
+    """
+    ops = v.ops
+    rep = yamabe_quotient(ops, v.u)
+    ts = ops.two_star
+    diag = ops.vol_weights * v.u ** (ts - 2.0)
+    return 2.0 * (ops.total_form - (ts - 1.0) * rep.Q * np.diag(diag))
+
+
 def hessian_form(v: NormalizedState) -> np.ndarray:
     """Projected second-variation form at v as a dense symmetric matrix.
 
@@ -117,15 +140,11 @@ def hessian_form(v: NormalizedState) -> np.ndarray:
                       - (2*-1) Q(v) integral v^(2*-2) (P phi)(P eta) dvol ]
 
     with P the tangent projection; rows and columns of the radial direction
-    vanish identically.
+    vanish identically.  Two dense N^3 products; the solvers use
+    second_variation instead.
     """
-    ops = v.ops
-    rep = yamabe_quotient(ops, v.u)
-    ts = ops.two_star
-    diag = ops.vol_weights * v.u ** (ts - 2.0)
-    H0 = 2.0 * (ops.total_form - (ts - 1.0) * rep.Q * np.diag(diag))
-    proj = np.eye(ops.N) - np.outer(v.u, volume_covector(v))
-    H = proj.T @ H0 @ proj
+    proj = np.eye(v.ops.N) - np.outer(v.u, volume_covector(v))
+    H = proj.T @ second_variation(v) @ proj
     return 0.5 * (H + H.T)
 
 

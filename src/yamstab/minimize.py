@@ -3,13 +3,18 @@
 Projected gradient descent with a Sobolev (S+M) Riesz preconditioner and
 Armijo backtracking, optionally polished by a damped Newton method on the
 tangent space.  Each polish step is one bordered (KKT) solve of
-[[H + mu W, p], [p', 0]] with H the projected Hessian, W = S + M and p the
-volume covector: the Levenberg step restricted to p.d = 0, obtained without
-building a tangent basis.  A rejected step is retried with ten times the
-damping until it shrinks to round-off (POLISH_STEP_FLOOR), where the polish
-stops.  Convergence is declared on the preconditioned gradient norm alone:
-degenerate minimizers move arbitrarily slowly along their kernel, so state
-movement is not a usable criterion.
+[[H0 + mu W, p], [p', 0]] with H0 the unprojected second variation
+(energy.second_variation), W = S + M and p the volume covector: the Levenberg
+step restricted to p.d = 0, obtained without building a tangent basis, and
+the same step the projected Hessian gives, because the multiplier absorbs the
+projection's p term.  A rejected step is retried with ten times the damping
+until it shrinks to round-off (POLISH_STEP_FLOOR), where the polish stops.
+Below the gradient tolerance the polish continues only while each step halves
+the gradient norm, and each such step gets one try at the current damping: a
+rejected, singular or vanishing step ends the polish.  Convergence is
+declared on the preconditioned gradient norm alone: degenerate minimizers
+move arbitrarily slowly along their kernel, so state movement is not a usable
+criterion.
 """
 
 from __future__ import annotations
@@ -66,7 +71,11 @@ POLISH_STEP_FLOOR = np.finfo(float).eps
 
 def _polish_step(state: energy.NormalizedState, H: np.ndarray, G: np.ndarray,
                  mu: float) -> np.ndarray:
-    """Levenberg step min 1/2 d'(H + mu W)d + G.d over the tangent space p.d = 0."""
+    """Levenberg step min 1/2 d'(H + mu W)d + G.d over the tangent space p.d = 0.
+
+    H is the second variation at state, projected (energy.hessian_form) or
+    not (energy.second_variation): both give the same step.
+    """
     p = energy.volume_covector(state)
     return bordered_solve(H + mu * state.ops.w12_gram, p[:, None], -G)
 
@@ -123,13 +132,15 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
     if opts.newton_polish and grad_norm > opts.grad_tol:
         mu = 0.0
         newton_iters = 0
-        bonus = 12  # keep polishing below tolerance while progress is rapid
-        while (grad_norm > opts.grad_tol or bonus > 0) and newton_iters < 80 \
+        bonus = True  # keep polishing below tolerance while progress is rapid
+        while (grad_norm > opts.grad_tol or bonus) and newton_iters < 80 \
                 and iterations < opts.max_iters + 80:
-            H = energy.hessian_form(state)
+            H = energy.second_variation(state)
             step_floor = POLISH_STEP_FLOOR * ops.w12_norm(state.u)
+            # below tolerance a step is a bonus: one try, no damping ladder
+            tries = 1 if grad_norm <= opts.grad_tol else 40
             accepted = False
-            for _ in range(40):
+            for _ in range(tries):
                 try:
                     # on a degenerate kernel the undamped system is singular;
                     # a garbage step is simply rejected and damping increased
@@ -153,7 +164,7 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
             if not accepted:
                 break
             if grad_norm <= opts.grad_tol and trial_norm > 0.5 * grad_norm:
-                bonus = 0
+                bonus = False
             state, q_val = trial_state, min(trial_q, q_val)
             history.append(q_val)
             iterations += 1

@@ -1,9 +1,11 @@
 """Spectral analysis of the second variation at a critical state.
 
 The generalized eigenproblem H w = lambda M w is solved on the tangent space
-of the constraint manifold by deflation: an M-orthonormal tangent basis is
+of the constraint manifold by deflation: an M-orthonormal tangent basis B is
 built explicitly (a Householder frame in mass-scaled coordinates), the
-projected Hessian is diagonalized there, and eigenvectors are mapped back.
+reduced Hessian B'H0B is diagonalized there, and eigenvectors are mapped
+back.  H0 is the unprojected second variation (energy.second_variation):
+B'H0B equals B'(P'H0P)B because PB = B, so the projected form is never built.
 Eigenvectors are therefore tangent and M-orthonormal by construction.
 """
 
@@ -74,6 +76,15 @@ def tangent_basis(v: energy.NormalizedState, K: np.ndarray | None = None) -> np.
     return q[:, k:] / wd[:, None]
 
 
+def reduced_hessian(v: energy.NormalizedState,
+                    K: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(B, B'H0B): the tangent basis of tangent_basis(v, K) and the second
+    variation reduced to it, symmetrized."""
+    B = tangent_basis(v, K)
+    H_red = B.T @ energy.second_variation(v) @ B
+    return B, 0.5 * (H_red + H_red.T)
+
+
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     out = vecs.copy()
     for j in range(out.shape[1]):
@@ -88,7 +99,8 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
 
 
 def eigen_decompose(v: energy.NormalizedState, k: int) -> SpectrumReport:
-    """Lowest k eigenpairs of the projected Hessian against the mass form."""
+    """Lowest k eigenpairs of the second variation on the tangent space
+    against the mass form."""
     ops = v.ops
     if not 1 <= k <= ops.N - 1:
         raise ValueError(f"k must lie in [1, {ops.N - 1}], got {k}")
@@ -99,9 +111,7 @@ def eigen_decompose(v: energy.NormalizedState, k: int) -> SpectrumReport:
             "reported eigenvalues are not a second-variation spectrum",
             stacklevel=2)
 
-    B = tangent_basis(v)
-    H_red = B.T @ energy.hessian_form(v) @ B
-    H_red = 0.5 * (H_red + H_red.T)
+    B, H_red = reduced_hessian(v)
     lam, y = sla.eigh(H_red, subset_by_index=(0, k - 1))
     vecs = _fix_signs(B @ y)
     return SpectrumReport(eigenvalues=lam, eigenvectors=vecs, v=v, grad_norm=grad_norm)

@@ -18,7 +18,7 @@ import scipy.optimize
 
 from .lsred import (ChartError, FitRejectedError, InsufficientDataError, NOISE_FLOOR,
                     ReductionChart, line_fit, solve_correction_full)
-from .spectrum import KernelSplit, SpectrumReport, tangent_basis
+from .spectrum import KernelSplit, SpectrumReport, reduced_hessian
 from . import energy
 
 
@@ -336,10 +336,9 @@ class CoercivityData:
 
 def coercivity_data(v: energy.NormalizedState, split: KernelSplit) -> CoercivityData:
     ops = v.ops
-    B = tangent_basis(v, split.K_basis)
-    H_red = B.T @ energy.hessian_form(v) @ B
+    B, H_red = reduced_hessian(v, split.K_basis)
     gram_red = B.T @ ops.w12_gram @ B
-    lam_w = float(sla.eigh(0.5 * (H_red + H_red.T), 0.5 * (gram_red + gram_red.T),
+    lam_w = float(sla.eigh(H_red, 0.5 * (gram_red + gram_red.T),
                            eigvals_only=True, subset_by_index=(0, 0))[0])
     vnsq = float(v.u @ ops.w12_gram @ v.u)
     lam_m = split.lambda1

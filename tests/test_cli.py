@@ -147,10 +147,13 @@ def test_experiment_mismatch_is_config_error(tmp_path, capsys):
     assert "subcommand" in capsys.readouterr().err
 
 
-def test_invalid_json_is_config_error(tmp_path):
+def test_invalid_json_is_config_error(tmp_path, capsys):
+    # validate and the experiments read the file through one JSON reader
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    assert cli.main(["minimize", "--config", str(path)]) == cli.EXIT_CONFIG
+    for command in ("minimize", "validate"):
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+        assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_fit_rejection_exit_code(tmp_path, capsys):

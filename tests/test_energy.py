@@ -134,6 +134,20 @@ def test_hessian_symmetry_and_radial_annihilation(frank_nondeg):
     assert np.max(np.abs(H @ v.u)) <= 1e-9 * np.max(np.abs(H))
 
 
+def test_hessian_form_is_projected_second_variation(frank_nondeg):
+    # hessian_form = P' second_variation P keeps the original formula's bits
+    ops = frank_nondeg[1].v.ops
+    v = random_positive_state(ops, 7)
+    Q = energy.yamabe_quotient(ops, v.u).Q
+    ts = ops.two_star
+    diag = ops.vol_weights * v.u ** (ts - 2.0)
+    H0 = 2.0 * (ops.total_form - (ts - 1.0) * Q * np.diag(diag))
+    proj = np.eye(ops.N) - np.outer(v.u, energy.volume_covector(v))
+    H = proj.T @ H0 @ proj
+    assert np.array_equal(energy.second_variation(v), H0)
+    assert np.array_equal(energy.hessian_form(v), 0.5 * (H + H.T))
+
+
 def test_raw_derivatives_match_finite_differences(frank_nondeg):
     ops = frank_nondeg[1].v.ops
     rng = np.random.default_rng(4)

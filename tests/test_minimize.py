@@ -153,21 +153,25 @@ def test_hemisphere_comparison_value():
 
 def test_polish_step_matches_tangent_basis_step():
     # reference: the same Levenberg step through an explicit Householder
-    # basis B of the tangent space {p.d = 0}, (B'HB + mu B'WB) s = -B'G
+    # basis B of the tangent space {p.d = 0}, (B'HB + mu B'WB) s = -B'G with
+    # H the projected form; the bordered step from the unprojected form H0
+    # matches it too, because the multiplier absorbs P'H0P - H0 on {p.d = 0}
     m = model.frank_product(5, SUB_RADIUS)
     g = disc.build_grid(m, 64)
     ops = disc.assemble_operators(m, g)
     state = energy.normalize(ops, 1.0 + 0.05 * np.cos(2 * math.pi * g.nodes / m.length))
     H = energy.hessian_form(state)
+    H0 = energy.second_variation(state)
     G = energy.gradient(state)
     p = energy.volume_covector(state)
     frame = np.column_stack([p, np.eye(ops.N)[:, : ops.N - 1]])
     B = np.linalg.qr(frame, mode="complete")[0][:, 1:]
     for mu in (0.0, 1e-3):
         ref = B @ np.linalg.solve(B.T @ (H + mu * ops.w12_gram) @ B, -(B.T @ G))
-        step = minimize._polish_step(state, H, G, mu)
-        assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
-        assert abs(float(p @ step)) <= 1e-12 * np.linalg.norm(p) * np.linalg.norm(step)
+        for hess in (H, H0):
+            step = minimize._polish_step(state, hess, G, mu)
+            assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
+            assert abs(float(p @ step)) <= 1e-12 * np.linalg.norm(p) * np.linalg.norm(step)
 
 
 def test_polish_stops_damping_at_roundoff_steps(frank_deg, monkeypatch):
@@ -196,3 +200,31 @@ def test_polish_stops_damping_at_roundoff_steps(frank_deg, monkeypatch):
     assert stopped.iterations == full.iterations
     assert stopped.grad_norm == full.grad_norm
     assert counts[0] < counts[1]
+
+
+def test_polish_bonus_steps_take_one_try(monkeypatch):
+    # below grad_tol a polish step is a bonus: one bordered solve, and a
+    # rejected one ends the polish instead of climbing the damping ladder
+    m = model.frank_product(5, SUB_RADIUS)
+    opts = minimize.MinimizeOptions(seed=2, grad_tol=1e-11)
+    solve = minimize.bordered_solve
+    entry_grads = []  # right-hand side -G of every polish solve
+
+    def counting_solve(K, C, rhs):
+        entry_grads.append(-rhs)
+        return solve(K, C, rhs)
+
+    monkeypatch.setattr(minimize, "bordered_solve", counting_solve)
+    reports = minimize.run_multistart(m, 256, 3, opts)
+    assert all(r.converged for r in reports)
+    assert len(entry_grads) <= 8
+    ops = reports[0].v.ops
+    runs = []  # consecutive solves for one iteration share its gradient
+    for G in entry_grads:
+        if runs and np.array_equal(runs[-1][0], G):
+            runs[-1][1] += 1
+        else:
+            runs.append([G, 1])
+    for G, n_solves in runs:
+        if ops.dual_norm(G) <= opts.grad_tol:
+            assert n_solves == 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from yamstab import energy, minimize, model, spectrum
-from conftest import BIF_RADIUS, SUB_RADIUS, frank_mode_eigenvalue
+from conftest import BIF_RADIUS, SUB_RADIUS, frank_mode_eigenvalue, random_positive_state
 
 
 def test_degenerate_kernel_pair(frank_deg):
@@ -52,6 +52,18 @@ def test_eigenvector_tangency_and_rayleigh(frank_nondeg):
     # lowest eigenvector is mass-orthogonal to the state
     w0 = spec.eigenvectors[:, 0]
     assert abs(float(rep.v.u @ ops.mass @ w0)) <= 1e-9
+
+
+def test_reduced_hessian_matches_projected_form(frank_nondeg):
+    # on a tangent basis B (PB = B) the unprojected and projected second
+    # variations agree: B'H0B = B'P'H0PB, also away from critical states
+    ops = frank_nondeg[1].v.ops
+    v = random_positive_state(ops, 11)
+    assert ops.dual_norm(energy.gradient(v)) > 1e-2
+    B, H_red = spectrum.reduced_hessian(v)
+    ref = B.T @ energy.hessian_form(v) @ B
+    assert np.max(np.abs(H_red - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(B, spectrum.tangent_basis(v))
 
 
 def test_eigenvector_sign_convention(frank_nondeg):
