@@ -7,7 +7,7 @@ from .model import (BoundaryData, Pole, SymmetricModel, conformal_deform,
                     make_model, sphere_area)
 from .disc import DiscreteOperators, Grid, assemble_operators, build_grid, lp_norm
 from .energy import (ELResidual, EnergyReport, NormalizedState, el_residual,
-                     energy_deficit, gradient, hessian_form, metric_distance,
+                     energy_deficit, gradient, metric_distance,
                      metric_distance_star, normalize, power_increment,
                      project_tangent, second_variation, yamabe_quotient)
 from .minimize import (ConvergenceError, MinimizeOptions, MinimizeReport,

@@ -10,10 +10,10 @@ chart through a state v sends xi to (v+xi)/||v+xi||_{2*}, so the chart pullback
 of Q is simply xi -> Q(v+xi), and raw nodal derivatives of Q double as chart
 derivatives.
 
-The second variation at a normalized state comes in two forms: hessian_form,
-projected onto the tangent space, and second_variation, the unprojected form
-the Newton polish and the eigensolves use, which agrees with it on every
-tangent direction up to a multiple of the constraint normal.
+The second variation at a normalized state is second_variation, the
+unprojected form: on every tangent direction it agrees with the projected
+form P'H0P up to a multiple of the constraint normal, which the Newton polish
+and the eigensolves absorb, so neither builds the projection.
 """
 
 from __future__ import annotations
@@ -118,13 +118,14 @@ def gradient(v: NormalizedState) -> np.ndarray:
 def second_variation(v: NormalizedState) -> np.ndarray:
     """Unprojected second-variation form at v, O(N^2) to build.
 
-    H0 = 2 ( A - (2*-1) Q(v) diag(m v^(2*-2)) ),  hessian_form = P' H0 P.
+    H0 = 2 ( A - (2*-1) Q(v) diag(m v^(2*-2)) ).
 
-    On tangent directions (p.d = 0, so P d = d) the two forms differ only by
-    a multiple of the constraint normal p: P'H0P d = H0 d - p (v'H0 d).  A
-    solve bordered by p absorbs that term in its multiplier, and B'H0B equals
-    B'(P'H0P)B for any tangent basis B, so the Newton polish and the
-    eigensolves use H0 and skip the projection's two N^3 products.
+    The projected form P'H0P, P = I - v p', annihilates the radial direction.
+    On tangent directions (p.d = 0, so P d = d) the two differ only by a
+    multiple of the constraint normal: P'H0P d = H0 d - p (v'H0 d).  A solve
+    bordered by p absorbs that term in its multiplier and an eigensolve on the
+    tangent space never sees it, so the Newton polish and the eigensolves use
+    H0 and skip the projection's two N^3 products.
     """
     ops = v.ops
     rep = yamabe_quotient(ops, v.u)
@@ -133,40 +134,9 @@ def second_variation(v: NormalizedState) -> np.ndarray:
     return 2.0 * (ops.total_form - (ts - 1.0) * rep.Q * np.diag(diag))
 
 
-def hessian_form(v: NormalizedState) -> np.ndarray:
-    """Projected second-variation form at v as a dense symmetric matrix.
-
-    H[phi, eta] = 2 [ (P phi)' A (P eta)
-                      - (2*-1) Q(v) integral v^(2*-2) (P phi)(P eta) dvol ]
-
-    with P the tangent projection; rows and columns of the radial direction
-    vanish identically.  Two dense N^3 products; the solvers use
-    second_variation instead.
-    """
-    proj = np.eye(v.ops.N) - np.outer(v.u, volume_covector(v))
-    H = proj.T @ second_variation(v) @ proj
-    return 0.5 * (H + H.T)
-
-
 # ---------------------------------------------------------------------------
-# raw derivatives of the homogeneous quotient (used by the correction solver
-# and by finite-difference consistency tests)
+# raw Hessian of the homogeneous quotient (used by the correction solver)
 # ---------------------------------------------------------------------------
-
-def raw_value(ops: DiscreteOperators, w: np.ndarray) -> float:
-    return yamabe_quotient(ops, w).Q
-
-
-def raw_gradient(ops: DiscreteOperators, w: np.ndarray) -> np.ndarray:
-    """Nodal gradient of the homogeneous quotient at a positive function w."""
-    ts = ops.two_star
-    m = ops.vol_weights
-    Aw = ops.total_form @ w
-    P = float(np.sum(m * w**ts))
-    E = float(w @ Aw)
-    p = m * w ** (ts - 1.0)
-    return 2.0 * P ** (-2.0 / ts) * (Aw - (E / P) * p)
-
 
 def raw_hessian(ops: DiscreteOperators, w: np.ndarray) -> np.ndarray:
     """Dense nodal Hessian of the homogeneous quotient at a positive w."""

@@ -1,8 +1,8 @@
 """Constrained minimization of the quotient over the unit-volume manifold.
 
 Projected gradient descent with a Sobolev (S+M) Riesz preconditioner and
-Armijo backtracking, optionally polished by a damped Newton method on the
-tangent space.  Each polish step is one bordered (KKT) solve of
+Armijo backtracking, polished by a damped Newton method on the tangent
+space.  Each polish step is one bordered (KKT) solve of
 [[H0 + mu W, p], [p', 0]] with H0 the unprojected second variation
 (energy.second_variation), W = S + M and p the volume covector: the Levenberg
 step restricted to p.d = 0, obtained without building a tangent basis, and
@@ -37,16 +37,12 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    max_iters: int = 500
     grad_tol: float = 1e-11
-    newton_polish: bool = True
     seed: int = 0
 
     def __post_init__(self):
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +57,7 @@ class MinimizeReport:
     q_history: tuple = field(default=())
 
 
+MAX_ITERS = 500  # descent steps
 ARMIJO_C1 = 1e-4
 NEWTON_SWITCH = 1e-2
 MAX_BACKTRACK = 60
@@ -71,10 +68,8 @@ POLISH_STEP_FLOOR = np.finfo(float).eps
 
 def _polish_step(state: energy.NormalizedState, H: np.ndarray, G: np.ndarray,
                  mu: float) -> np.ndarray:
-    """Levenberg step min 1/2 d'(H + mu W)d + G.d over the tangent space p.d = 0.
-
-    H is the second variation at state, projected (energy.hessian_form) or
-    not (energy.second_variation): both give the same step.
+    """Levenberg step min 1/2 d'(H + mu W)d + G.d over the tangent space p.d = 0,
+    with H the unprojected second variation at state (energy.second_variation).
     """
     p = energy.volume_covector(state)
     return bordered_solve(H + mu * state.ops.w12_gram, p[:, None], -G)
@@ -95,10 +90,10 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
     G = energy.gradient(state)
     riesz = ops.riesz(G)
     grad_norm = ops.dual_norm(G, riesz)
-    switch_tol = max(opts.grad_tol, NEWTON_SWITCH) if opts.newton_polish else opts.grad_tol
+    switch_tol = max(opts.grad_tol, NEWTON_SWITCH)
 
     # --- preconditioned descent phase
-    while grad_norm > switch_tol and iterations < opts.max_iters:
+    while grad_norm > switch_tol and iterations < MAX_ITERS:
         eta = -energy.project_tangent(state, riesz)
         slope = float(G @ eta)
         if slope >= 0:
@@ -129,12 +124,11 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
     # Near a degenerate minimizer the energy decrease per step falls under the
     # evaluation noise long before the gradient does, so steps are accepted on
     # gradient-norm decrease with a round-off allowance on the energy.
-    if opts.newton_polish and grad_norm > opts.grad_tol:
+    if grad_norm > opts.grad_tol:
         mu = 0.0
         newton_iters = 0
         bonus = True  # keep polishing below tolerance while progress is rapid
-        while (grad_norm > opts.grad_tol or bonus) and newton_iters < 80 \
-                and iterations < opts.max_iters + 80:
+        while (grad_norm > opts.grad_tol or bonus) and newton_iters < 80:
             H = energy.second_variation(state)
             step_floor = POLISH_STEP_FLOOR * ops.w12_norm(state.u)
             # below tolerance a step is a bonus: one try, no damping ladder

@@ -1,12 +1,12 @@
 """Spectral analysis of the second variation at a critical state.
 
 The generalized eigenproblem H w = lambda M w is solved on the tangent space
-of the constraint manifold by deflation: an M-orthonormal tangent basis B is
-built explicitly (a Householder frame in mass-scaled coordinates), the
-reduced Hessian B'H0B is diagonalized there, and eigenvectors are mapped
-back.  H0 is the unprojected second variation (energy.second_variation):
-B'H0B equals B'(P'H0P)B because PB = B, so the projected form is never built.
-Eigenvectors are therefore tangent and M-orthonormal by construction.
+of the constraint manifold without building a basis of it: in mass-scaled
+coordinates the constraint directions are deflated by a shifted low-rank
+update of the projected operator (constrained_lowest), and eigenvectors are
+mapped back.  H is the unprojected second variation (energy.second_variation):
+on the tangent space P'H0P and H0 agree, so the projected form is never
+built.  Eigenvectors are therefore tangent and M-orthonormal by construction.
 """
 
 from __future__ import annotations
@@ -61,28 +61,24 @@ def constraint_covectors(v: energy.NormalizedState,
     return np.column_stack(cols)
 
 
-def tangent_basis(v: energy.NormalizedState, K: np.ndarray | None = None) -> np.ndarray:
-    """M-orthonormal basis of the tangent space at v, mass-orthogonal to K.
+def constrained_lowest(H: np.ndarray, C: np.ndarray,
+                       k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs of the symmetric H restricted to ker C'.
 
-    The columns u satisfy c.u = 0 for every constraint covector c and
-    u_i' M u_j = delta_ij: a Householder frame in mass-scaled coordinates,
-    the one explicit basis, which only the eigensolves need.
+    With Q a thin orthonormal basis of range(C) and P = I - QQ', the
+    operator P H P + sigma QQ' (O(N^2) per column of C to form) keeps every
+    eigenpair of H on ker C' and sends range(C) to sigma.  sigma is twice the
+    largest absolute row sum of H, a Gershgorin bound above the whole spectrum
+    of P H P, so the k lowest eigenpairs are those of the restriction (Golub,
+    "Some modified matrix eigenvalue problems", SIAM Rev. 15 (1973), sec. 4).
+    Eigenvectors come out orthonormal and orthogonal to range(C).
     """
-    C = constraint_covectors(v, K)
-    N, k = C.shape
-    wd = np.sqrt(v.ops.vol_weights)
-    frame = np.column_stack([C / wd[:, None], np.eye(N)[:, : N - k]])
-    q = np.linalg.qr(frame, mode="complete")[0]
-    return q[:, k:] / wd[:, None]
-
-
-def reduced_hessian(v: energy.NormalizedState,
-                    K: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(B, B'H0B): the tangent basis of tangent_basis(v, K) and the second
-    variation reduced to it, symmetrized."""
-    B = tangent_basis(v, K)
-    H_red = B.T @ energy.second_variation(v) @ B
-    return B, 0.5 * (H_red + H_red.T)
+    Q = np.linalg.qr(C)[0]
+    sigma = 2.0 * float(np.max(np.sum(np.abs(H), axis=1)))
+    HQ = H @ Q
+    # P H P + sigma QQ' = H - Q W' - W Q' with W = HQ - Q (Q'HQ + sigma I) / 2
+    W = HQ - Q @ (0.5 * (Q.T @ HQ + sigma * np.eye(Q.shape[1])))
+    return sla.eigh(H - Q @ W.T - W @ Q.T, subset_by_index=(0, k - 1))
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -111,9 +107,11 @@ def eigen_decompose(v: energy.NormalizedState, k: int) -> SpectrumReport:
             "reported eigenvalues are not a second-variation spectrum",
             stacklevel=2)
 
-    B, H_red = reduced_hessian(v)
-    lam, y = sla.eigh(H_red, subset_by_index=(0, k - 1))
-    vecs = _fix_signs(B @ y)
+    C = constraint_covectors(v)  # refuses a zero-mass node before the scaling
+    wd = np.sqrt(ops.vol_weights)
+    H = energy.second_variation(v) / np.outer(wd, wd)
+    lam, y = constrained_lowest(H, C / wd[:, None], k)
+    vecs = _fix_signs(y / wd[:, None])
     return SpectrumReport(eigenvalues=lam, eigenvectors=vecs, v=v, grad_norm=grad_norm)
 
 

@@ -18,7 +18,8 @@ import scipy.optimize
 
 from .lsred import (ChartError, FitRejectedError, InsufficientDataError, NOISE_FLOOR,
                     ReductionChart, line_fit, solve_correction_full)
-from .spectrum import KernelSplit, SpectrumReport, reduced_hessian
+from .spectrum import (KernelSplit, SpectrumReport, constrained_lowest,
+                       constraint_covectors)
 from . import energy
 
 
@@ -336,10 +337,15 @@ class CoercivityData:
 
 def coercivity_data(v: energy.NormalizedState, split: KernelSplit) -> CoercivityData:
     ops = v.ops
-    B, H_red = reduced_hessian(v, split.K_basis)
-    gram_red = B.T @ ops.w12_gram @ B
-    lam_w = float(sla.eigh(H_red, 0.5 * (gram_red + gram_red.T),
-                           eigvals_only=True, subset_by_index=(0, 0))[0])
+    # first: S+M is positive definite even at a pole, so nothing after this
+    # call would refuse a zero-mass node
+    C = constraint_covectors(v, split.K_basis)
+    chol, lower = ops.w12_cho
+    trans = "N" if lower else "T"
+    half = sla.solve_triangular(chol, energy.second_variation(v), lower=lower, trans=trans)
+    H = sla.solve_triangular(chol, half.T, lower=lower, trans=trans)
+    C = sla.solve_triangular(chol, C, lower=lower, trans=trans)
+    lam_w = float(constrained_lowest(H, C, 1)[0][0])
     vnsq = float(v.u @ ops.w12_gram @ v.u)
     lam_m = split.lambda1
     conversion = 2.0 * vnsq * lam_w / lam_m

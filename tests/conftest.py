@@ -31,6 +31,37 @@ def random_positive_state(ops, seed: int, amp: float = 0.3) -> energy.Normalized
     return energy.normalize(ops, 1.0 + amp * pert)
 
 
+def tangent_frame(v: energy.NormalizedState, K: np.ndarray | None = None) -> np.ndarray:
+    """Explicit M-orthonormal basis of the tangent space at v, mass-orthogonal
+    to K: a Householder frame in mass-scaled coordinates, the reference the
+    basis-free solvers are checked against."""
+    C = spectrum.constraint_covectors(v, K)
+    N, k = C.shape
+    wd = np.sqrt(v.ops.vol_weights)
+    frame = np.column_stack([C / wd[:, None], np.eye(N)[:, : N - k]])
+    q = np.linalg.qr(frame, mode="complete")[0]
+    return q[:, k:] / wd[:, None]
+
+
+def projected_hessian(v: energy.NormalizedState) -> np.ndarray:
+    """Second variation projected onto the tangent space, P'H0P symmetrized,
+    with P = I - v p'; rows and columns of the radial direction vanish."""
+    proj = np.eye(v.ops.N) - np.outer(v.u, energy.volume_covector(v))
+    H = proj.T @ energy.second_variation(v) @ proj
+    return 0.5 * (H + H.T)
+
+
+def raw_gradient(ops, w: np.ndarray) -> np.ndarray:
+    """Nodal gradient of the homogeneous quotient at a positive function w."""
+    ts = ops.two_star
+    m = ops.vol_weights
+    Aw = ops.total_form @ w
+    P = float(np.sum(m * w**ts))
+    E = float(w @ Aw)
+    p = m * w ** (ts - 1.0)
+    return 2.0 * P ** (-2.0 / ts) * (Aw - (E / P) * p)
+
+
 def richardson_first(f, h: float) -> float:
     """Richardson-extrapolated centered first difference of f at 0."""
     d1 = (f(h) - f(-h)) / (2 * h)

@@ -15,8 +15,8 @@ import pytest
 from yamstab import (cli, disc, energy, lsred, minimize, model, spectrum,
                      stability)
 from conftest import (BIF_RADIUS, SUB_RADIUS, frank_mode_eigenvalue,
-                      random_positive_state, richardson_first,
-                      richardson_second)
+                      projected_hessian, random_positive_state,
+                      richardson_first, richardson_second)
 from test_energy import frank_constant_quotient
 
 
@@ -56,7 +56,7 @@ def test_criterion_1_variation_consistency():
             worst_grad = max(worst_grad,
                              abs(fd1 - float(G @ eta)) / max(abs(fd1), dual))
 
-            H = energy.hessian_form(v)
+            H = projected_hessian(v)
             phi = energy.project_tangent(v, rng.standard_normal(ops.N))
             phi /= ops.w12_norm(phi)
             fd2 = richardson_second(

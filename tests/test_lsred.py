@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from yamstab import disc, energy, lsred, minimize, model, spectrum, stability
-from conftest import BIF_RADIUS
+from conftest import BIF_RADIUS, projected_hessian, tangent_frame
 
 
 def _synthetic_samples(power, coeff=1.0, scales=None, q0=10.0, direction=0):
@@ -221,10 +221,10 @@ def test_coercivity_off_kernel(frank_deg, frank_deg_chart):
     # smallest retained eigenvalue of the (H, S+M) pencil
     _, rep, _, split = frank_deg
     ops = rep.v.ops
-    H = energy.hessian_form(rep.v)
+    H = projected_hessian(rep.v)
     coer = stability.coercivity_data(rep.v, split)
     rng = np.random.default_rng(8)
-    Z = spectrum.tangent_basis(rep.v, split.K_basis)
+    Z = tangent_frame(rep.v, split.K_basis)
     for _ in range(20):
         z = Z @ rng.standard_normal(Z.shape[1])
         z /= ops.w12_norm(z)
@@ -236,7 +236,7 @@ def test_correction_step_matches_projected_hessian_solve(frank_deg_chart):
     # reference: the complement-coordinate system (Z'HZ + mu I) s = -Z'r
     chart = frank_deg_chart
     C = spectrum.constraint_covectors(chart.v, chart.split.K_basis)
-    Z = spectrum.tangent_basis(chart.v, chart.split.K_basis)
+    Z = tangent_frame(chart.v, chart.split.K_basis)
     xi = chart.kernel_vector(np.array([0.02, -0.01]))
     res_vec = chart.complement_residual(xi)
     H = energy.raw_hessian(chart.ops, chart.v.u + xi)
@@ -261,7 +261,7 @@ def test_newton_loops_build_no_qr_frames(frank_deg, monkeypatch):
         assert iters > 0 and np.any(z)
     assert calls == []
     # the basis-free residual norm is the complement-coordinate norm |Z'g|
-    Z = spectrum.tangent_basis(chart.v, split.K_basis)
+    Z = tangent_frame(chart.v, split.K_basis)
     res_vec = chart.complement_residual(chart.kernel_vector(np.array([0.02, -0.01])))
     ref = np.linalg.norm(Z.T @ res_vec)
     assert chart.residual_norm(res_vec) == pytest.approx(ref, rel=1e-12)
@@ -271,7 +271,7 @@ def test_chord_correction_matches_full_newton(frank_deg_chart):
     # reference: undamped Newton with a fresh Hessian at every step
     chart = frank_deg_chart
     ops = chart.ops
-    Z = spectrum.tangent_basis(chart.v, chart.split.K_basis)
+    Z = tangent_frame(chart.v, chart.split.K_basis)
     for phi_coords in (np.array([0.02, -0.01]), 0.1 * np.array([1.0, 1.0]) / math.sqrt(2)):
         phi = chart.kernel_vector(phi_coords)
         coeffs = np.zeros(Z.shape[1])

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from yamstab import disc, energy, minimize, model
-from conftest import BIF_RADIUS, SUB_RADIUS
+from conftest import BIF_RADIUS, SUB_RADIUS, projected_hessian
 from test_energy import frank_constant_quotient
 
 
 def test_options_validation():
     with pytest.raises(ValueError):
         minimize.MinimizeOptions(grad_tol=0.0)
-    with pytest.raises(ValueError):
-        minimize.MinimizeOptions(max_iters=0)
 
 
 def test_minimize_rejects_bad_start(frank_nondeg):
@@ -102,11 +100,10 @@ def test_minimizer_conformal_covariance(frank_nondeg):
 def test_nonconvergence_reported_not_raised(frank_nondeg):
     ops = frank_nondeg[1].v.ops
     u0 = 1.0 + 0.3 * np.cos(2 * math.pi * ops.grid.nodes / ops.model.length)
-    rep = minimize.minimize_energy(
-        ops, u0, minimize.MinimizeOptions(max_iters=1, newton_polish=False,
-                                          grad_tol=1e-13))
+    # grad_tol 1e-16 lies below the round-off floor of the gradient norm
+    rep = minimize.minimize_energy(ops, u0, minimize.MinimizeOptions(grad_tol=1e-16))
     assert not rep.converged
-    assert rep.iterations == 1
+    assert rep.iterations > 0
 
 
 def test_estimate_raises_when_nothing_converges():
@@ -114,8 +111,7 @@ def test_estimate_raises_when_nothing_converges():
     with pytest.raises(minimize.ConvergenceError):
         minimize.estimate_yamabe_constant(
             m, 64, starts=2,
-            opts=minimize.MinimizeOptions(max_iters=1, newton_polish=False,
-                                          grad_tol=1e-14, seed=0))
+            opts=minimize.MinimizeOptions(grad_tol=1e-16, seed=0))
 
 
 def test_yamabe_invariant_under_deformation(frank_nondeg):
@@ -160,7 +156,7 @@ def test_polish_step_matches_tangent_basis_step():
     g = disc.build_grid(m, 64)
     ops = disc.assemble_operators(m, g)
     state = energy.normalize(ops, 1.0 + 0.05 * np.cos(2 * math.pi * g.nodes / m.length))
-    H = energy.hessian_form(state)
+    H = projected_hessian(state)
     H0 = energy.second_variation(state)
     G = energy.gradient(state)
     p = energy.volume_covector(state)

@@ -3,9 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from yamstab import energy, minimize, model, spectrum
-from conftest import BIF_RADIUS, SUB_RADIUS, frank_mode_eigenvalue, random_positive_state
+from yamstab import disc, energy, minimize, model, spectrum, stability
+from conftest import (BIF_RADIUS, SUB_RADIUS, frank_mode_eigenvalue, projected_hessian,
+                      tangent_frame)
 
 
 def test_degenerate_kernel_pair(frank_deg):
@@ -41,7 +43,7 @@ def test_eigenvector_tangency_and_rayleigh(frank_nondeg):
     _, rep, spec, _ = frank_nondeg
     ops = rep.v.ops
     p = energy.volume_covector(rep.v)
-    H = energy.hessian_form(rep.v)
+    H = projected_hessian(rep.v)
     for j in range(spec.k):
         w = spec.eigenvectors[:, j]
         assert abs(float(p @ w)) <= 1e-9
@@ -54,16 +56,42 @@ def test_eigenvector_tangency_and_rayleigh(frank_nondeg):
     assert abs(float(rep.v.u @ ops.mass @ w0)) <= 1e-9
 
 
-def test_reduced_hessian_matches_projected_form(frank_nondeg):
-    # on a tangent basis B (PB = B) the unprojected and projected second
-    # variations agree: B'H0B = B'P'H0PB, also away from critical states
-    ops = frank_nondeg[1].v.ops
-    v = random_positive_state(ops, 11)
-    assert ops.dual_norm(energy.gradient(v)) > 1e-2
-    B, H_red = spectrum.reduced_hessian(v)
-    ref = B.T @ energy.hessian_form(v) @ B
-    assert np.max(np.abs(H_red - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert np.array_equal(B, spectrum.tangent_basis(v))
+def test_eigen_decompose_matches_tangent_frame(frank_nondeg, frank_deg):
+    # reference: the projected second variation reduced to an explicit
+    # M-orthonormal tangent frame B; k = N-1 asks for the whole tangent
+    # spectrum, so the deflation shift must sit above all of it
+    cases = [(rep.v, spec) for _, rep, spec, _ in (frank_nondeg, frank_deg)]
+    for r in (SUB_RADIUS, BIF_RADIUS):
+        m = model.frank_product(5, r)
+        ops = disc.assemble_operators(m, disc.build_grid(m, 32))
+        v = energy.normalize(ops, np.ones(ops.N))
+        cases.append((v, spectrum.eigen_decompose(v, ops.N - 1)))
+    for v, spec in cases:
+        B = tangent_frame(v)
+        ref = sla.eigh(B.T @ projected_hessian(v) @ B, eigvals_only=True,
+                       subset_by_index=(0, spec.k - 1))
+        assert np.max(np.abs(spec.eigenvalues - ref)) <= 1e-9 * np.max(np.abs(ref))
+    # lambda1_w: the (H, S+M) pencil on the frame mass-orthogonal to the kernel
+    for _, rep, _, split in (frank_nondeg, frank_deg):
+        v = rep.v
+        B = tangent_frame(v, split.K_basis)
+        ref = sla.eigh(B.T @ projected_hessian(v) @ B, B.T @ v.ops.w12_gram @ B,
+                       eigvals_only=True, subset_by_index=(0, 0))[0]
+        got = stability.coercivity_data(v, split).lambda1_w
+        assert got == pytest.approx(ref, rel=1e-9)
+
+
+def test_eigensolves_build_no_square_qr_frames(frank_deg, monkeypatch):
+    # the only QR left is the thin one of the 1 + kernel_dim constraint covectors
+    _, rep, _, split = frank_deg
+    shapes = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda a, *r, **k: shapes.append(np.shape(a)) or qr(a, *r, **k))
+    spectrum.eigen_decompose(rep.v, 12)
+    stability.coercivity_data(rep.v, split)
+    assert len(shapes) == 2
+    assert all(cols <= 1 + split.kernel_dim for _, cols in shapes)
 
 
 def test_eigenvector_sign_convention(frank_nondeg):
@@ -162,3 +190,9 @@ def test_pole_models_rejected(hemisphere3):
     v = energy.normalize(ops, np.ones(g.N))
     with pytest.raises(ValueError, match="pole"):
         spectrum.eigen_decompose(v, 4)
+    # S+M stays positive definite at the pole, so only the constraint
+    # covectors stand between coercivity_data and a silent number
+    split = spectrum.KernelSplit(K_basis=np.zeros((g.N, 0)), lambda1=1.0,
+                                 kernel_dim=0, threshold=0.0)
+    with pytest.raises(ValueError, match="pole"):
+        stability.coercivity_data(v, split)
