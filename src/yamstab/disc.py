@@ -76,13 +76,19 @@ def clenshaw_curtis_weights(N: int, length: float) -> np.ndarray:
 
 
 def fourier_diff(N: int, length: float) -> np.ndarray:
-    """Spectral d/dt matrix for N uniform nodes on a circle of circumference length."""
-    j = np.arange(N)
-    diff = j[:, None] - j[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        D = 0.5 * (-1.0) ** diff / np.tan(np.pi * diff / N)
-    np.fill_diagonal(D, 0.0)
-    return (2.0 * np.pi / length) * D
+    """Spectral d/dt matrix for N uniform nodes on a circle of circumference length.
+
+    Entry (i, j) depends only on i - j, so the matrix is Toeplitz: the entry
+    formula is evaluated on the 2N-1 distinct differences and laid out from
+    that vector.
+    """
+    diff = np.arange(-(N - 1), N)
+    with np.errstate(divide="ignore"):
+        d = 0.5 * (-1.0) ** diff / np.tan(np.pi * diff / N)
+    d[N - 1] = 0.0
+    d = (2.0 * np.pi / length) * d
+    # row i of the reversed windows is d[N-1+i-j], j = 0..N-1
+    return np.lib.stride_tricks.sliding_window_view(d[::-1], N)[::-1].copy()
 
 
 def build_grid(m: SymmetricModel, N: int) -> Grid:
@@ -109,8 +115,8 @@ class DiscreteOperators:
 
     stiffness   S with u'Su ~ integral |u'|^2 s dt
     mass        M (diagonal) with u'Mu ~ integral u^2 a dt
-    curv_mass   C with u'Cu ~ integral c_n R u^2 a dt
-    bdry_mass   B with u'Bu ~ sum over boundary ends of ((n-2)/2) h b u(e)^2
+    curv_mass   C (diagonal) with u'Cu ~ integral c_n R u^2 a dt
+    bdry_mass   B (diagonal) with u'Bu ~ sum over boundary ends of ((n-2)/2) h b u(e)^2
     normal_derivs  per-boundary-end row functionals approximating du/dnu
     """
 
@@ -257,13 +263,17 @@ class BorderedFactor:
     (?syconv'd factor, two unit-triangular ?trsm passes, the 1x1 and 2x2
     pivot blocks), so a factor-then-solve gives the bits of one ?sysv call;
     plain ?sytrs differs from it in the last digits.
+
+    A must be exactly symmetric.  It is copied into the Fortran-ordered
+    factor block through its transpose, a contiguous copy for a C-ordered A;
+    ?sytrf reads only one triangle of that block in any case.
     """
 
     def __init__(self, A: np.ndarray, C: np.ndarray):
         N, k = C.shape
         n = N + k
         K = np.zeros((n, n), order="F")
-        K[:N, :N] = A
+        K[:N, :N] = A.T
         K[:N, N:] = C
         K[N:, :N] = C.T
         sytrf, sytrf_lwork, syconv = sla.get_lapack_funcs(

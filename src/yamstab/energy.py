@@ -69,9 +69,11 @@ def yamabe_quotient(ops: DiscreteOperators, u: np.ndarray) -> EnergyReport:
     nrm = lp_norm(ops, u, ops.two_star)
     if nrm == 0.0:
         raise ValueError("the energy is undefined for the zero function")
+    # the curvature and boundary forms are diagonal: (u @ C) @ u is exactly
+    # (u * diag C) @ u, an O(N) dot in place of an N x N matvec
     dir_term = float(u @ ops.stiffness @ u)
-    curv_term = float(u @ ops.curv_mass @ u)
-    bdry_term = float(u @ ops.bdry_mass @ u)
+    curv_term = float((u * np.diagonal(ops.curv_mass)) @ u)
+    bdry_term = float((u * np.diagonal(ops.bdry_mass)) @ u)
     return EnergyReport(
         Q=(dir_term + curv_term + bdry_term) / nrm**2,
         dirichlet=dir_term,
@@ -126,12 +128,18 @@ def second_variation(v: NormalizedState) -> np.ndarray:
     bordered by p absorbs that term in its multiplier and an eigensolve on the
     tangent space never sees it, so the Newton polish and the eigensolves use
     H0 and skip the projection's two N^3 products.
+
+    Built as 2A with its diagonal replaced, each entry rounded as the formula
+    reads: one N x N pass, and exactly symmetric because total_form is.
     """
     ops = v.ops
     rep = yamabe_quotient(ops, v.u)
     ts = ops.two_star
     diag = ops.vol_weights * v.u ** (ts - 2.0)
-    return 2.0 * (ops.total_form - (ts - 1.0) * rep.Q * np.diag(diag))
+    A = ops.total_form
+    H = 2.0 * A
+    H.flat[:: ops.N + 1] = 2.0 * (np.diagonal(A) - (ts - 1.0) * rep.Q * diag)
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +147,16 @@ def second_variation(v: NormalizedState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def raw_hessian(ops: DiscreteOperators, w: np.ndarray) -> np.ndarray:
-    """Dense nodal Hessian of the homogeneous quotient at a positive w."""
+    """Dense nodal Hessian of the homogeneous quotient at a positive w.
+
+        H = a (A - s diag(m w^(2*-2))) - b (Aw p' + p Aw') + c p p'
+
+    with p = m w^(2*-1), P = sum m w^2*, E = w'Aw, a = 2 P^(-2/2*),
+    s = (2*-1) E/P, b = 2a/P and c = (2+2*) (E/P) (a/P).  Every term is
+    exactly symmetric (total_form is, and Aw_i p_j + p_i Aw_j is a sum of
+    commuting products), so H is too.  Built in place through one N x N
+    scratch buffer, with each entry rounded as the formula reads.
+    """
     ts = ops.two_star
     m = ops.vol_weights
     A = ops.total_form
@@ -148,10 +165,19 @@ def raw_hessian(ops: DiscreteOperators, w: np.ndarray) -> np.ndarray:
     E = float(w @ Aw)
     p = m * w ** (ts - 1.0)
     scale = P ** (-2.0 / ts)
-    H = 2.0 * scale * (A - (ts - 1.0) * (E / P) * np.diag(m * w ** (ts - 2.0)))
-    H -= (4.0 * scale / P) * (np.outer(Aw, p) + np.outer(p, Aw))
-    H += (4.0 + 2.0 * ts) * (E / P) * (scale / P) * np.outer(p, p)
-    return 0.5 * (H + H.T)
+    a = 2.0 * scale
+    dvec = m * w ** (ts - 2.0)
+    H = np.multiply.outer(Aw, p)
+    buf = np.multiply.outer(p, Aw)
+    H += buf
+    H *= -(4.0 * scale / P)          # -(b (Aw p' + p Aw')); negation is exact
+    np.multiply(A, a, out=buf)
+    buf.flat[:: ops.N + 1] = a * (np.diagonal(A) - (ts - 1.0) * (E / P) * dvec)
+    H += buf
+    np.multiply.outer(p, p, out=buf)
+    buf *= (4.0 + 2.0 * ts) * (E / P) * (scale / P)
+    H += buf
+    return H
 
 
 def power_increment(v: np.ndarray, xi: np.ndarray, p: float) -> np.ndarray:

@@ -181,8 +181,10 @@ def _correction_solve(chart: ReductionChart, phi: np.ndarray):
         H = energy.raw_hessian(ops, chart.v.u + phi + z)
         step_ok = False
         for _ in range(30):
+            shifted = H.copy()
+            shifted.flat[:: ops.N + 1] += mu * ops.vol_weights  # H + mu M
             try:
-                fresh = BorderedFactor(H + mu * ops.mass, chart._C)
+                fresh = BorderedFactor(shifted, chart._C)
             except np.linalg.LinAlgError:
                 mu = max(10.0 * mu, 1e-8)
                 continue

@@ -72,7 +72,9 @@ def _polish_step(state: energy.NormalizedState, H: np.ndarray, G: np.ndarray,
     with H the unprojected second variation at state (energy.second_variation).
     """
     p = energy.volume_covector(state)
-    return bordered_solve(H + mu * state.ops.w12_gram, p[:, None], -G)
+    if mu > 0.0:
+        H = H + mu * state.ops.w12_gram
+    return bordered_solve(H, p[:, None], -G)
 
 
 def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
@@ -148,7 +150,8 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
                     continue
                 trial_state = energy.normalize(ops, trial)
                 trial_q = energy.yamabe_quotient(ops, trial_state.u).Q
-                trial_norm = ops.dual_norm(energy.gradient(trial_state))
+                trial_G = energy.gradient(trial_state)
+                trial_norm = ops.dual_norm(trial_G)
                 if trial_norm < grad_norm and trial_q <= q_val + 1e-13 * max(abs(q_val), 1.0):
                     accepted = True
                     break
@@ -164,8 +167,7 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
             iterations += 1
             newton_iters += 1
             mu *= 0.01
-            grad_norm = trial_norm
-            G = energy.gradient(state)
+            grad_norm, G = trial_norm, trial_G
 
     return MinimizeReport(
         v=state,

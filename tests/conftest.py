@@ -62,6 +62,46 @@ def raw_gradient(ops, w: np.ndarray) -> np.ndarray:
     return 2.0 * P ** (-2.0 / ts) * (Aw - (E / P) * p)
 
 
+def quotient_three_matvec(ops, u: np.ndarray) -> energy.EnergyReport:
+    """The quotient with all three forms applied as N x N matvecs: the
+    reference yamabe_quotient's O(N) diagonal terms must match bit for bit."""
+    nrm = disc.lp_norm(ops, u, ops.two_star)
+    dir_term = float(u @ ops.stiffness @ u)
+    curv_term = float(u @ ops.curv_mass @ u)
+    bdry_term = float(u @ ops.bdry_mass @ u)
+    return energy.EnergyReport(Q=(dir_term + curv_term + bdry_term) / nrm**2,
+                               dirichlet=dir_term, curvature_term=curv_term,
+                               boundary_term=bdry_term, volume_norm=nrm)
+
+
+def raw_hessian_reference(ops, w: np.ndarray) -> np.ndarray:
+    """Nodal Hessian of the homogeneous quotient through dense diag and outer
+    products, symmetrized: the reference for the in-place energy.raw_hessian."""
+    ts = ops.two_star
+    m = ops.vol_weights
+    A = ops.total_form
+    Aw = A @ w
+    P = float(np.sum(m * w**ts))
+    E = float(w @ Aw)
+    p = m * w ** (ts - 1.0)
+    scale = P ** (-2.0 / ts)
+    H = 2.0 * scale * (A - (ts - 1.0) * (E / P) * np.diag(m * w ** (ts - 2.0)))
+    H -= (4.0 * scale / P) * (np.outer(Aw, p) + np.outer(p, Aw))
+    H += (4.0 + 2.0 * ts) * (E / P) * (scale / P) * np.outer(p, p)
+    return 0.5 * (H + H.T)
+
+
+def fourier_diff_reference(N: int, length: float) -> np.ndarray:
+    """Fourier d/dt matrix with its entry formula evaluated on all N^2
+    entries: the reference for the Toeplitz layout in disc.fourier_diff."""
+    j = np.arange(N)
+    diff = j[:, None] - j[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        D = 0.5 * (-1.0) ** diff / np.tan(np.pi * diff / N)
+    np.fill_diagonal(D, 0.0)
+    return (2.0 * np.pi / length) * D
+
+
 def richardson_first(f, h: float) -> float:
     """Richardson-extrapolated centered first difference of f at 0."""
     d1 = (f(h) - f(-h)) / (2 * h)

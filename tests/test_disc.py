@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yamstab import disc, model
+from conftest import fourier_diff_reference
 
 
 def test_uniform_circle_weights():
@@ -148,6 +149,16 @@ def test_fourier_diff_exactness():
     k = 2 * math.pi * 3 / m.length
     u = np.sin(k * g.nodes)
     assert np.allclose(g.diff_matrix @ u, k * np.cos(k * g.nodes), atol=1e-11)
+
+
+@pytest.mark.parametrize("N", [16, 64, 512])
+def test_fourier_diff_toeplitz_keeps_reference_bits(N):
+    # entry (i, j) is f(i - j): the Toeplitz layout of the 2N-1 distinct
+    # differences gives the bits of the formula evaluated on all N^2 entries
+    for length in (1.0, 2.0 * math.pi * 0.7, 3.3):
+        D = disc.fourier_diff(N, length)
+        assert D.flags.c_contiguous
+        assert np.array_equal(D, fourier_diff_reference(N, length))
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,8 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yamstab import disc, energy, model
-from conftest import (projected_hessian, random_positive_state, raw_gradient,
+from conftest import (SUB_RADIUS, projected_hessian, quotient_three_matvec,
+                      random_positive_state, raw_gradient, raw_hessian_reference,
                       richardson_first, richardson_second)
+
+# one operator set per assembly path: a Fourier circle, a Chebyshev interval,
+# an interval with a pole, and a pole with a boundary (B) term
+OPERATOR_SETS = {
+    "frank_product": (lambda: model.frank_product(5, SUB_RADIUS), 64),
+    "cylinder": (lambda: model.cylinder(3, 1.0), 48),
+    "hemisphere": (lambda: model.hemisphere(3), 64),
+    "ball": (lambda: model.ball(3), 64),
+}
+
+
+def operator_set(kind):
+    build, N = OPERATOR_SETS[kind]
+    m = build()
+    return disc.assemble_operators(m, disc.build_grid(m, N))
 
 
 def frank_constant_quotient(d, r):
@@ -145,6 +161,36 @@ def test_hessian_form_is_projected_second_variation(frank_nondeg):
     diag = ops.vol_weights * v.u ** (ts - 2.0)
     H0 = 2.0 * (ops.total_form - (ts - 1.0) * Q * np.diag(diag))
     assert np.array_equal(energy.second_variation(v), H0)
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATOR_SETS))
+def test_lean_kernels_keep_reference_bits(kind):
+    # the one-matvec quotient and the in-place Hessians give the bits of the
+    # dense formulas they replace, on and off the unit-volume manifold
+    ops = operator_set(kind)
+    ts = ops.two_star
+    for seed in (1, 2, 3):
+        v = random_positive_state(ops, seed)
+        for u in (v.u, 1.7 * v.u):
+            assert energy.yamabe_quotient(ops, u) == quotient_three_matvec(ops, u)
+            assert np.array_equal(energy.raw_hessian(ops, u), raw_hessian_reference(ops, u))
+        Q = quotient_three_matvec(ops, v.u).Q
+        diag = ops.vol_weights * v.u ** (ts - 2.0)
+        H0 = 2.0 * (ops.total_form - (ts - 1.0) * Q * np.diag(diag))
+        assert np.array_equal(energy.second_variation(v), H0)
+    if kind == "ball":
+        assert energy.yamabe_quotient(ops, v.u).boundary_term != 0.0
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATOR_SETS))
+def test_forms_are_exactly_symmetric(kind):
+    # disc.BorderedFactor copies its block through the transpose, so every
+    # matrix it factors must equal its transpose bit for bit
+    ops = operator_set(kind)
+    v = random_positive_state(ops, 4)
+    for X in (ops.total_form, ops.w12_gram, energy.second_variation(v),
+              energy.raw_hessian(ops, 1.3 * v.u)):
+        assert np.array_equal(X, X.T)
 
 
 def test_raw_derivatives_match_finite_differences(frank_nondeg):

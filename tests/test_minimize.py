@@ -224,3 +224,22 @@ def test_polish_bonus_steps_take_one_try(monkeypatch):
     for G, n_solves in runs:
         if ops.dual_norm(G) <= opts.grad_tol:
             assert n_solves == 1
+
+
+def test_polish_evaluates_one_gradient_per_try(monkeypatch):
+    # each polish try evaluates its trial's gradient once, and an accepted
+    # trial's gradient is kept rather than evaluated again at the new iterate
+    m = model.frank_product(5, BIF_RADIUS)
+    ops = disc.assemble_operators(m, disc.build_grid(m, 64))
+    t = 2 * math.pi * ops.grid.nodes / m.length
+    u0 = 1.0 + 1e-3 * (np.cos(t) + np.sin(2 * t))
+    # close enough to the constant that the run is all polish, no descent step
+    assert ops.dual_norm(energy.gradient(energy.normalize(ops, u0))) <= minimize.NEWTON_SWITCH
+    grads, solves = [], []
+    gradient, solve = energy.gradient, minimize.bordered_solve
+    monkeypatch.setattr(energy, "gradient", lambda v: grads.append(1) or gradient(v))
+    monkeypatch.setattr(minimize, "bordered_solve", lambda *a: solves.append(1) or solve(*a))
+    rep = minimize.minimize_energy(ops, u0)
+    assert rep.converged
+    assert len(solves) > rep.iterations > 1  # some iterations climbed the damping ladder
+    assert len(grads) == 1 + len(solves)    # the start's, then one per try

@@ -1,3 +1,4 @@
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -14,3 +15,20 @@ def test_bifurcation_sweep_kernel_column(monkeypatch, capsys):
     main()
     rows = capsys.readouterr().out.strip().splitlines()[2:]
     assert [int(row.split()[-1]) for row in rows] == [0, 0, 0, 2, 1]
+
+
+def test_output_digest_ignores_output_path(tmp_path, monkeypatch, capsys):
+    # two runs of one config, written under different prefixes, digest alike
+    main = runpy.run_path(str(SCRIPTS / "output_digest.py"))["main"]
+    paths = []
+    for name in ("a", "b"):
+        cfg = {"model": {"kind": "frank_product", "params": {"d": 5, "r": 0.5}},
+               "N": 32, "experiment": "minimize", "seed": 1,
+               "output": str(tmp_path / name), "sampling": {"count": 2}}
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(cfg))
+    monkeypatch.setattr(sys, "argv", ["output_digest.py", *map(str, paths)])
+    main()
+    lines = [row.split() for row in capsys.readouterr().out.strip().splitlines()]
+    assert [row[1] for row in lines] == ["exit=0", "exit=0"]
+    assert lines[0][0] == lines[1][0] and len(lines[0][0]) == 64
