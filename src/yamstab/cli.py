@@ -330,7 +330,7 @@ def run_lsred(cfg: ExperimentConfig):
         }
         return results, cols, [], f"classification={classification}"
 
-    chart = lsred.ReductionChart(v=best.v, split=split, ops=best.v.ops,
+    chart = lsred.ReductionChart(v=best.v, split=split,
                                  newton_tol=cfg.tolerances["newton_tol"])
     scales = cfg.sampling["scales"] or list(np.geomspace(1e-3, 1e-1, 8))
     dirs = _unit_directions(split.kernel_dim, cfg.sampling["directions"], cfg.seed)

@@ -2,9 +2,10 @@
 
 Interval models use Chebyshev-Lobatto nodes with Clenshaw-Curtis weights and
 the dense Chebyshev differentiation matrix; circle models use uniform nodes
-with trapezoid weights and the Fourier differentiation matrix.  All forms are
-assembled dense: the grids are desk-scale (N of a few hundred) and the
-eigenvalue work downstream needs full matrices anyway.  The Sobolev Cholesky
+with trapezoid weights and the Fourier differentiation matrix.  The stiffness
+is assembled dense: the grids are desk-scale (N of a few hundred) and the
+eigenvalue work downstream needs full matrices anyway.  The mass, curvature
+and boundary forms are diagonal and are kept as node vectors.  The Sobolev Cholesky
 factor is cached on the operator set, and linearly constrained Newton steps
 go through a bordered (KKT) factor instead of an explicit null-space basis;
 one factor serves any number of right-hand sides.
@@ -113,22 +114,26 @@ def build_grid(m: SymmetricModel, N: int) -> Grid:
 class DiscreteOperators:
     """Assembled quadratic forms of the boundary Yamabe energy on a grid.
 
-    stiffness   S with u'Su ~ integral |u'|^2 s dt
-    mass        M (diagonal) with u'Mu ~ integral u^2 a dt
-    curv_mass   C (diagonal) with u'Cu ~ integral c_n R u^2 a dt
-    bdry_mass   B (diagonal) with u'Bu ~ sum over boundary ends of ((n-2)/2) h b u(e)^2
-    normal_derivs  per-boundary-end row functionals approximating du/dnu
+    The stiffness is the one dense form; the other three are diagonal and are
+    stored as node vectors, their diagonals:
+
+    stiffness     S with u'Su ~ integral |u'|^2 s dt
+    vol_weights   m with sum m u^2 ~ integral u^2 a dt (the mass M = diag m)
+    curv_weights  c with sum c u^2 ~ integral c_n R u^2 a dt
+    bdry_weights  b with sum b u^2 ~ sum over boundary ends of ((n-2)/2) h b u(e)^2
+    normal_derivs per-boundary-end row functionals approximating du/dnu
+
+    total_form S + C + B and w12_gram S + M are dense, built on first use
+    and cached with the Sobolev Cholesky factor.
     """
 
     model: SymmetricModel
     grid: Grid
     stiffness: np.ndarray
-    mass: np.ndarray
-    curv_mass: np.ndarray
-    bdry_mass: np.ndarray
+    vol_weights: np.ndarray
+    curv_weights: np.ndarray
+    bdry_weights: np.ndarray
     normal_derivs: dict
-    vol_weights: np.ndarray = field(repr=False)      # diag of M
-    density: np.ndarray = field(repr=False)          # a at nodes
     curvature: np.ndarray = field(repr=False)        # R at nodes
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -148,18 +153,27 @@ class DiscreteOperators:
     def N(self) -> int:
         return self.grid.N
 
+    def _plus_diagonals(self, *diagonals: np.ndarray) -> np.ndarray:
+        """S plus the diagonal forms, added in order on the diagonal only:
+        the off-diagonal zeros of a dense diagonal add nothing, so this has
+        the bits of the dense sum S + diag(d1) + diag(d2) + ..."""
+        A = self.stiffness.copy()
+        for d in diagonals:
+            A.flat[:: self.N + 1] += d
+        return A
+
     @property
     def total_form(self) -> np.ndarray:
         """The energy form S + C + B."""
         if "total" not in self._cache:
-            self._cache["total"] = self.stiffness + self.curv_mass + self.bdry_mass
+            self._cache["total"] = self._plus_diagonals(self.curv_weights, self.bdry_weights)
         return self._cache["total"]
 
     @property
     def w12_gram(self) -> np.ndarray:
         """Gram matrix of the Sobolev norm: S + M."""
         if "w12" not in self._cache:
-            self._cache["w12"] = self.stiffness + self.mass
+            self._cache["w12"] = self._plus_diagonals(self.vol_weights)
         return self._cache["w12"]
 
     @property
@@ -227,20 +241,19 @@ def assemble_operators(m: SymmetricModel, grid: Grid) -> DiscreteOperators:
     S = 0.5 * (S + S.T)
 
     mvec = np.clip(a, 0.0, None) * q
-    M = np.diag(mvec)
-    C = np.diag(m.c_n * curv * mvec)
+    cvec = m.c_n * curv * mvec
 
-    B = np.zeros((grid.N, grid.N))
+    bvec = np.zeros(grid.N)
     normal_derivs = {}
     for side, ep in m.boundary_endpoints():
         idx = 0 if side == "left" else grid.N - 1
         sign = -1.0 if side == "left" else 1.0
         normal_derivs[side] = math.sqrt(max(float(sigma[idx]), 0.0)) * sign * D[idx, :]
-        B[idx, idx] += 0.5 * (m.n - 2) * ep.h * ep.b
+        bvec[idx] += 0.5 * (m.n - 2) * ep.h * ep.b
 
     return DiscreteOperators(
-        model=m, grid=grid, stiffness=S, mass=M, curv_mass=C, bdry_mass=B,
-        normal_derivs=normal_derivs, vol_weights=mvec, density=a, curvature=curv,
+        model=m, grid=grid, stiffness=S, vol_weights=mvec, curv_weights=cvec,
+        bdry_weights=bvec, normal_derivs=normal_derivs, curvature=curv,
     )
 
 

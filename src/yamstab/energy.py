@@ -69,11 +69,11 @@ def yamabe_quotient(ops: DiscreteOperators, u: np.ndarray) -> EnergyReport:
     nrm = lp_norm(ops, u, ops.two_star)
     if nrm == 0.0:
         raise ValueError("the energy is undefined for the zero function")
-    # the curvature and boundary forms are diagonal: (u @ C) @ u is exactly
-    # (u * diag C) @ u, an O(N) dot in place of an N x N matvec
+    # the curvature and boundary forms are diagonal: (u @ diag c) @ u is
+    # exactly (u * c) @ u, an O(N) dot in place of an N x N matvec
     dir_term = float(u @ ops.stiffness @ u)
-    curv_term = float((u * np.diagonal(ops.curv_mass)) @ u)
-    bdry_term = float((u * np.diagonal(ops.bdry_mass)) @ u)
+    curv_term = float((u * ops.curv_weights) @ u)
+    bdry_term = float((u * ops.bdry_weights) @ u)
     return EnergyReport(
         Q=(dir_term + curv_term + bdry_term) / nrm**2,
         dirichlet=dir_term,

@@ -52,15 +52,16 @@ class InsufficientDataError(RuntimeError):
 NOISE_FLOOR = 1e-13
 RADIUS_HALVINGS = 4
 CHORD_CONTRACTION = 0.5  # residual ratio a chord step must reach to be kept
+MAX_NEWTON = 40          # accepted steps per correction solve
+# relative spread of the sampled reduced energy below which it counts as constant
+INTEGRABLE_TOL = 1e-8
 
 
 @dataclass(eq=False)
 class ReductionChart:
     v: energy.NormalizedState
     split: KernelSplit
-    ops: DiscreteOperators
     newton_tol: float = 1e-11
-    max_newton: int = 40
     radius: float = field(init=False)
     _halvings: int = field(init=False, default=0)
     _C: np.ndarray = field(init=False, repr=False)
@@ -113,6 +114,10 @@ class ReductionChart:
         """sqrt(r'M^-1 r), which is |Z'g| for r = complement_residual(xi) and
         any M-orthonormal basis Z of ker C'."""
         return math.sqrt(float(r @ (self._inv_m * r)))
+
+    @property
+    def ops(self) -> DiscreteOperators:
+        return self.v.ops
 
     @property
     def kernel_dim(self) -> int:
@@ -169,7 +174,7 @@ def _correction_solve(chart: ReductionChart, phi: np.ndarray):
     iters = 0
     mu = 0.0
     factor = chart._factor
-    while res > chart.newton_tol and iters < chart.max_newton:
+    while res > chart.newton_tol and iters < MAX_NEWTON:
         if factor is not None:
             cand = z + factor.solve(-res_vec)
             trial = _trial(chart, phi, cand)
@@ -370,17 +375,17 @@ def fit_growth_exponent(samples: list[ReducedSample]) -> GrowthFit:
     return min(fits, key=lambda f: f.exponent)
 
 
-def detect_integrability(samples: list[ReducedSample], tol: float = 1e-8, *,
+def detect_integrability(samples: list[ReducedSample], *,
                          q0: float, kernel_dim: int) -> str:
     """Classify the critical state from sampled reduced-energy variation.
 
     A trivial kernel is nondegenerate; a reduced energy that is constant to
-    within tol relative of its base value is integrable; anything else is
-    nonintegrable.
+    within INTEGRABLE_TOL relative of its base value is integrable; anything
+    else is nonintegrable.
     """
     if kernel_dim == 0:
         return "nondegenerate"
     if not samples:
         raise ValueError("integrability detection needs samples when a kernel exists")
     spread = max(abs(s.q_value - q0) for s in samples)
-    return "integrable" if spread <= tol * abs(q0) else "nonintegrable"
+    return "integrable" if spread <= INTEGRABLE_TOL * abs(q0) else "nonintegrable"

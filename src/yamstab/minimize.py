@@ -187,7 +187,8 @@ def laplace_modes(ops: DiscreteOperators, k: int) -> tuple[np.ndarray, np.ndarra
     positive definite even when the density vanishes at a pole, with
     eigenvalue conversion lambda = (1-theta)/theta.
     """
-    theta, vecs = sla.eigh(ops.mass, ops.w12_gram)
+    m = ops.vol_weights
+    theta, vecs = sla.eigh(np.diag(m), ops.w12_gram)
     order = np.argsort(-theta)  # descending: constant first, then low modes
     lam = []
     modes = []
@@ -195,7 +196,7 @@ def laplace_modes(ops: DiscreteOperators, k: int) -> tuple[np.ndarray, np.ndarra
         th = theta[idx]
         lam.append((1.0 - th) / th)
         w = vecs[:, idx]
-        mnorm = math.sqrt(float(w @ ops.mass @ w))
+        mnorm = math.sqrt(float((w * m) @ w))
         modes.append(w / mnorm if mnorm > 0 else w)
     return np.array(lam), np.column_stack(modes)
 

@@ -28,18 +28,16 @@ class MinimizerFamily:
     """Local representation of the minimizer set near a base minimizer.
 
     Either a single state, or the critical slices of a reduction chart at a
-    stored set of kernel coordinates; `continuum` marks the integrable case
-    where the whole chart image minimizes and the distance search may refine
-    over kernel coordinates continuously.
+    stored set of kernel coordinates.  A family with a chart is the
+    integrable case, where the whole chart image minimizes and the distance
+    search refines over kernel coordinates continuously.
     """
 
     v: energy.NormalizedState
-    y_est: float
     members: tuple
     delta: float
     chart: ReductionChart | None = None
     critical_phis: tuple = ()
-    continuum: bool = False
     split: KernelSplit | None = None
     spectrum: SpectrumReport | None = None
 
@@ -48,29 +46,27 @@ class MinimizerFamily:
         return self.split.kernel_dim if self.split is not None else 0
 
 
-def single_family(v: energy.NormalizedState, *, delta: float | None = None,
+def single_family(v: energy.NormalizedState, *,
                   split: KernelSplit | None = None,
                   spectrum: SpectrumReport | None = None,
                   member_tol: float = 1e-9) -> MinimizerFamily:
-    """Family consisting of one minimizer; sampling data rides along."""
+    """Family consisting of one minimizer, with a locality radius of a tenth
+    of its Sobolev norm; sampling data rides along."""
     _check_member(v, member_tol)
-    ops = v.ops
-    if delta is None:
-        delta = 0.1 * ops.w12_norm(v.u)
-    y_est = energy.yamabe_quotient(ops, v.u).Q
-    return MinimizerFamily(v=v, y_est=y_est, members=(v,), delta=float(delta),
+    return MinimizerFamily(v=v, members=(v,), delta=0.1 * v.ops.w12_norm(v.u),
                            split=split, spectrum=spectrum)
 
 
-def reduced_family(chart: ReductionChart, critical_phis, *, continuum: bool = True,
-                   spectrum: SpectrumReport | None = None,
-                   member_tol: float | None = None) -> MinimizerFamily:
-    """Family of chart slices at stored critical kernel coordinates."""
-    if member_tol is None:
-        member_tol = 1e4 * chart.newton_tol
+def reduced_family(chart: ReductionChart, critical_phis, *,
+                   spectrum: SpectrumReport | None = None) -> MinimizerFamily:
+    """Family of chart slices at stored critical kernel coordinates.
+
+    Each member must have a gradient norm within 1e4 times the chart's
+    Newton tolerance.
+    """
+    member_tol = 1e4 * chart.newton_tol
     ops = chart.ops
     members = []
-    y_est = chart.q0
     for phi in critical_phis:
         z, _ = solve_correction_full(chart, phi)
         member = energy.normalize(ops, chart.v.u + chart.kernel_vector(phi) + z)
@@ -83,11 +79,11 @@ def reduced_family(chart: ReductionChart, critical_phis, *, continuum: bool = Tr
         members.append(member)
     if not members:
         raise ValueError("a reduced family needs at least one stored coordinate")
-    return MinimizerFamily(v=chart.v, y_est=y_est, members=tuple(members),
+    return MinimizerFamily(v=chart.v, members=tuple(members),
                            delta=chart.radius, chart=chart,
                            critical_phis=tuple(np.atleast_1d(np.asarray(p, dtype=float))
                                                for p in critical_phis),
-                           continuum=continuum, split=chart.split, spectrum=spectrum)
+                           split=chart.split, spectrum=spectrum)
 
 
 def _check_member(state: energy.NormalizedState, tol: float):
@@ -100,8 +96,8 @@ def _check_member(state: energy.NormalizedState, tol: float):
 def distance_to_minimizers(u: energy.NormalizedState, fam: MinimizerFamily) -> float:
     """Normalized Sobolev distance from u to the represented minimizer set.
 
-    Discrete members are searched exhaustively; in the continuum (integrable)
-    case the kernel coordinate is refined with a derivative-free local search
+    Discrete members are searched exhaustively; in the integrable case (a
+    family with a chart) the kernel coordinate is refined with a derivative-free local search
     seeded at the best stored coordinate.
     """
     if not fam.members:
@@ -109,7 +105,7 @@ def distance_to_minimizers(u: energy.NormalizedState, fam: MinimizerFamily) -> f
     ops = u.ops
     u_norm = ops.w12_norm(u.u)
     best = min(ops.w12_norm(u.u - mem.u) for mem in fam.members)
-    if fam.continuum and fam.chart is not None:
+    if fam.chart is not None:
         chart = fam.chart
         idx = int(np.argmin([ops.w12_norm(u.u - mem.u) for mem in fam.members]))
 
@@ -242,14 +238,14 @@ class StabilityFit:
     hull_size: int
 
 
-def _binned_minima(x: np.ndarray, y: np.ndarray, nbins: int | None = None) -> np.ndarray:
-    """Indices of the per-bin lowest points over a uniform partition of x.
+def _binned_minima(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the per-bin lowest points over a uniform partition of x
+    into between 6 and 12 bins, about three points each.
 
     Pre-filtering the scatter this way keeps the hull from pivoting on
     extreme-abscissa points of non-binding sample directions.
     """
-    if nbins is None:
-        nbins = max(6, min(12, x.size // 3))
+    nbins = max(6, min(12, x.size // 3))
     lo, hi = float(np.min(x)), float(np.max(x))
     if hi <= lo:
         return np.arange(x.size)

@@ -67,8 +67,8 @@ def quotient_three_matvec(ops, u: np.ndarray) -> energy.EnergyReport:
     reference yamabe_quotient's O(N) diagonal terms must match bit for bit."""
     nrm = disc.lp_norm(ops, u, ops.two_star)
     dir_term = float(u @ ops.stiffness @ u)
-    curv_term = float(u @ ops.curv_mass @ u)
-    bdry_term = float(u @ ops.bdry_mass @ u)
+    curv_term = float(u @ np.diag(ops.curv_weights) @ u)
+    bdry_term = float(u @ np.diag(ops.bdry_weights) @ u)
     return energy.EnergyReport(Q=(dir_term + curv_term + bdry_term) / nrm**2,
                                dirichlet=dir_term, curvature_term=curv_term,
                                boundary_term=bdry_term, volume_norm=nrm)
@@ -143,7 +143,7 @@ def frank_deg():
 def frank_deg_chart(frank_deg):
     from yamstab import lsred
     _, rep, _, split = frank_deg
-    return lsred.ReductionChart(v=rep.v, split=split, ops=rep.v.ops)
+    return lsred.ReductionChart(v=rep.v, split=split)
 
 
 @pytest.fixture(scope="session")

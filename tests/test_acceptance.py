@@ -156,8 +156,7 @@ def _degenerate_chart(N=256):
         m, N, starts=2, opts=minimize.MinimizeOptions(seed=1, grad_tol=_grad_tol(N)))
     spec = spectrum.eigen_decompose(rep.v, 12)
     split = spectrum.kernel_split(spec)
-    return rep, spec, split, lsred.ReductionChart(v=rep.v, split=split,
-                                                  ops=rep.v.ops)
+    return rep, spec, split, lsred.ReductionChart(v=rep.v, split=split)
 
 
 def test_criterion_5_reduction_contract():

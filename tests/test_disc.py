@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -64,7 +65,8 @@ def test_hemisphere_constant_energy(hemisphere3):
     # 1'(S+C)1 = c_3 * R * vol = (1/8) * 6 * pi^2
     _, g, ops = hemisphere3
     ones = np.ones(g.N)
-    val = float(ones @ (ops.stiffness @ ones)) + float(ones @ (ops.curv_mass @ ones))
+    val = float(ones @ (ops.stiffness @ ones))
+    val += float(ones @ (np.diag(ops.curv_weights) @ ones))
     # the Dirichlet part cancels to eps * sum|S_ij| ~ 1e-11, not to eps itself
     assert val == pytest.approx(6 * math.pi**2 / 8, rel=1e-11)
 
@@ -73,7 +75,7 @@ def test_ball_boundary_form(ball3):
     # 1'B1 = ((n-2)/2) h b = (1/2) * 1 * 4 pi
     _, g, ops = ball3
     ones = np.ones(g.N)
-    assert float(ones @ ops.bdry_mass @ ones) == pytest.approx(2 * math.pi, rel=1e-14)
+    assert float(ones @ np.diag(ops.bdry_weights) @ ones) == pytest.approx(2 * math.pi, rel=1e-14)
 
 
 def test_stiffness_symmetric_annihilates_constants(hemisphere3, frank_nondeg):
@@ -95,7 +97,22 @@ def test_stiffness_psd_on_random_vectors(cylinder3):
 def test_mass_matches_volume(hemisphere3):
     _, _, ops = hemisphere3
     ones = np.ones(ops.N)
-    assert float(ones @ ops.mass @ ones) == pytest.approx(math.pi**2, rel=1e-12)
+    assert float(ones @ np.diag(ops.vol_weights) @ ones) == pytest.approx(math.pi**2, rel=1e-12)
+
+
+def test_stiffness_is_the_only_stored_dense_form():
+    # the diagonal forms are node vectors; total_form and w12_gram are built
+    # on first use and live in the cache
+    m = model.ball(3)
+    ops = disc.assemble_operators(m, disc.build_grid(m, 32))
+    square = [f.name for f in dataclasses.fields(ops)
+              if getattr(getattr(ops, f.name), "shape", None) == (ops.N, ops.N)]
+    assert square == ["stiffness"]
+    assert ops._cache == {}
+    for name in ("vol_weights", "curv_weights", "bdry_weights"):
+        assert getattr(ops, name).shape == (ops.N,)
+    ops.total_form
+    assert list(ops._cache) == ["total"]
 
 
 def test_normal_derivative_of_linear_function(cylinder3, hemisphere3):
@@ -128,8 +145,8 @@ def test_lp_norm_basics(frank_nondeg):
         assert disc.lp_norm(ops, ones, p) == pytest.approx(ops.volume ** (1 / p),
                                                            rel=1e-13)
     u = 1.0 + 0.5 * np.sin(2 * math.pi * ops.grid.nodes / ops.model.length)
-    assert disc.lp_norm(ops, u, 2.0) ** 2 == pytest.approx(float(u @ ops.mass @ u),
-                                                           rel=1e-12)
+    assert disc.lp_norm(ops, u, 2.0) ** 2 == pytest.approx(
+        float(u @ np.diag(ops.vol_weights) @ u), rel=1e-12)
     with pytest.raises(ValueError):
         disc.lp_norm(ops, ones, 0.5)
     with pytest.raises(ValueError):

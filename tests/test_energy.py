@@ -180,6 +180,11 @@ def test_lean_kernels_keep_reference_bits(kind):
         assert np.array_equal(energy.second_variation(v), H0)
     if kind == "ball":
         assert energy.yamabe_quotient(ops, v.u).boundary_term != 0.0
+    # the cached forms add the diagonal weights to S in the dense sums' order
+    S = ops.stiffness
+    assert np.array_equal(ops.total_form,
+                          S + np.diag(ops.curv_weights) + np.diag(ops.bdry_weights))
+    assert np.array_equal(ops.w12_gram, S + np.diag(ops.vol_weights))
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATOR_SETS))

@@ -48,12 +48,12 @@ def test_eigenvector_tangency_and_rayleigh(frank_nondeg):
         w = spec.eigenvectors[:, j]
         assert abs(float(p @ w)) <= 1e-9
         num = float(w @ H @ w)
-        den = float(w @ ops.mass @ w)
+        den = float(w @ np.diag(ops.vol_weights) @ w)
         assert num / den == pytest.approx(spec.eigenvalues[j],
                                           rel=1e-8, abs=1e-8)
     # lowest eigenvector is mass-orthogonal to the state
     w0 = spec.eigenvectors[:, 0]
-    assert abs(float(rep.v.u @ ops.mass @ w0)) <= 1e-9
+    assert abs(float(rep.v.u @ np.diag(ops.vol_weights) @ w0)) <= 1e-9
 
 
 def test_eigen_decompose_matches_tangent_frame(frank_nondeg, frank_deg):

@@ -65,8 +65,7 @@ def test_distance_rotation_invariance(deg_family):
 
 def test_empty_family_refused(nondeg_family):
     broken = stability.MinimizerFamily(
-        v=nondeg_family.v, y_est=nondeg_family.y_est, members=(),
-        delta=nondeg_family.delta)
+        v=nondeg_family.v, members=(), delta=nondeg_family.delta)
     with pytest.raises(ValueError, match="empty"):
         stability.distance_to_minimizers(nondeg_family.v, broken)
 
@@ -200,8 +199,7 @@ def test_degenerate_stability_exponent(deg_family):
 
 def test_reduced_family_continuum_distance(frank_deg_chart, frank_deg):
     _, rep, spec, _ = frank_deg
-    fam = stability.reduced_family(frank_deg_chart, [np.zeros(2)],
-                                   continuum=True, spectrum=spec)
+    fam = stability.reduced_family(frank_deg_chart, [np.zeros(2)], spectrum=spec)
     ops = rep.v.ops
     phi = frank_deg_chart.split.K_basis[:, 0]
     u = energy.normalize(ops, np.clip(rep.v.u + 0.005 * phi, 0, None))
@@ -225,8 +223,7 @@ def test_distance_search_penalizes_only_chart_errors(frank_deg_chart, frank_deg,
     # a chart failure is a penalty point for the local search; any other
     # exception is a bug and must reach the caller
     _, rep, spec, _ = frank_deg
-    fam = stability.reduced_family(frank_deg_chart, [np.zeros(2)],
-                                   continuum=True, spectrum=spec)
+    fam = stability.reduced_family(frank_deg_chart, [np.zeros(2)], spectrum=spec)
     ops = rep.v.ops
     u = energy.normalize(ops, np.clip(rep.v.u + 0.005 * fam.split.K_basis[:, 0], 0, None))
     d_member = ops.w12_norm(u.u - rep.v.u) / ops.w12_norm(u.u)
