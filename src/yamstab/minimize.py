@@ -162,7 +162,7 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
                 break
             if grad_norm <= opts.grad_tol and trial_norm > 0.5 * grad_norm:
                 bonus = False
-            state, q_val = trial_state, min(trial_q, q_val)
+            state, q_val = trial_state, trial_q
             history.append(q_val)
             iterations += 1
             newton_iters += 1

@@ -50,6 +50,15 @@ def test_monotone_descent(frank_nondeg):
     assert all(qs[i + 1] <= qs[i] + 1e-12 * abs(qs[i]) for i in range(len(qs) - 1))
 
 
+def test_reported_quotient_is_the_returned_states():
+    # best_converged ranks starts on Y_est, so it must be Q of the state the
+    # report holds, not the lower of two polish iterates
+    reports = minimize.run_multistart(model.frank_product(5, BIF_RADIUS), 64, 3,
+                                      minimize.MinimizeOptions(seed=0))
+    for rep in reports:
+        assert rep.Y_est == energy.yamabe_quotient(rep.v.ops, rep.v.u).Q
+
+
 def test_converged_implies_small_residual(frank_nondeg, frank_deg):
     for _, rep, _, _ in (frank_nondeg, frank_deg):
         assert rep.converged
