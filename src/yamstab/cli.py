@@ -5,8 +5,8 @@ writes a JSON report plus a CSV table under the output prefix.  Identical
 configs (seed included) produce byte-identical files; writes go through a
 temporary file and an atomic rename so partial outputs never appear.
 
-Exit codes: 0 success, 2 config error, 3 convergence failure, 4 fit
-rejection.
+Exit codes: 0 success, 2 config error, 3 convergence failure or an
+untrustworthy kernel threshold, 4 fit rejection.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .disc import MIN_NODES, assemble_operators, build_grid
 from . import energy, lsred, minimize, spectrum, stability
 from .minimize import ConvergenceError
 from .lsred import ChartError, FitRejectedError, InsufficientDataError
+from .spectrum import KernelThresholdError
 
 EXPERIMENTS = ("minimize", "spectrum", "lsred", "stability", "covariance")
 
@@ -362,6 +363,12 @@ def run_stability(cfg: ExperimentConfig):
                                   member_tol=1e4 * cfg.tolerances["grad_tol"])
     kinds = tuple(cfg.sampling["kinds"]) or (
         ("kernel",) if split.kernel_dim > 0 else ("transverse",))
+    if split.kernel_dim == 0:
+        flat = [k for k in kinds if k in ("kernel", "mixed")]
+        if flat:
+            raise ConfigError(
+                f"sampling.kinds: {', '.join(flat)} sampling needs a Hessian "
+                "kernel, and this minimizer has kernel_dim 0")
     if cfg.sampling["scales"]:
         scales = tuple(cfg.sampling["scales"])
     elif split.kernel_dim > 0:
@@ -518,8 +525,14 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return run(cfg)
+    except ConfigError as exc:  # a setting that this run's results rule out
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ConvergenceError, ChartError) as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE
+    except KernelThresholdError as exc:
+        print(f"kernel threshold failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except (FitRejectedError, InsufficientDataError) as exc:
         print(f"fit rejected: {exc}", file=sys.stderr)

@@ -5,10 +5,10 @@ the dense Chebyshev differentiation matrix; circle models use uniform nodes
 with trapezoid weights and the Fourier differentiation matrix.  The stiffness
 is assembled dense: the grids are desk-scale (N of a few hundred) and the
 eigenvalue work downstream needs full matrices anyway.  The mass, curvature
-and boundary forms are diagonal and are kept as node vectors.  The Sobolev Cholesky
-factor is cached on the operator set, and linearly constrained Newton steps
-go through a bordered (KKT) factor instead of an explicit null-space basis;
-one factor serves any number of right-hand sides.
+and boundary forms are diagonal and are kept as node vectors.  The Sobolev
+Cholesky factor is cached on the operator set, and linearly constrained
+Newton steps go through a bordered (KKT) factor instead of an explicit
+null-space basis; one factor serves any number of right-hand sides.
 """
 
 from __future__ import annotations
@@ -154,9 +154,8 @@ class DiscreteOperators:
         return self.grid.N
 
     def _plus_diagonals(self, *diagonals: np.ndarray) -> np.ndarray:
-        """S plus the diagonal forms, added in order on the diagonal only:
-        the off-diagonal zeros of a dense diagonal add nothing, so this has
-        the bits of the dense sum S + diag(d1) + diag(d2) + ..."""
+        """S + diag(d1) + diag(d2) + ..., with the dense sum's bits: the
+        vectors are added in order to the diagonal only."""
         A = self.stiffness.copy()
         for d in diagonals:
             A.flat[:: self.N + 1] += d

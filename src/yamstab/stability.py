@@ -64,13 +64,12 @@ def reduced_family(chart: ReductionChart, critical_phis, *,
     Each member must have a gradient norm within 1e4 times the chart's
     Newton tolerance.
     """
-    member_tol = 1e4 * chart.newton_tol
     ops = chart.ops
     members = []
     for phi in critical_phis:
         z, _ = solve_correction_full(chart, phi)
         member = energy.normalize(ops, chart.v.u + chart.kernel_vector(phi) + z)
-        _check_member(member, member_tol)
+        _check_member(member, 1e4 * chart.newton_tol)
         q_mem = energy.yamabe_quotient(ops, member.u).Q
         if abs(q_mem - chart.q0) > 1e-8 * max(abs(chart.q0), 1.0):
             raise ValueError(
@@ -97,8 +96,8 @@ def distance_to_minimizers(u: energy.NormalizedState, fam: MinimizerFamily) -> f
     """Normalized Sobolev distance from u to the represented minimizer set.
 
     Discrete members are searched exhaustively; in the integrable case (a
-    family with a chart) the kernel coordinate is refined with a derivative-free local search
-    seeded at the best stored coordinate.
+    family with a chart) the kernel coordinate is refined with a
+    derivative-free local search seeded at the best stored coordinate.
     """
     if not fam.members:
         raise ValueError("empty minimizer family")

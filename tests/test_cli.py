@@ -164,6 +164,28 @@ def test_fit_rejection_exit_code(tmp_path, capsys):
     assert "fit rejected" in capsys.readouterr().err
 
 
+def test_kernel_threshold_failure_exit_code(tmp_path, capsys):
+    # a threshold of half the top eigenvalue cuts through the circle modes
+    path, _ = base_config(tmp_path, "spectrum", r=0.5, N=64,
+                          tolerances={"kernel_tol": 0.5})
+    assert cli.main(["spectrum", "--config", str(path)]) == cli.EXIT_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("kernel threshold failure:") and err.count("\n") == 1
+    assert not (tmp_path / "out_spectrum.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["kernel", "mixed"])
+def test_kernel_sampling_on_nondegenerate_minimizer_is_config_error(tmp_path, capsys,
+                                                                    kind):
+    path, _ = base_config(tmp_path, "stability", N=64,
+                          sampling={"count": 2, "kinds": ["transverse", kind]})
+    assert cli.main(["stability", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: sampling.kinds: {kind} ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out_stability.json").exists()
+
+
 def test_lsred_nondegenerate_short_circuit(tmp_path, capsys):
     path, _ = base_config(tmp_path, "lsred")
     assert cli.main(["lsred", "--config", str(path)]) == 0

@@ -75,7 +75,8 @@ def test_ball_boundary_form(ball3):
     # 1'B1 = ((n-2)/2) h b = (1/2) * 1 * 4 pi
     _, g, ops = ball3
     ones = np.ones(g.N)
-    assert float(ones @ np.diag(ops.bdry_weights) @ ones) == pytest.approx(2 * math.pi, rel=1e-14)
+    val = float(ones @ np.diag(ops.bdry_weights) @ ones)
+    assert val == pytest.approx(2 * math.pi, rel=1e-14)
 
 
 def test_stiffness_symmetric_annihilates_constants(hemisphere3, frank_nondeg):
@@ -97,7 +98,8 @@ def test_stiffness_psd_on_random_vectors(cylinder3):
 def test_mass_matches_volume(hemisphere3):
     _, _, ops = hemisphere3
     ones = np.ones(ops.N)
-    assert float(ones @ np.diag(ops.vol_weights) @ ones) == pytest.approx(math.pi**2, rel=1e-12)
+    val = float(ones @ np.diag(ops.vol_weights) @ ones)
+    assert val == pytest.approx(math.pi**2, rel=1e-12)
 
 
 def test_stiffness_is_the_only_stored_dense_form():

@@ -32,3 +32,20 @@ def test_output_digest_ignores_output_path(tmp_path, monkeypatch, capsys):
     lines = [row.split() for row in capsys.readouterr().out.strip().splitlines()]
     assert [row[1] for row in lines] == ["exit=0", "exit=0"]
     assert lines[0][0] == lines[1][0] and len(lines[0][0]) == 64
+
+
+def test_reference_experiments_write_four_reports(tmp_path, monkeypatch, capsys):
+    # the script writes under ./reference_runs/, so it runs in a scratch cwd
+    main = runpy.run_path(str(SCRIPTS / "run_reference_experiments.py"))["main"]
+    monkeypatch.chdir(tmp_path)
+    main()
+    out = tmp_path / "reference_runs"
+    names = ("quadratic_stability", "quartic_reduction", "quartic_stability",
+             "covariance_check")
+    reports = [p.stem for p in out.glob("*.json") if not p.stem.endswith("_config")]
+    assert sorted(reports) == sorted(names)
+    results = {name: json.loads((out / f"{name}.json").read_text())["results"]
+               for name in names}
+    assert abs(results["quadratic_stability"]["exponent"] - 2.0) <= 0.1
+    for name in ("quartic_reduction", "quartic_stability"):
+        assert abs(results[name]["exponent"] - 4.0) <= 0.2
