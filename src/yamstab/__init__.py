@@ -7,8 +7,7 @@ from .model import (BoundaryData, Pole, SymmetricModel, conformal_deform,
                     make_model, sphere_area)
 from .disc import DiscreteOperators, Grid, assemble_operators, build_grid, lp_norm
 from .energy import (ELResidual, EnergyReport, NormalizedState, el_residual,
-                     energy_deficit, gradient, metric_distance,
-                     metric_distance_star, normalize, power_increment,
+                     energy_deficit, gradient, normalize, power_increment,
                      project_tangent, second_variation, yamabe_quotient)
 from .minimize import (ConvergenceError, MinimizeOptions, MinimizeReport,
                        estimate_yamabe_constant, hemisphere_comparison_value,
@@ -22,6 +21,6 @@ from .lsred import (ChartError, FitRejectedError, GrowthFit,
 from .stability import (CoercivityData, MinimizerFamily, SampleSpec,
                         StabilityFit, StabilityRecord, coercivity_data,
                         distance_to_minimizers, fit_stability_exponent,
-                        reduced_family, sample_deficit_distance, single_family)
+                        sample_deficit_distance, single_family)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

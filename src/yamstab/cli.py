@@ -137,6 +137,8 @@ def validate_dict(raw: dict) -> list[str]:
         diags.append("N: expected an integer")
     elif N < MIN_NODES:
         diags.append(f"N: below minimum {MIN_NODES}")
+    elif N % 2 and built is not None and built.topology == "circle":
+        diags.append(f"N: {built.label} is periodic and needs an even N, got {N}")
 
     exp = raw.get("experiment")
     if exp is None:
@@ -151,8 +153,8 @@ def validate_dict(raw: dict) -> list[str]:
 
     if "seed" not in raw:
         diags.append("seed: missing required field")
-    elif not _is_int(raw["seed"]):
-        diags.append("seed: expected an integer")
+    elif not _is_int(raw["seed"]) or raw["seed"] < 0:
+        diags.append("seed: expected a non-negative integer")
 
     if "output" not in raw:
         diags.append("output: missing required field")
@@ -276,10 +278,9 @@ def run_minimize(cfg: ExperimentConfig):
     return results, cols, rows, summary
 
 
-def _spectral_pipeline(cfg: ExperimentConfig, k: int | None = None):
+def _spectral_pipeline(cfg: ExperimentConfig):
     _, _, best = _best_report(cfg)
-    k = k if k is not None else min(12, cfg.N - 2)
-    spec = spectrum.eigen_decompose(best.v, k)
+    spec = spectrum.eigen_decompose(best.v, min(12, cfg.N - 2))
     split = spectrum.kernel_split(spec, cfg.tolerances["kernel_tol"])
     return best, spec, split
 

@@ -1,4 +1,4 @@
-"""The constrained Yamabe quotient: value, variations, residuals, distances.
+"""The constrained Yamabe quotient: value, variations, deficit, residuals.
 
 Everything is phrased through the zero-homogeneous quotient
 
@@ -19,7 +19,6 @@ and the eigensolves absorb, so neither builds the projection.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +57,6 @@ class EnergyReport:
 class ELResidual:
     interior: float
     boundary: float
-    C: float
 
 
 def yamabe_quotient(ops: DiscreteOperators, u: np.ndarray) -> EnergyReport:
@@ -225,7 +223,7 @@ def energy_deficit(v: NormalizedState, xi: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# strong-form residual and metric distances
+# strong-form residual
 # ---------------------------------------------------------------------------
 
 def el_residual(v: NormalizedState) -> ELResidual:
@@ -251,34 +249,4 @@ def el_residual(v: NormalizedState) -> ELResidual:
         idx = 0 if side == "left" else ops.N - 1
         dnu = float(ops.normal_derivs[side] @ v.u)
         boundary += abs(dnu + 0.5 * (m.n - 2) * ep.h * v.u[idx])
-    return ELResidual(interior=interior, boundary=boundary, C=rep.Q)
-
-
-def metric_distance(ops: DiscreteOperators, u: np.ndarray, w: np.ndarray) -> float:
-    """Critical-norm distance between the conformal metrics of u and w."""
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if u.shape != w.shape or u.shape != ops.grid.nodes.shape:
-        raise ValueError("mismatched grids in metric distance")
-    return lp_norm(ops, u - w, ops.two_star)
-
-
-def metric_distance_star(ops: DiscreteOperators, u: np.ndarray, w: np.ndarray,
-                         y_estimate: float | None = None) -> float:
-    """Curvature-weighted metric distance, meaningful when the constant is
-    controlled by a nonnegative energy level; warns if told otherwise."""
-    if y_estimate is not None and y_estimate < 0:
-        warnings.warn("the weighted metric distance assumes a nonnegative "
-                      f"energy level; estimate was {y_estimate}", stacklevel=2)
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if u.shape != w.shape or u.shape != ops.grid.nodes.shape:
-        raise ValueError("mismatched grids in metric distance")
-    delta = u - w
-    val = float(delta @ ops.stiffness @ delta) / ops.c_n
-    val += float(np.sum(ops.curvature * ops.vol_weights * delta**2))
-    for side, ep in ops.model.boundary_endpoints():
-        idx = 0 if side == "left" else ops.N - 1
-        val += 2.0 * (ops.n - 1) * ep.h * ep.b * delta[idx] ** 2
-    return math.sqrt(max(val, 0.0))
-
+    return ELResidual(interior=interior, boundary=boundary)

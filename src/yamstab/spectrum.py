@@ -28,8 +28,6 @@ class KernelThresholdError(RuntimeError):
 class SpectrumReport:
     eigenvalues: np.ndarray       # ascending
     eigenvectors: np.ndarray      # columns, M-orthonormal, tangent
-    v: energy.NormalizedState
-    grad_norm: float
 
     @property
     def k(self) -> int:
@@ -112,7 +110,7 @@ def eigen_decompose(v: energy.NormalizedState, k: int) -> SpectrumReport:
     H = energy.second_variation(v) / np.outer(wd, wd)
     lam, y = constrained_lowest(H, C / wd[:, None], k)
     vecs = _fix_signs(y / wd[:, None])
-    return SpectrumReport(eigenvalues=lam, eigenvectors=vecs, v=v, grad_norm=grad_norm)
+    return SpectrumReport(eigenvalues=lam, eigenvectors=vecs)
 
 
 def kernel_split(spec: SpectrumReport, tol_rel: float = 1e-6) -> KernelSplit:

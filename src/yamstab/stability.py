@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.optimize
 
-from .lsred import (ChartError, FitRejectedError, InsufficientDataError, NOISE_FLOOR,
-                    ReductionChart, line_fit, solve_correction_full)
+from .lsred import FitRejectedError, InsufficientDataError, NOISE_FLOOR, line_fit
 from .spectrum import (KernelSplit, SpectrumReport, constrained_lowest,
                        constraint_covectors)
 from . import energy
@@ -25,19 +23,12 @@ from . import energy
 
 @dataclass(frozen=True, eq=False)
 class MinimizerFamily:
-    """Local representation of the minimizer set near a base minimizer.
-
-    Either a single state, or the critical slices of a reduction chart at a
-    stored set of kernel coordinates.  A family with a chart is the
-    integrable case, where the whole chart image minimizes and the distance
-    search refines over kernel coordinates continuously.
-    """
+    """The minimizer set near an isolated base minimizer: the state itself,
+    a locality radius, and the spectral data the samplers draw directions
+    from."""
 
     v: energy.NormalizedState
-    members: tuple
     delta: float
-    chart: ReductionChart | None = None
-    critical_phis: tuple = ()
     split: KernelSplit | None = None
     spectrum: SpectrumReport | None = None
 
@@ -52,78 +43,24 @@ def single_family(v: energy.NormalizedState, *,
                   member_tol: float = 1e-9) -> MinimizerFamily:
     """Family consisting of one minimizer, with a locality radius of a tenth
     of its Sobolev norm; sampling data rides along."""
-    _check_member(v, member_tol)
-    return MinimizerFamily(v=v, members=(v,), delta=0.1 * v.ops.w12_norm(v.u),
+    gn = v.ops.dual_norm(energy.gradient(v))
+    if gn > member_tol:
+        raise ValueError(f"family member has gradient norm {gn:.3e} > {member_tol:.1e}; "
+                         "not a usable minimizer")
+    return MinimizerFamily(v=v, delta=0.1 * v.ops.w12_norm(v.u),
                            split=split, spectrum=spectrum)
 
 
-def reduced_family(chart: ReductionChart, critical_phis, *,
-                   spectrum: SpectrumReport | None = None) -> MinimizerFamily:
-    """Family of chart slices at stored critical kernel coordinates.
-
-    Each member must have a gradient norm within 1e4 times the chart's
-    Newton tolerance.
-    """
-    ops = chart.ops
-    members = []
-    for phi in critical_phis:
-        z, _ = solve_correction_full(chart, phi)
-        member = energy.normalize(ops, chart.v.u + chart.kernel_vector(phi) + z)
-        _check_member(member, 1e4 * chart.newton_tol)
-        q_mem = energy.yamabe_quotient(ops, member.u).Q
-        if abs(q_mem - chart.q0) > 1e-8 * max(abs(chart.q0), 1.0):
-            raise ValueError(
-                f"stored kernel coordinate {phi} is not energy-critical: "
-                f"Q differs from the base level by {q_mem - chart.q0:.3e}")
-        members.append(member)
-    if not members:
-        raise ValueError("a reduced family needs at least one stored coordinate")
-    return MinimizerFamily(v=chart.v, members=tuple(members),
-                           delta=chart.radius, chart=chart,
-                           critical_phis=tuple(np.atleast_1d(np.asarray(p, dtype=float))
-                                               for p in critical_phis),
-                           split=chart.split, spectrum=spectrum)
-
-
-def _check_member(state: energy.NormalizedState, tol: float):
-    gn = state.ops.dual_norm(energy.gradient(state))
-    if gn > tol:
-        raise ValueError(f"family member has gradient norm {gn:.3e} > {tol:.1e}; "
-                         "not a usable minimizer")
-
-
 def distance_to_minimizers(u: energy.NormalizedState, fam: MinimizerFamily) -> float:
-    """Normalized Sobolev distance from u to the represented minimizer set.
+    """Normalized Sobolev distance |u - v|_W / |u|_W from u to the base
+    minimizer v.
 
-    Discrete members are searched exhaustively; in the integrable case (a
-    family with a chart) the kernel coordinate is refined with a
-    derivative-free local search seeded at the best stored coordinate.
+    At a degenerate minimizer whose kernel integrates to a manifold of
+    minimizers (a rotation orbit, say), this is the distance to one point of
+    that manifold, not to the manifold.
     """
-    if not fam.members:
-        raise ValueError("empty minimizer family")
     ops = u.ops
-    u_norm = ops.w12_norm(u.u)
-    best = min(ops.w12_norm(u.u - mem.u) for mem in fam.members)
-    if fam.chart is not None:
-        chart = fam.chart
-        idx = int(np.argmin([ops.w12_norm(u.u - mem.u) for mem in fam.members]))
-
-        def objective(phi):
-            if np.linalg.norm(phi) > 0.99 * chart.radius:
-                return 1e6
-            try:
-                z, _ = solve_correction_full(chart, phi)
-            except ChartError:
-                return 1e6
-            cand = energy.normalize(ops, chart.v.u + chart.kernel_vector(phi) + z)
-            return ops.w12_norm(u.u - cand.u)
-
-        res = scipy.optimize.minimize(
-            objective, np.asarray(fam.critical_phis[idx], dtype=float),
-            method="Nelder-Mead",
-            options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-14})
-        best = min(best, float(res.fun))
-    return best / u_norm
+    return ops.w12_norm(u.u - fam.v.u) / ops.w12_norm(u.u)
 
 
 @dataclass(frozen=True)

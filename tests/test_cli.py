@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,8 @@ def test_validate_reports_field_paths(tmp_path, capsys):
     ("sampling", {"scales": [1e-3, True]}, "sampling.scales:"),
     ("sampling", {"scales": [1e-3, float("nan")]}, "sampling.scales:"),
     ("sampling", {"scales": [float("inf")]}, "sampling.scales:"),
+    ("N", 33, "N:"),         # odd on a circle model: the periodic grid needs even N
+    ("seed", -1, "seed:"),   # numpy's generators take no negative seed
 ])
 def test_validate_rejects_bools_and_nonfinite(tmp_path, capsys, field, value, diag):
     # json.load parses true, NaN and Infinity; none of them is a usable number
@@ -232,3 +238,14 @@ def test_minimize_csv_columns(tmp_path):
     header = (tmp_path / "out_minimize.csv").read_text().split("\n")[0]
     assert header == ("start_index,converged,iterations,Y_est,grad_norm,"
                       "residual_interior,residual_boundary")
+
+
+def test_cli_import_loads_no_optimizer():
+    # scipy.optimize adds about 20 MB of resident memory to every CLI process,
+    # and no stage needs it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, yamstab.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

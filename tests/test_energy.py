@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -217,7 +216,6 @@ def test_el_residual_critical_states(frank_nondeg, hemisphere3):
     r = energy.el_residual(rep.v)
     assert r.interior <= 1e-9
     assert r.boundary == 0.0  # no endpoints on the circle
-    assert r.C == pytest.approx(rep.Y_est, rel=1e-14)
 
     _, g, ops = hemisphere3
     vh = energy.normalize(ops, np.ones(g.N))
@@ -249,42 +247,6 @@ def test_hessian_psd_at_minimizer(frank_nondeg):
     _, rep, spec, _ = frank_nondeg
     lam = spec.eigenvalues
     assert lam[0] >= -1e-8 * abs(lam[-1])
-
-
-def test_metric_distances(frank_nondeg):
-    _, rep, _, _ = frank_nondeg
-    ops = rep.v.ops
-    ones = np.ones(ops.N)
-    u = 1.0 + 0.2 * np.sin(2 * math.pi * ops.grid.nodes / ops.model.length)
-    assert energy.metric_distance(ops, u, u) == 0.0
-    assert energy.metric_distance_star(ops, u, u) == 0.0
-    assert energy.metric_distance(ops, u, np.zeros(ops.N)) == pytest.approx(
-        disc.lp_norm(ops, u, ops.two_star), rel=1e-14)
-    assert energy.metric_distance(ops, ones, 2 * ones) == pytest.approx(
-        ops.volume ** (1.0 / ops.two_star), rel=1e-13)
-    with pytest.raises(ValueError, match="mismatch"):
-        energy.metric_distance(ops, ones, np.ones(ops.N - 1))
-
-
-def test_metric_distance_star_warns_on_negative_level(frank_nondeg):
-    ops = frank_nondeg[1].v.ops
-    u = np.ones(ops.N)
-    w = 2.0 * u
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        energy.metric_distance_star(ops, u, w, y_estimate=-1.0)
-    assert any("nonnegative" in str(c.message) for c in caught)
-
-
-def test_metric_distance_star_value(cylinder3):
-    # explicit quadrature oracle on the cylinder: delta = const
-    _, g, ops = cylinder3
-    delta = 0.5
-    u = np.ones(g.N)
-    w = u + delta
-    # (1/c_n) * 0 + int R delta^2 dvol + 2(n-1) sum h b delta^2 ; h = 0 here
-    expected = math.sqrt(2.0 * delta**2 * ops.volume)
-    assert energy.metric_distance_star(ops, u, w) == pytest.approx(expected, rel=1e-10)
 
 
 @pytest.mark.parametrize("model_name", ["hemisphere", "frank"])

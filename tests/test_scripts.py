@@ -3,6 +3,8 @@ import runpy
 import sys
 from pathlib import Path
 
+from yamstab import cli
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -49,3 +51,13 @@ def test_reference_experiments_write_four_reports(tmp_path, monkeypatch, capsys)
     assert abs(results["quadratic_stability"]["exponent"] - 2.0) <= 0.1
     for name in ("quartic_reduction", "quartic_stability"):
         assert abs(results[name]["exponent"] - 4.0) <= 0.2
+
+
+
+def test_parity_configs_validate(capsys):
+    # the committed byte-identity set (README, Scripts): every config is valid
+    paths = sorted((SCRIPTS / "parity").glob("*.json"))
+    assert len(paths) == 14
+    for path in paths:
+        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_OK, path
+    assert capsys.readouterr().out == ""

@@ -104,8 +104,7 @@ def test_eigenvector_sign_convention(frank_nondeg):
 
 def test_kernel_split_synthetic_positive():
     lam = np.array([1.0, 2.0, 3.0])
-    fake = spectrum.SpectrumReport(eigenvalues=lam, eigenvectors=np.zeros((8, 3)),
-                                   v=None, grad_norm=0.0)
+    fake = spectrum.SpectrumReport(eigenvalues=lam, eigenvectors=np.zeros((8, 3)))
     split = spectrum.kernel_split(fake, 1e-6)
     assert split.kernel_dim == 0
     assert split.lambda1 == 1.0
@@ -114,16 +113,14 @@ def test_kernel_split_synthetic_positive():
 def test_kernel_split_gap_guard():
     # threshold inside a near-degenerate cluster must refuse
     lam = np.array([1e-7, 5e-7, 1.0])
-    fake = spectrum.SpectrumReport(eigenvalues=lam, eigenvectors=np.zeros((8, 3)),
-                                   v=None, grad_norm=0.0)
+    fake = spectrum.SpectrumReport(eigenvalues=lam, eigenvectors=np.zeros((8, 3)))
     with pytest.raises(spectrum.KernelThresholdError):
         spectrum.kernel_split(fake, 2e-7)
 
 
 def test_kernel_split_all_below_threshold():
     lam = np.zeros(2)
-    fake = spectrum.SpectrumReport(eigenvalues=lam, eigenvectors=np.zeros((8, 2)),
-                                   v=None, grad_norm=0.0)
+    fake = spectrum.SpectrumReport(eigenvalues=lam, eigenvectors=np.zeros((8, 2)))
     with pytest.raises(spectrum.KernelThresholdError):
         spectrum.kernel_split(fake, 1e-6)
 

@@ -63,13 +63,6 @@ def test_distance_rotation_invariance(deg_family):
         assert abs(d1 - d0) <= 1e-9
 
 
-def test_empty_family_refused(nondeg_family):
-    broken = stability.MinimizerFamily(
-        v=nondeg_family.v, members=(), delta=nondeg_family.delta)
-    with pytest.raises(ValueError, match="empty"):
-        stability.distance_to_minimizers(nondeg_family.v, broken)
-
-
 def test_transverse_samples_quadratic_bracket(nondeg_family, frank_nondeg):
     # second-order expansion: deficit/distance^2 lies between the coercivity
     # floor and the largest sampled mode ratio
@@ -195,46 +188,3 @@ def test_degenerate_stability_exponent(deg_family):
     fit = stability.fit_stability_exponent(batch.records)
     assert fit.exponent == pytest.approx(4.0, abs=0.2)
     assert fit.c_lower > 0
-
-
-def test_reduced_family_continuum_distance(frank_deg_chart, frank_deg):
-    _, rep, spec, _ = frank_deg
-    fam = stability.reduced_family(frank_deg_chart, [np.zeros(2)], spectrum=spec)
-    ops = rep.v.ops
-    phi = frank_deg_chart.split.K_basis[:, 0]
-    u = energy.normalize(ops, np.clip(rep.v.u + 0.005 * phi, 0, None))
-    d_cont = stability.distance_to_minimizers(u, fam)
-    # the local search may slide along the chart surface toward u
-    single = stability.single_family(rep.v, split=fam.split, spectrum=spec)
-    d_single = stability.distance_to_minimizers(u, single)
-    assert d_cont <= d_single + 1e-15
-    assert d_cont <= 0.2 * d_single  # genuinely closer along the chart
-
-
-def test_reduced_family_rejects_noncritical_phi(frank_deg_chart, frank_deg):
-    # a non-critical kernel coordinate fails the member gradient check
-    _, _, spec, _ = frank_deg
-    with pytest.raises(ValueError, match="not a usable minimizer|critical"):
-        stability.reduced_family(frank_deg_chart, [np.array([0.05, 0.0])],
-                                 spectrum=spec)
-
-
-def test_distance_search_penalizes_only_chart_errors(frank_deg_chart, frank_deg, monkeypatch):
-    # a chart failure is a penalty point for the local search; any other
-    # exception is a bug and must reach the caller
-    _, rep, spec, _ = frank_deg
-    fam = stability.reduced_family(frank_deg_chart, [np.zeros(2)], spectrum=spec)
-    ops = rep.v.ops
-    u = energy.normalize(ops, np.clip(rep.v.u + 0.005 * fam.split.K_basis[:, 0], 0, None))
-    d_member = ops.w12_norm(u.u - rep.v.u) / ops.w12_norm(u.u)
-
-    def failing(exc):
-        def solve(chart, phi):
-            raise exc("injected")
-        return solve
-
-    monkeypatch.setattr(stability, "solve_correction_full", failing(lsred.ChartError))
-    assert stability.distance_to_minimizers(u, fam) == pytest.approx(d_member, rel=1e-12)
-    monkeypatch.setattr(stability, "solve_correction_full", failing(ZeroDivisionError))
-    with pytest.raises(ZeroDivisionError):
-        stability.distance_to_minimizers(u, fam)
