@@ -181,12 +181,13 @@ def raw_hessian(ops: DiscreteOperators, w: np.ndarray) -> np.ndarray:
 def power_increment(v: np.ndarray, xi: np.ndarray, p: float) -> np.ndarray:
     """Nodal (v + xi)^p - v^p around a nonnegative base function v.
 
-    Where v is not negligible the increment goes through expm1/log1p, so
-    its round-off scales with |xi| instead of |v|; at the remaining nodes it
-    is the plain difference.
+    Where v is not negligible and v + xi > 0 the increment goes through
+    expm1/log1p, so its round-off scales with |xi| instead of |v|; at the
+    remaining nodes it is the plain difference, which is exactly -v^p where
+    v + xi = 0.
     """
     w = v + xi
-    big = v > 1e-12 * np.max(v)
+    big = (v > 1e-12 * np.max(v)) & (w > 0)
     out = np.empty_like(w)
     out[big] = v[big] ** p * np.expm1(p * np.log1p(xi[big] / v[big]))
     out[~big] = w[~big] ** p - v[~big] ** p

@@ -1,14 +1,23 @@
 """Constrained minimization of the quotient over the unit-volume manifold.
 
-Projected gradient descent with a Sobolev (S+M) Riesz preconditioner and
+Projected gradient descent with a Sobolev (W = S+M) Riesz preconditioner and
 Armijo backtracking, polished by a damped Newton method on the tangent
-space.  Each polish step is one bordered (KKT) solve of
+space.  Each backtracking starts at the Barzilai-Borwein step
+|s|_W^2 / (s.y), s the last accepted change of state and y the change of the
+gradient covector (step 1 on the first iteration and whenever s.y <= 0): the
+fixed step 1 crawls along the low modes, where the Hessian is small against
+W.  Each polish step is one bordered (KKT) solve of
 [[H0 + mu W, p], [p', 0]] with H0 the unprojected second variation
-(energy.second_variation), W = S + M and p the volume covector: the Levenberg
+(energy.second_variation) and p the volume covector: the Levenberg
 step restricted to p.d = 0, obtained without building a tangent basis, and
 the same step the projected Hessian gives, because the multiplier absorbs the
 projection's p term.  A rejected step is retried with ten times the damping
 until it shrinks to round-off (POLISH_STEP_FLOOR), where the polish stops.
+A step is accepted when it lowers the gradient norm without raising the
+quotient by more than 1e-13 max(|Q|, 1), or, above the gradient tolerance,
+when its incremental energy deficit (energy.energy_deficit) is below minus
+that allowance: along a quartic kernel Newton steps lower the energy while
+the gradient norm rises.
 Below the gradient tolerance the polish continues only while each step halves
 the gradient norm, and each such step gets one try at the current damping: a
 rejected, singular or vanishing step ends the polish.  Convergence is
@@ -95,12 +104,13 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
     switch_tol = max(opts.grad_tol, NEWTON_SWITCH)
 
     # --- preconditioned descent phase
+    bb_step = 1.0  # Barzilai-Borwein trial step; 1 until a curvature pair exists
     while grad_norm > switch_tol and iterations < MAX_ITERS:
         eta = -energy.project_tangent(state, riesz)
         slope = float(G @ eta)
         if slope >= 0:
             break
-        alpha = 1.0
+        alpha = bb_step
         accepted = False
         for _ in range(MAX_BACKTRACK):
             trial = np.clip(state.u + alpha * eta, 0.0, None)
@@ -115,12 +125,16 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
             alpha *= 0.5
         if not accepted:
             break
+        s_step = trial_state.u - state.u
         state, q_val = trial_state, trial_q
         history.append(q_val)
         iterations += 1
+        G_prev = G
         G = energy.gradient(state)
         riesz = ops.riesz(G)
         grad_norm = ops.dual_norm(G, riesz)
+        curvature = float(s_step @ (G - G_prev))
+        bb_step = ops.w12_norm(s_step) ** 2 / curvature if curvature > 0 else 1.0
 
     # --- damped Newton polish on the tangent space
     # Near a degenerate minimizer the energy decrease per step falls under the
@@ -132,6 +146,7 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
         bonus = True  # keep polishing below tolerance while progress is rapid
         while (grad_norm > opts.grad_tol or bonus) and newton_iters < 80:
             H = energy.second_variation(state)
+            energy_slack = 1e-13 * max(abs(q_val), 1.0)
             step_floor = POLISH_STEP_FLOOR * ops.w12_norm(state.u)
             # below tolerance a step is a bonus: one try, no damping ladder
             tries = 1 if grad_norm <= opts.grad_tol else 40
@@ -152,7 +167,13 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
                 trial_q = energy.yamabe_quotient(ops, trial_state.u).Q
                 trial_G = energy.gradient(trial_state)
                 trial_norm = ops.dual_norm(trial_G)
-                if trial_norm < grad_norm and trial_q <= q_val + 1e-13 * max(abs(q_val), 1.0):
+                if trial_norm < grad_norm and trial_q <= q_val + energy_slack:
+                    accepted = True
+                    break
+                # along a quartic kernel a Newton step lowers the energy while
+                # the gradient norm rises; the incremental deficit sees it
+                if (grad_norm > opts.grad_tol
+                        and energy.energy_deficit(state, trial - state.u) < -energy_slack):
                     accepted = True
                     break
                 if ops.w12_norm(step) <= step_floor:
@@ -235,15 +256,22 @@ def run_multistart(m: SymmetricModel, N: int, starts: int,
 
 def best_converged(reports: list[MinimizeReport], m: SymmetricModel,
                    N: int) -> MinimizeReport:
-    """The lowest converged report of a multi-start run.
+    """The lowest converged report of a multi-start run, up to round-off.
 
-    Ties are broken by lower gradient norm, then lower start index, so the
-    reduction over starts is order-independent.
+    Converged reports whose Y_est lies within the quotient's rounding floor
+    2 eps v'|A|v of the lowest one (v its state, A the energy form) are tied,
+    and the lowest start index among them wins: at a degenerate minimizer
+    starts a few 1e-4 apart along the kernel differ in Y_est by round-off
+    alone.  The reduction over starts is order-independent.
     """
     converged = [r for r in reports if r.converged]
     if not converged:
         raise ConvergenceError(f"no start converged on {m.label} at N={N}")
-    return min(converged, key=lambda r: (r.Y_est, r.grad_norm, r.start_index))
+    lowest = min(converged, key=lambda r: (r.Y_est, r.start_index))
+    v = lowest.v.u
+    floor = 2.0 * np.finfo(float).eps * float(v @ (np.abs(lowest.v.ops.total_form) @ v))
+    tied = [r for r in converged if r.Y_est <= lowest.Y_est + floor]
+    return min(tied, key=lambda r: (r.start_index, r.Y_est))
 
 
 def estimate_yamabe_constant(m: SymmetricModel, N: int, starts: int = 1,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +287,20 @@ def test_energy_deficit_smooth_to_tiny_scales(frank_deg):
     ratios = [energy.energy_deficit(rep.v, s * phi) / s**4
               for s in (3e-3, 1e-3, 5e-4)]
     assert max(ratios) / min(ratios) < 1.05
+
+
+def test_power_increment_where_the_sum_vanishes():
+    # v + xi = 0 at a node with v > 0 takes the plain difference: exactly -v^p,
+    # with no divide-by-zero warning from log1p(-1)
+    v = np.array([1.0, 2.0, 0.5])
+    xi = np.array([-1.0, 0.1, -0.5])
+    p = 10.0 / 3.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = energy.power_increment(v, xi, p)
+    ref = (v + xi) ** p - v**p
+    assert out[0] == ref[0] and out[2] == ref[2]
+    assert out == pytest.approx(ref, rel=1e-14)
 
 
 @settings(max_examples=15, deadline=None)

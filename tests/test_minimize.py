@@ -1,4 +1,9 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,3 +257,133 @@ def test_polish_evaluates_one_gradient_per_try(monkeypatch):
     assert rep.converged
     assert len(solves) > rep.iterations > 1  # some iterations climbed the damping ladder
     assert len(grads) == 1 + len(solves)    # the start's, then one per try
+
+
+def test_descent_takes_few_iterations_on_cylinder():
+    # with Barzilai-Borwein trial steps the descent does not crawl along the
+    # low modes: every start here takes at most 6 iterations
+    m = model.cylinder(3, 1.0)
+    reports = minimize.run_multistart(
+        m, 96, 8, minimize.MinimizeOptions(seed=1, grad_tol=5e-11))
+    assert all(r.converged for r in reports)
+    assert max(r.iterations for r in reports) <= 20
+
+
+@pytest.fixture(scope="module")
+def real_report():
+    m = model.frank_product(5, SUB_RADIUS)
+    rep = minimize.run_multistart(m, 64, 1, minimize.MinimizeOptions())[0]
+    assert rep.converged
+    v = rep.v.u
+    floor = 2.0 * np.finfo(float).eps * float(v @ (np.abs(rep.v.ops.total_form) @ v))
+    return m, rep, floor
+
+
+def _pick(reports, m):
+    return minimize.best_converged(reports, m, 64)
+
+
+def test_tie_within_floor_goes_to_lower_start(real_report):
+    m, rep, floor = real_report
+    first = dataclasses.replace(rep, start_index=0)
+    lower = dataclasses.replace(rep, start_index=1, Y_est=rep.Y_est - 0.5 * floor)
+    for reports in ([first, lower], [lower, first]):
+        assert _pick(reports, m).start_index == 0
+
+
+def test_lower_by_more_than_floor_wins(real_report):
+    m, rep, floor = real_report
+    first = dataclasses.replace(rep, start_index=0)
+    lower = dataclasses.replace(rep, start_index=1, Y_est=rep.Y_est - 2.0 * floor)
+    for reports in ([first, lower], [lower, first]):
+        assert _pick(reports, m).start_index == 1
+
+
+def test_tie_rule_is_order_independent(real_report):
+    m, rep, floor = real_report
+    offsets = (0.0, -0.3, -1.5, -1.9, 0.4)  # in units of the floor
+    reports = [dataclasses.replace(rep, start_index=j, Y_est=rep.Y_est + d * floor)
+               for j, d in enumerate(offsets)]
+    picks = {_pick(order, m).start_index
+             for order in (reports, reports[::-1], reports[2:] + reports[:2])}
+    # start 3 is lowest; start 2 lies within the floor of it and has the lower index
+    assert picks == {2}
+
+
+def test_unconverged_report_never_wins(real_report):
+    m, rep, floor = real_report
+    first = dataclasses.replace(rep, start_index=1)
+    stuck = dataclasses.replace(rep, start_index=0, Y_est=rep.Y_est - 100.0 * floor,
+                                converged=False)
+    assert _pick([stuck, first], m).start_index == 1
+    with pytest.raises(minimize.ConvergenceError):
+        _pick([stuck], m)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_degenerate_pick_is_the_constant_start_at_any_thread_count(threads):
+    # at the bifurcation radius the perturbed starts stop 1e-4 along the kernel
+    # with Y_est within round-off of the constant start's; the tie rule picks
+    # start 0 whatever the BLAS thread count does to the last bits
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+    code = ("import math; from yamstab import minimize, model; "
+            "print(minimize.estimate_yamabe_constant(model.frank_product(5, 1 / math.sqrt(3)), "
+            "256, starts=3, opts=minimize.MinimizeOptions(seed=2)).start_index)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"
+
+
+def _all_polish_start(radius, amp):
+    m = model.frank_product(5, radius)
+    ops = disc.assemble_operators(m, disc.build_grid(m, 64))
+    t = 2 * math.pi * ops.grid.nodes / m.length
+    u0 = 1.0 + amp * np.cos(t)
+    state = energy.normalize(ops, u0)
+    assert ops.dual_norm(energy.gradient(state)) <= minimize.NEWTON_SWITCH
+    return ops, t, u0, state
+
+
+def _first_try_replaced(monkeypatch, step):
+    """Make the polish's first try return step; record every call's (state, mu)."""
+    calls = []
+    polish_step = minimize._polish_step
+
+    def fake(state, H, G, mu):
+        calls.append((state.u, mu))
+        return step if len(calls) == 1 else polish_step(state, H, G, mu)
+
+    monkeypatch.setattr(minimize, "_polish_step", fake)
+    return calls
+
+
+def test_polish_accepts_an_energy_drop_with_rising_gradient(monkeypatch):
+    # trade the low circle mode for a smaller share of the stiff third mode:
+    # the energy falls, the Sobolev gradient norm rises
+    ops, t, u0, state = _all_polish_start(SUB_RADIUS, 1e-4)
+    trial = energy.normalize(ops, 1.0 + 1.5e-5 * np.cos(3 * t))
+    step = trial.u - state.u
+    q = energy.yamabe_quotient(ops, state.u).Q
+    assert energy.energy_deficit(state, step) < -1e-13 * abs(q)
+    assert ops.dual_norm(energy.gradient(trial)) > ops.dual_norm(energy.gradient(state))
+    calls = _first_try_replaced(monkeypatch, step)
+    rep = minimize.minimize_energy(ops, u0)
+    assert rep.q_history[1] == energy.yamabe_quotient(ops, trial.u).Q
+    assert np.array_equal(calls[1][0], trial.u)  # the next iterate is the trial
+    assert calls[1][1] == 0.0                    # reached without damping
+    assert rep.converged
+
+
+def test_polish_rejects_rising_gradient_without_energy_drop(monkeypatch):
+    ops, t, u0, state = _all_polish_start(SUB_RADIUS, 1e-4)
+    trial = energy.normalize(ops, 1.0 + 2e-4 * np.cos(t))
+    step = trial.u - state.u
+    q = energy.yamabe_quotient(ops, state.u).Q
+    assert energy.energy_deficit(state, step) > -1e-13 * abs(q)
+    assert ops.dual_norm(energy.gradient(trial)) > ops.dual_norm(energy.gradient(state))
+    calls = _first_try_replaced(monkeypatch, step)
+    rep = minimize.minimize_energy(ops, u0)
+    assert np.array_equal(calls[1][0], state.u)  # retried from the same state
+    assert calls[1][1] > 0.0                     # with damping
+    assert rep.converged
