@@ -14,6 +14,11 @@ The second variation at a normalized state is second_variation, the
 unprojected form: on every tangent direction it agrees with the projected
 form P'H0P up to a multiple of the constraint normal, which the Newton polish
 and the eigensolves absorb, so neither builds the projection.
+
+The quotient, the gradient and the deficit apply the energy form factored
+(ops.apply_form, ops.dirichlet): one N x N pass (D u) for the quotient, two
+for the gradient, whose Q comes from the same D u as A u, and two (D v,
+D xi) for the deficit.  The dense total_form serves only the Hessians.
 """
 
 from __future__ import annotations
@@ -64,12 +69,14 @@ def yamabe_quotient(ops: DiscreteOperators, u: np.ndarray) -> EnergyReport:
     u = np.asarray(u, dtype=float)
     if np.any(u < 0):
         raise ValueError("the energy is only defined for nonnegative functions")
+    return _report(ops, u, ops.dirichlet(u, ops.grid.diff_matrix @ u))
+
+
+def _report(ops: DiscreteOperators, u: np.ndarray, dir_term: float) -> EnergyReport:
+    """The quotient's report at u, given its Dirichlet value u'Su."""
     nrm = lp_norm(ops, u, ops.two_star)
     if nrm == 0.0:
         raise ValueError("the energy is undefined for the zero function")
-    # the curvature and boundary forms are diagonal: (u @ diag c) @ u is
-    # exactly (u * c) @ u, an O(N) dot in place of an N x N matvec
-    dir_term = float(u @ ops.stiffness @ u)
     curv_term = float((u * ops.curv_weights) @ u)
     bdry_term = float((u * ops.bdry_weights) @ u)
     return EnergyReport(
@@ -108,11 +115,11 @@ def gradient(v: NormalizedState) -> np.ndarray:
 
     G = 2 (A v - Q(v) p) with A the full energy form and p the constraint
     normal; G annihilates the radial direction, so it agrees with the
-    manifold-projected first variation on every direction.
+    manifold-projected first variation on every direction.  A v and Q(v)
+    come from one D v (ops.apply_form), and Q has yamabe_quotient's bits.
     """
-    ops = v.ops
-    rep = yamabe_quotient(ops, v.u)
-    return 2.0 * (ops.total_form @ v.u - rep.Q * volume_covector(v))
+    Av, dir_term = v.ops.apply_form(v.u)
+    return 2.0 * (Av - _report(v.ops, v.u, dir_term).Q * volume_covector(v))
 
 
 def second_variation(v: NormalizedState) -> np.ndarray:
@@ -201,7 +208,8 @@ def energy_deficit(v: NormalizedState, xi: np.ndarray) -> float:
     it falls below ~1e-12; here the energy increment is expanded exactly
     (the numerator is a quadratic form) and the volume increment goes through
     power_increment, keeping the difference accurate down to ~1e-15 relative
-    to the energy scale.
+    to the energy scale.  The numerator increment is sum w Dxi (2 Dv + Dxi)
+    plus its Nyquist and diagonal terms.
     """
     ops = v.ops
     ts = ops.two_star
@@ -210,10 +218,12 @@ def energy_deficit(v: NormalizedState, xi: np.ndarray) -> float:
     if np.any(v.u + xi < 0):
         raise ValueError("perturbed state leaves the nonnegative cone")
 
-    A = ops.total_form
-    Av = A @ v.u
-    E_v = float(v.u @ Av)
-    dE = 2.0 * float(xi @ Av) + float(xi @ (A @ xi))
+    D = ops.grid.diff_matrix
+    dv, dxi = D @ v.u, D @ xi
+    diag = ops.curv_weights + ops.bdry_weights
+    E_v = ops.dirichlet(v.u, dv) + float((v.u * diag) @ v.u)
+    two_v_xi = 2.0 * v.u + xi
+    dE = ops.dirichlet(xi, dxi, two_v_xi, 2.0 * dv + dxi) + float((xi * diag) @ two_v_xi)
 
     P_v = float(np.sum(m * v.u**ts))
     delta = float(np.sum(m * power_increment(v.u, xi, ts)))

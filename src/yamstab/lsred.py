@@ -87,7 +87,7 @@ class ReductionChart:
         # fixed references for the incremental residual evaluation
         ts = self.ops.two_star
         mvec = self.ops.vol_weights
-        self._Av = self.ops.total_form @ self.v.u
+        self._Av, _ = self.ops.apply_form(self.v.u)
         self._Ev = float(self.v.u @ self._Av)
         self._Pv = float(np.sum(mvec * self.v.u**ts))
         # range(C) holds p = M v^(2*-1), so of g(v) only A v has a complement part
@@ -104,7 +104,7 @@ class ReductionChart:
         ts = ops.two_star
         m = ops.vol_weights
         v = self.v.u
-        Axi = ops.total_form @ xi
+        Axi, _ = ops.apply_form(xi)
         E = self._Ev + 2.0 * float(xi @ self._Av) + float(xi @ Axi)
         P = self._Pv + float(np.sum(m * energy.power_increment(v, xi, ts)))
         dg = Axi - (E / P) * m * energy.power_increment(v, xi, ts - 1.0)

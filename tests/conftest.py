@@ -62,16 +62,29 @@ def raw_gradient(ops, w: np.ndarray) -> np.ndarray:
     return 2.0 * P ** (-2.0 / ts) * (Aw - (E / P) * p)
 
 
-def quotient_three_matvec(ops, u: np.ndarray) -> energy.EnergyReport:
-    """The quotient with all three forms applied as N x N matvecs: the
-    reference yamabe_quotient's O(N) diagonal terms must match bit for bit."""
-    nrm = disc.lp_norm(ops, u, ops.two_star)
-    dir_term = float(u @ ops.stiffness @ u)
-    curv_term = float(u @ np.diag(ops.curv_weights) @ u)
-    bdry_term = float(u @ np.diag(ops.bdry_weights) @ u)
-    return energy.EnergyReport(Q=(dir_term + curv_term + bdry_term) / nrm**2,
-                               dirichlet=dir_term, curvature_term=curv_term,
-                               boundary_term=bdry_term, volume_norm=nrm)
+def factored_longdouble(ops, u: np.ndarray) -> tuple[np.longdouble, np.ndarray]:
+    """(Q(u), 2(A u - Q(u) m u^(2*-1))) in np.longdouble, with A applied in
+    factored form D'(w * D u) + e y (y.u) + (c + b) * u from the operator
+    set's float64 data: the reference for the rounding error of the
+    float64 quotient and gradient.  The second value is the gradient at a
+    normalized u."""
+    LD = np.longdouble
+    D = ops.grid.diff_matrix.astype(LD)
+    u = np.asarray(u).astype(LD)
+    du = D @ u
+    wdu = ops.stiff_weights.astype(LD) * du
+    Au = D.T @ wdu
+    dirichlet = wdu @ du
+    if ops.nyquist is not None:
+        e, y = LD(ops.nyquist[0]), ops.nyquist[1].astype(LD)
+        Au += e * (y @ u) * y
+        dirichlet += e * (y @ u) ** 2
+    diag = ops.curv_weights.astype(LD) + ops.bdry_weights.astype(LD)
+    Au += diag * u
+    ts = LD(2 * ops.n) / LD(ops.n - 2)
+    m = ops.vol_weights.astype(LD)
+    Q = (dirichlet + diag @ (u * u)) / np.sum(m * u**ts) ** (LD(2) / ts)
+    return Q, 2 * (Au - Q * m * u ** (ts - 1))
 
 
 def raw_hessian_reference(ops, w: np.ndarray) -> np.ndarray:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yamstab import disc, energy, model
-from conftest import (SUB_RADIUS, projected_hessian, quotient_three_matvec,
+from yamstab import disc, energy, minimize, model
+from conftest import (SUB_RADIUS, factored_longdouble, projected_hessian,
                       random_positive_state, raw_gradient, raw_hessian_reference,
                       richardson_first, richardson_second)
 
@@ -165,16 +165,20 @@ def test_hessian_form_is_projected_second_variation(frank_nondeg):
 
 @pytest.mark.parametrize("kind", sorted(OPERATOR_SETS))
 def test_lean_kernels_keep_reference_bits(kind):
-    # the one-matvec quotient and the in-place Hessians give the bits of the
-    # dense formulas they replace, on and off the unit-volume manifold
+    # the factored quotient is within N eps |Q| of its long-double value (the
+    # dense u'Su exceeded that bound by 3x to 37x at worst on these sets),
+    # and the in-place Hessians give the bits of the dense formulas they
+    # replace, on and off the unit-volume manifold
     ops = operator_set(kind)
     ts = ops.two_star
     for seed in (1, 2, 3):
         v = random_positive_state(ops, seed)
         for u in (v.u, 1.7 * v.u):
-            assert energy.yamabe_quotient(ops, u) == quotient_three_matvec(ops, u)
+            Q = energy.yamabe_quotient(ops, u).Q
+            Q_ref, _ = factored_longdouble(ops, u)
+            assert abs(float(np.longdouble(Q) - Q_ref)) <= ops.N * np.finfo(float).eps * abs(Q)
             assert np.array_equal(energy.raw_hessian(ops, u), raw_hessian_reference(ops, u))
-        Q = quotient_three_matvec(ops, v.u).Q
+        Q = energy.yamabe_quotient(ops, v.u).Q
         diag = ops.vol_weights * v.u ** (ts - 2.0)
         H0 = 2.0 * (ops.total_form - (ts - 1.0) * Q * np.diag(diag))
         assert np.array_equal(energy.second_variation(v), H0)
@@ -185,6 +189,19 @@ def test_lean_kernels_keep_reference_bits(kind):
     assert np.array_equal(ops.total_form,
                           S + np.diag(ops.curv_weights) + np.diag(ops.bdry_weights))
     assert np.array_equal(ops.w12_gram, S + np.diag(ops.vol_weights))
+
+
+def test_gradient_rounding_error_at_N512():
+    # the factored form keeps the gradient's rounding error well below the
+    # default grad_tol 1e-11 on the Chebyshev grid, where the dense S,
+    # with entries up to 2e6, left 4.2e-10 and 4.5e-10 on these states
+    m = model.cylinder(3, 1.0)
+    ops = disc.assemble_operators(m, disc.build_grid(m, 512))
+    for seed in (1, 2):
+        v = energy.normalize(ops, minimize.random_starts(ops, 2, seed)[1])
+        _, G_ref = factored_longdouble(ops, v.u)
+        err = (energy.gradient(v).astype(np.longdouble) - G_ref).astype(float)
+        assert ops.dual_norm(err) <= 1e-11
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATOR_SETS))
