@@ -3,7 +3,7 @@
 Interval models use Chebyshev-Lobatto nodes with Clenshaw-Curtis weights and
 the dense Chebyshev differentiation matrix; circle models use uniform nodes
 with trapezoid weights and the Fourier differentiation matrix.  The stiffness
-S = D' diag(w) D is kept dense for the Hessians and the eigensolves (the
+S = D' diag(w) D is kept dense for the Hessian and the eigensolves (the
 grids are desk-scale, N of a few hundred), and factored, as w, for the
 per-iterate products D'(w * D u), which round far less than S u (S has
 entries up to 2e6 at N=512).  The mass, curvature and boundary forms
@@ -130,7 +130,7 @@ class DiscreteOperators:
 
     apply_form and dirichlet apply the energy form A = S + C + B factored;
     the dense total_form S + C + B and w12_gram S + M, built on first use
-    and cached with the Sobolev Cholesky factor, serve the Hessians, the
+    and cached with the Sobolev Cholesky factor, serve the Hessian, the
     eigensolves, the Sobolev norm and the start pick's rounding floor.
     """
 
@@ -276,7 +276,7 @@ def assemble_operators(m: SymmetricModel, grid: Grid) -> DiscreteOperators:
         S += e_nyq * np.outer(y, y)
         nyquist = (e_nyq, y)
     # Push the round-off row sums into the diagonal so constants are
-    # annihilated exactly by the dense form the Hessians start from.
+    # annihilated exactly by the dense form the Hessian starts from.
     S -= np.diag(S @ np.ones(grid.N))
     S = 0.5 * (S + S.T)
 

@@ -11,14 +11,15 @@ of Q is simply xi -> Q(v+xi), and raw nodal derivatives of Q double as chart
 derivatives.
 
 The second variation at a normalized state is second_variation, the
-unprojected form: on every tangent direction it agrees with the projected
-form P'H0P up to a multiple of the constraint normal, which the Newton polish
-and the eigensolves absorb, so neither builds the projection.
+unprojected form and the package's one Hessian: on every tangent direction
+it agrees with the projected form P'H0P up to a multiple of the constraint
+normal, which the Newton polish, the eigensolves and the chart's bordered
+factor absorb, so none of them builds the projection.
 
 The quotient, the gradient and the deficit apply the energy form factored
 (ops.apply_form, ops.dirichlet): one N x N pass (D u) for the quotient, two
 for the gradient, whose Q comes from the same D u as A u, and two (D v,
-D xi) for the deficit.  The dense total_form serves only the Hessians.
+D xi) for the deficit.  The dense total_form serves only second_variation.
 """
 
 from __future__ import annotations
@@ -144,44 +145,6 @@ def second_variation(v: NormalizedState) -> np.ndarray:
     A = ops.total_form
     H = 2.0 * A
     H.flat[:: ops.N + 1] = 2.0 * (np.diagonal(A) - (ts - 1.0) * rep.Q * diag)
-    return H
-
-
-# ---------------------------------------------------------------------------
-# raw Hessian of the homogeneous quotient (used by the correction solver)
-# ---------------------------------------------------------------------------
-
-def raw_hessian(ops: DiscreteOperators, w: np.ndarray) -> np.ndarray:
-    """Dense nodal Hessian of the homogeneous quotient at a positive w.
-
-        H = a (A - s diag(m w^(2*-2))) - b (Aw p' + p Aw') + c p p'
-
-    with p = m w^(2*-1), P = sum m w^2*, E = w'Aw, a = 2 P^(-2/2*),
-    s = (2*-1) E/P, b = 2a/P and c = (2+2*) (E/P) (a/P).  Every term is
-    exactly symmetric (total_form is, and Aw_i p_j + p_i Aw_j is a sum of
-    commuting products), so H is too.  Built in place through one N x N
-    scratch buffer, with each entry rounded as the formula reads.
-    """
-    ts = ops.two_star
-    m = ops.vol_weights
-    A = ops.total_form
-    Aw = A @ w
-    P = float(np.sum(m * w**ts))
-    E = float(w @ Aw)
-    p = m * w ** (ts - 1.0)
-    scale = P ** (-2.0 / ts)
-    a = 2.0 * scale
-    dvec = m * w ** (ts - 2.0)
-    H = np.multiply.outer(Aw, p)
-    buf = np.multiply.outer(p, Aw)
-    H += buf
-    H *= -(4.0 * scale / P)          # -(b (Aw p' + p Aw')); negation is exact
-    np.multiply(A, a, out=buf)
-    buf.flat[:: ops.N + 1] = a * (np.diagonal(A) - (ts - 1.0) * (E / P) * dvec)
-    H += buf
-    np.multiply.outer(p, p, out=buf)
-    buf *= (4.0 + 2.0 * ts) * (E / P) * (scale / P)
-    H += buf
     return H
 
 

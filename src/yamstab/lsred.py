@@ -10,19 +10,22 @@ whose growth at 0 carries the stability exponent.
 The complement has no basis: with C = [p, M K] the constraint covectors, z
 ranges over ker C', the residual is the nodal chart gradient g minus its
 range(C) part, r = g - C (C'M^-1 C)^-1 C'M^-1 g, in the norm sqrt(r'M^-1 r),
-and a Newton step is one bordered (KKT) solve of [[H + mu M, C], [C', 0]]
-with right-hand side -r, which lands in ker C' (the range-space form of the
-null-space method).  The chart factors this system once, at v with mu = 0,
+and a Newton step is one bordered (KKT) solve of [[H, C], [C', 0]] with
+right-hand side -r, which lands in ker C' (the range-space form of the
+null-space method).  H is the second variation at v, second_variation(v),
+the package's one Hessian: on ker C' it differs from the Hessian of the
+homogeneous quotient at v only by a multiple of p, and p lies in range(C),
+so both give the same bordered steps.  The chart factors this system once,
 where it is invertible because the first eigenvalue off the kernel is
-strictly positive; by the implicit-function contraction argument a step
-with the Jacobian frozen at v still contracts at a rate of O(|phi|).  Each
-solve therefore first takes O(N^2) chord steps with the current factor,
-accepting one when it cuts the residual by CHORD_CONTRACTION.  When a chord
-step fails that test or leaves the positive cone, the solve refreshes: a
-damped Newton step at the current iterate on a new factor of
-raw_hessian(v + phi + z) + mu M, with a mu ladder and a backtracking line
-search, whose factor the following chord steps reuse.  The sample's
-newton_iters counts every accepted step, chord or refreshed.
+strictly positive; a singular factor raises ChartError, since it means the
+kernel split is suspect.  By the implicit-function contraction argument a
+step with the Jacobian frozen at v contracts at a rate of O(|phi|), so each
+solve takes only O(N^2) chord steps with that factor (the chord method).
+A step must cut the residual by CHORD_CONTRACTION and keep v + phi + z in
+the positive cone; one that does not, or a solve that reaches MAX_NEWTON
+steps, ends the solve, and the ChartError that follows names the cause and
+halves the chart radius.  A sample's newton_iters counts its accepted
+chord steps.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ class ReductionChart:
     radius: float = field(init=False)
     _halvings: int = field(init=False, default=0)
     _C: np.ndarray = field(init=False, repr=False)
-    _factor: BorderedFactor | None = field(init=False, repr=False)
+    _factor: BorderedFactor = field(init=False, repr=False)
     _q0: float = field(init=False)
 
     def __post_init__(self):
@@ -79,9 +82,11 @@ class ReductionChart:
         minv_c = self._inv_m[:, None] * self._C
         self._range_coeffs = np.linalg.solve(self._C.T @ minv_c, minv_c.T)
         try:
-            self._factor = BorderedFactor(energy.raw_hessian(self.ops, self.v.u), self._C)
-        except np.linalg.LinAlgError:
-            self._factor = None  # every correction solve starts with a refresh
+            self._factor = BorderedFactor(energy.second_variation(self.v), self._C)
+        except np.linalg.LinAlgError as exc:
+            raise ChartError(
+                f"the bordered second variation is singular at v ({exc}); the "
+                "kernel split is suspect") from exc
         self.radius = 0.1 * self.ops.w12_norm(self.v.u)
         self._q0 = energy.yamabe_quotient(self.ops, self.v.u).Q
         # fixed references for the incremental residual evaluation
@@ -152,66 +157,32 @@ class ReducedSample:
     scale: float = 0.0
 
 
-def _trial(chart: ReductionChart, phi: np.ndarray, z: np.ndarray):
-    """(residual vector, residual norm) at the correction z.
-
-    None when v + phi + z leaves the positive cone, where the chart energy
-    is not defined.
-    """
-    xi = phi + z
-    if not np.all(chart.v.u + xi > 0):
-        return None
-    res_vec = chart.complement_residual(xi)
-    return res_vec, chart.residual_norm(res_vec)
-
-
 def _correction_solve(chart: ReductionChart, phi: np.ndarray):
-    """Chord Newton iteration for the nodal correction z at kernel offset phi."""
-    ops = chart.ops
-    z = np.zeros(ops.N)
+    """Chord iteration for the nodal correction z at kernel offset phi.
+
+    Returns (z, residual norm, accepted steps, why the solve stopped short),
+    the last None when the residual met the chart's tolerance.
+    """
+    z = np.zeros(chart.ops.N)
     res_vec = chart.complement_residual(phi)
     res = chart.residual_norm(res_vec)
     iters = 0
-    mu = 0.0
-    factor = chart._factor
-    while res > chart.newton_tol and iters < MAX_NEWTON:
-        if factor is not None:
-            cand = z + factor.solve(-res_vec)
-            trial = _trial(chart, phi, cand)
-            if trial is not None and trial[1] <= CHORD_CONTRACTION * res:
-                z, (res_vec, res) = cand, trial
-                iters += 1
-                continue
-        # refresh: damped Newton step on a new factor at the current iterate
-        H = energy.raw_hessian(ops, chart.v.u + phi + z)
-        step_ok = False
-        for _ in range(30):
-            shifted = H.copy()
-            shifted.flat[:: ops.N + 1] += mu * ops.vol_weights  # H + mu M
-            try:
-                fresh = BorderedFactor(shifted, chart._C)
-            except np.linalg.LinAlgError:
-                mu = max(10.0 * mu, 1e-8)
-                continue
-            step = fresh.solve(-res_vec)
-            damp = 1.0
-            for _ in range(25):
-                cand = z + damp * step
-                trial = _trial(chart, phi, cand)
-                if trial is not None and trial[1] < res:
-                    z, (res_vec, res) = cand, trial
-                    step_ok = True
-                    break
-                damp *= 0.5
-            if step_ok:
-                break
-            mu = max(10.0 * mu, 1e-8)
-        if not step_ok:
-            break
-        factor = fresh
-        mu *= 0.1
+    while res > chart.newton_tol:
+        if iters == MAX_NEWTON:
+            return z, res, iters, f"MAX_NEWTON = {MAX_NEWTON} chord steps reached"
+        cand = z + chart._factor.solve(-res_vec)
+        xi = phi + cand
+        if not np.all(chart.v.u + xi > 0):
+            return z, res, iters, "a chord step left the positive cone"
+        cand_vec = chart.complement_residual(xi)
+        cand_res = chart.residual_norm(cand_vec)
+        if not cand_res <= CHORD_CONTRACTION * res:  # a NaN residual fails too
+            return z, res, iters, (
+                f"a chord step's residual ratio {cand_res / res:.3g} exceeds "
+                f"CHORD_CONTRACTION = {CHORD_CONTRACTION}")
+        z, res_vec, res = cand, cand_vec, cand_res
         iters += 1
-    return z, res, iters
+    return z, res, iters, None
 
 
 def solve_correction_full(chart: ReductionChart, phi_coords):
@@ -233,12 +204,12 @@ def solve_correction_full(chart: ReductionChart, phi_coords):
             f"kernel offset leaves the chart (|phi| = {chart.ops.w12_norm(phi):.3e}, "
             f"radius = {chart.radius:.3e})")
 
-    z, res, iters = _correction_solve(chart, phi)
-    if res > chart.newton_tol:
+    z, res, iters, stop = _correction_solve(chart, phi)
+    if stop is not None:
         chart.halve_radius()
         raise ChartError(
-            f"correction Newton stalled at residual {res:.3e} "
-            f"(tolerance {chart.newton_tol:.1e}); chart radius reduced to "
+            f"correction solve stopped at residual {res:.3e} (tolerance "
+            f"{chart.newton_tol:.1e}): {stop}; chart radius reduced to "
             f"{chart.radius:.3e}")
     return z, (iters, res)
 

@@ -88,8 +88,10 @@ def factored_longdouble(ops, u: np.ndarray) -> tuple[np.longdouble, np.ndarray]:
 
 
 def raw_hessian_reference(ops, w: np.ndarray) -> np.ndarray:
-    """Nodal Hessian of the homogeneous quotient through dense diag and outer
-    products, symmetrized: the reference for the in-place energy.raw_hessian."""
+    """Nodal Hessian of the homogeneous quotient at a positive w, through
+    dense diag and outer products, symmetrized.  The package's one Hessian
+    is second_variation; this is the full Newton Jacobian that the chart's
+    chord steps and the finite-difference checks are compared against."""
     ts = ops.two_star
     m = ops.vol_weights
     A = ops.total_form

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from yamstab import cli
+from yamstab import cli, lsred
 from conftest import BIF_RADIUS, SUB_RADIUS
 from test_energy import frank_constant_quotient
 
@@ -213,6 +213,19 @@ def test_lsred_degenerate_run(tmp_path, capsys):
     header = (tmp_path / "out_lsred.csv").read_text().split("\n")[0]
     assert header == ("direction_index,scale,q_value,deficit,"
                       "correction_norm,newton_iters,residual")
+
+
+def test_singular_chart_factor_exit_code(tmp_path, capsys, monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("bordered system is singular (zero pivot 3)")
+
+    monkeypatch.setattr(lsred, "BorderedFactor", singular)
+    path, _ = base_config(tmp_path, "lsred", r=BIF_RADIUS)
+    assert cli.main(["lsred", "--config", str(path)]) == cli.EXIT_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("convergence failure: the bordered second variation is singular")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out_lsred.json").exists()
 
 
 def test_covariance_experiment(tmp_path, capsys):

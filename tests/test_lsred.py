@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from yamstab import disc, energy, lsred, minimize, model, spectrum, stability
-from conftest import BIF_RADIUS, projected_hessian, tangent_frame
+from conftest import BIF_RADIUS, projected_hessian, raw_hessian_reference, tangent_frame
 
 
 def _synthetic_samples(power, coeff=1.0, scales=None, q0=10.0, direction=0):
@@ -130,6 +130,17 @@ def test_radius_halves_on_newton_failure(frank_deg, monkeypatch):
             lsred.solve_correction_full(chart, [min(0.05, 0.5 * chart.radius), 0.0])
 
 
+def test_chord_stop_names_its_cause(frank_deg, monkeypatch):
+    # no chord step can cut the residual to 0, so the first one ends the solve
+    _, rep, _, split = frank_deg
+    monkeypatch.setattr(lsred, "CHORD_CONTRACTION", 0.0)
+    chart = lsred.ReductionChart(v=rep.v, split=split)
+    r0 = chart.radius
+    with pytest.raises(lsred.ChartError, match=r"residual ratio \S+ exceeds CHORD_CONTRACTION = 0\.0"):
+        lsred.reduced_energy(chart, [0.02, -0.01])
+    assert chart.radius == r0 / 2
+
+
 def test_fit_exact_quartic():
     fit = lsred.fit_growth_exponent(_synthetic_samples(4.0))
     assert fit.exponent == pytest.approx(4.0, abs=1e-6)
@@ -239,11 +250,30 @@ def test_correction_step_matches_projected_hessian_solve(frank_deg_chart):
     Z = tangent_frame(chart.v, chart.split.K_basis)
     xi = chart.kernel_vector(np.array([0.02, -0.01]))
     res_vec = chart.complement_residual(xi)
-    H = energy.raw_hessian(chart.ops, chart.v.u + xi)
+    H = raw_hessian_reference(chart.ops, chart.v.u + xi)
     for mu in (0.0, 1e-3):
         ref = Z @ np.linalg.solve(Z.T @ H @ Z + mu * np.eye(Z.shape[1]), -Z.T @ res_vec)
         step = disc.bordered_solve(H + mu * np.diag(chart.ops.vol_weights), C, -res_vec)
         assert chart.ops.w12_norm(step - ref) <= 1e-9 * chart.ops.w12_norm(ref)
+
+
+@pytest.mark.parametrize("N", [128, 256])
+def test_chart_factor_matches_raw_hessian_step(N, frank_deg):
+    # the chart factors the second variation at v; on ker C' it differs from
+    # the full Newton Jacobian at v by a multiple of p, which lies in range(C)
+    if N == 256:
+        v, split = frank_deg[1].v, frank_deg[3]
+    else:
+        rep = minimize.estimate_yamabe_constant(
+            model.frank_product(5, BIF_RADIUS), N, starts=1,
+            opts=minimize.MinimizeOptions(seed=1))
+        v, split = rep.v, spectrum.kernel_split(spectrum.eigen_decompose(rep.v, 8))
+    chart = lsred.ReductionChart(v=v, split=split)
+    for phi_coords in ([0.02, -0.01], [0.0, 0.05]):
+        res_vec = chart.complement_residual(chart.kernel_vector(np.array(phi_coords)))
+        step = chart._factor.solve(-res_vec)
+        ref = disc.bordered_solve(raw_hessian_reference(chart.ops, v.u), chart._C, -res_vec)
+        assert chart.ops.w12_norm(step - ref) <= 1e-10 * chart.ops.w12_norm(ref)
 
 
 def test_newton_loops_build_no_qr_frames(frank_deg, monkeypatch):
@@ -279,7 +309,7 @@ def test_chord_correction_matches_full_newton(frank_deg_chart):
         for _ in range(lsred.MAX_NEWTON):
             if np.linalg.norm(res_vec) <= chart.newton_tol:
                 break
-            H = energy.raw_hessian(ops, chart.v.u + phi + Z @ coeffs)
+            H = raw_hessian_reference(ops, chart.v.u + phi + Z @ coeffs)
             coeffs = coeffs + np.linalg.solve(Z.T @ H @ Z, -res_vec)
             res_vec = Z.T @ chart.complement_residual(phi + Z @ coeffs)
         z_ref = Z @ coeffs
@@ -304,4 +334,4 @@ def test_quartic_sweep_factors_once(frank_deg, monkeypatch):
         np.geomspace(1e-3, 1e-1, 8))
     assert all(s.residual <= chart.newton_tol for s in samples)
     assert max(s.newton_iters for s in samples) < lsred.MAX_NEWTON
-    assert len(factors) <= 4
+    assert len(factors) == 1
