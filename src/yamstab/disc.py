@@ -3,18 +3,20 @@
 Interval models use Chebyshev-Lobatto nodes with Clenshaw-Curtis weights and
 the dense Chebyshev differentiation matrix; circle models use uniform nodes
 with trapezoid weights and the Fourier differentiation matrix.  The stiffness
-S = D' diag(w) D is kept dense for the Hessian and the eigensolves (the
-grids are desk-scale, N of a few hundred), and factored, as w, for the
-per-iterate products D'(w * D u), which round far less than S u (S has
-entries up to 2e6 at N=512).  The mass, curvature and boundary forms
-are diagonal and are kept as node vectors.  The Sobolev
-Cholesky factor is cached on the operator set, and linearly constrained
-Newton steps go through a bordered (KKT) factor instead of an explicit
-null-space basis; one factor serves any number of right-hand sides.
+S = D' diag(w) D is the one dense form an operator set holds (the grids are
+desk-scale, N of a few hundred).  Every product of a form with a vector is
+taken factored, D'(w * D u), which rounds far less than S u (S has entries
+up to 2e6 at N=512).  The mass, curvature and boundary forms are diagonal
+and are kept as node vectors; with_diagonal adds them to a fresh copy of S
+for the matrices that are factored or eigensolved.  The Sobolev Cholesky
+factor is computed once per operator set, and linearly constrained Newton
+steps go through a bordered (KKT) factor instead of an explicit null-space
+basis; one factor serves any number of right-hand sides.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -128,10 +130,10 @@ class DiscreteOperators:
     bdry_weights  b with sum b u^2 ~ sum over boundary ends of ((n-2)/2) h b u(e)^2
     normal_derivs per-boundary-end row functionals approximating du/dnu
 
-    apply_form and dirichlet apply the energy form A = S + C + B factored;
-    the dense total_form S + C + B and w12_gram S + M, built on first use
-    and cached with the Sobolev Cholesky factor, serve the Hessian, the
-    eigensolves, the Sobolev norm and the start pick's rounding floor.
+    apply_form, dirichlet and w12_norm apply the forms factored.  The dense
+    sums S + diag(d) that the Hessian, the eigensolves, the Sobolev Cholesky
+    factor and the start pick's rounding floor need are built on each use by
+    with_diagonal and not kept.
     """
 
     model: SymmetricModel
@@ -144,7 +146,6 @@ class DiscreteOperators:
     bdry_weights: np.ndarray
     normal_derivs: dict
     curvature: np.ndarray = field(repr=False)        # R at nodes
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -181,7 +182,7 @@ class DiscreteOperators:
         of the same D u: two N x N passes over D and no dense S.  Against a
         long-double evaluation, the gradient built from it on cylinder(3, 1)
         at N=512 errs by about 2e-12 in the Sobolev dual norm; built from
-        total_form @ u it erred by 4e-10 to 1.4e-9.
+        the dense (S + C + B) @ u it erred by 4e-10 to 1.4e-9.
         """
         D = self.grid.diff_matrix
         du = D @ u
@@ -192,34 +193,18 @@ class DiscreteOperators:
         Au += (self.curv_weights + self.bdry_weights) * u
         return Au, self.dirichlet(u, du)
 
-    def _plus_diagonals(self, *diagonals: np.ndarray) -> np.ndarray:
-        """S + diag(d1) + diag(d2) + ..., with the dense sum's bits: the
-        vectors are added in order to the diagonal only."""
+    def with_diagonal(self, *diagonals: np.ndarray) -> np.ndarray:
+        """A fresh S + diag(d1) + diag(d2) + ..., with the dense sum's bits:
+        the vectors are added in order to the diagonal only."""
         A = self.stiffness.copy()
         for d in diagonals:
             A.flat[:: self.N + 1] += d
         return A
 
-    @property
-    def total_form(self) -> np.ndarray:
-        """The energy form S + C + B."""
-        if "total" not in self._cache:
-            self._cache["total"] = self._plus_diagonals(self.curv_weights, self.bdry_weights)
-        return self._cache["total"]
-
-    @property
-    def w12_gram(self) -> np.ndarray:
-        """Gram matrix of the Sobolev norm: S + M."""
-        if "w12" not in self._cache:
-            self._cache["w12"] = self._plus_diagonals(self.vol_weights)
-        return self._cache["w12"]
-
-    @property
+    @functools.cached_property
     def w12_cho(self):
         """Cholesky factor of S + M, computed once per operator set."""
-        if "w12_cho" not in self._cache:
-            self._cache["w12_cho"] = sla.cho_factor(self.w12_gram)
-        return self._cache["w12_cho"]
+        return sla.cho_factor(self.with_diagonal(self.vol_weights), overwrite_a=True)
 
     def riesz(self, G: np.ndarray) -> np.ndarray:
         """Sobolev Riesz representative (S+M)^-1 G of a covector."""
@@ -236,7 +221,12 @@ class DiscreteOperators:
         return float(self.vol_weights.sum())
 
     def w12_norm(self, u: np.ndarray) -> float:
-        return math.sqrt(max(float(u @ (self.w12_gram @ u)), 0.0))
+        """Sobolev norm sqrt(u'(S+M)u), taken factored as dirichlet(u, D u)
+        + sum m u^2.  Against a long-double evaluation on cylinder(3, 1) at
+        N=512 it errs by at most 7e-15 (relative) on smooth offsets and
+        states; the dense quadratic form erred by up to 1.3e-10."""
+        return math.sqrt(self.dirichlet(u, self.grid.diff_matrix @ u)
+                         + float((self.vol_weights * u) @ u))
 
 
 def assemble_operators(m: SymmetricModel, grid: Grid) -> DiscreteOperators:
@@ -276,9 +266,9 @@ def assemble_operators(m: SymmetricModel, grid: Grid) -> DiscreteOperators:
         S += e_nyq * np.outer(y, y)
         nyquist = (e_nyq, y)
     # Push the round-off row sums into the diagonal so constants are
-    # annihilated exactly by the dense form the Hessian starts from.
-    S -= np.diag(S @ np.ones(grid.N))
-    S = 0.5 * (S + S.T)
+    # annihilated exactly by the dense form the Hessian starts from; S stays
+    # exactly symmetric, since only its diagonal changes.
+    S.flat[:: grid.N + 1] -= S @ np.ones(grid.N)
 
     mvec = np.clip(a, 0.0, None) * q
     cvec = m.c_n * curv * mvec

@@ -19,7 +19,7 @@ factor absorb, so none of them builds the projection.
 The quotient, the gradient and the deficit apply the energy form factored
 (ops.apply_form, ops.dirichlet): one N x N pass (D u) for the quotient, two
 for the gradient, whose Q comes from the same D u as A u, and two (D v,
-D xi) for the deficit.  The dense total_form serves only second_variation.
+D xi) for the deficit.  Only second_variation builds the dense S + C + B.
 """
 
 from __future__ import annotations
@@ -136,15 +136,16 @@ def second_variation(v: NormalizedState) -> np.ndarray:
     H0 and skip the projection's two N^3 products.
 
     Built as 2A with its diagonal replaced, each entry rounded as the formula
-    reads: one N x N pass, and exactly symmetric because total_form is.
+    reads: one N x N pass, and exactly symmetric because S is.
     """
     ops = v.ops
     rep = yamabe_quotient(ops, v.u)
     ts = ops.two_star
     diag = ops.vol_weights * v.u ** (ts - 2.0)
-    A = ops.total_form
-    H = 2.0 * A
-    H.flat[:: ops.N + 1] = 2.0 * (np.diagonal(A) - (ts - 1.0) * rep.Q * diag)
+    H = ops.with_diagonal(ops.curv_weights, ops.bdry_weights)
+    new_diag = 2.0 * (np.diagonal(H) - (ts - 1.0) * rep.Q * diag)
+    H *= 2.0
+    H.flat[:: ops.N + 1] = new_diag
     return H
 
 

@@ -82,7 +82,10 @@ def _polish_step(state: energy.NormalizedState, H: np.ndarray, G: np.ndarray,
     """
     p = energy.volume_covector(state)
     if mu > 0.0:
-        H = H + mu * state.ops.w12_gram
+        W = state.ops.with_diagonal(state.ops.vol_weights)
+        W *= mu
+        W += H
+        H = W
     return bordered_solve(H, p[:, None], -G)
 
 
@@ -209,7 +212,7 @@ def laplace_modes(ops: DiscreteOperators, k: int) -> tuple[np.ndarray, np.ndarra
     eigenvalue conversion lambda = (1-theta)/theta.
     """
     m = ops.vol_weights
-    theta, vecs = sla.eigh(np.diag(m), ops.w12_gram)
+    theta, vecs = sla.eigh(np.diag(m), ops.with_diagonal(m))
     order = np.argsort(-theta)  # descending: constant first, then low modes
     lam = []
     modes = []
@@ -268,8 +271,10 @@ def best_converged(reports: list[MinimizeReport], m: SymmetricModel,
     if not converged:
         raise ConvergenceError(f"no start converged on {m.label} at N={N}")
     lowest = min(converged, key=lambda r: (r.Y_est, r.start_index))
+    ops = lowest.v.ops
     v = lowest.v.u
-    floor = 2.0 * np.finfo(float).eps * float(v @ (np.abs(lowest.v.ops.total_form) @ v))
+    floor = 2.0 * np.finfo(float).eps * float(
+        v @ (np.abs(ops.with_diagonal(ops.curv_weights, ops.bdry_weights)) @ v))
     tied = [r for r in converged if r.Y_est <= lowest.Y_est + floor]
     return min(tied, key=lambda r: (r.start_index, r.Y_est))
 

@@ -83,6 +83,8 @@ class SymmetricModel:
     grid: object | None = None  # set when profiles are nodal vectors
 
     def __post_init__(self):
+        if not float(self.n).is_integer():
+            raise ValueError(f"dimension must be a whole number, got {self.n}")
         if self.n < 3:
             raise ValueError(f"dimension must be >= 3, got {self.n}")
         if self.length <= 0:
@@ -303,20 +305,7 @@ def conformal_deform(m: SymmetricModel, w: np.ndarray, grid) -> SymmetricModel:
     new_curv = w ** (1.0 - ts) * (-kappa * lap_w + curv * w)
 
     # s'/s picks up 2 w'/w; the singular pole part is inherited from the base.
-    base_drift = m.lap_drift
-    rel = 2.0 * dw / w
-    if callable(base_drift) or isinstance(base_drift, np.ndarray):
-        drift_vals = np.full_like(nodes, np.nan)
-        mask = _non_pole_mask(m, grid)
-        base_vals = np.zeros_like(nodes)
-        if callable(base_drift):
-            base_vals[mask] = np.asarray(base_drift(nodes[mask]), dtype=float)
-        else:
-            base_vals[mask] = base_drift[mask]
-        drift_vals[mask] = base_vals[mask] + rel[mask]
-        new_drift: Profile = drift_vals
-    else:
-        new_drift = float(base_drift) + rel
+    new_drift = _nodal_drift(m, grid) + 2.0 * dw / w
 
     def deform_endpoint(ep: Endpoint, side: str) -> Endpoint:
         if ep is None or isinstance(ep, Pole):
@@ -346,14 +335,19 @@ def conformal_deform(m: SymmetricModel, w: np.ndarray, grid) -> SymmetricModel:
     )
 
 
-def _non_pole_mask(m: SymmetricModel, grid) -> np.ndarray:
+def _nodal_drift(m: SymmetricModel, grid) -> np.ndarray:
+    """s'/s at the grid nodes, NaN at pole nodes, where it is singular and a
+    callable drift is never evaluated."""
     mask = np.ones_like(grid.nodes, dtype=bool)
     if m.topology == "interval":
-        if isinstance(m.left, Pole):
-            mask[0] = False
-        if isinstance(m.right, Pole):
-            mask[-1] = False
-    return mask
+        mask[0] = not isinstance(m.left, Pole)
+        mask[-1] = not isinstance(m.right, Pole)
+    out = np.full_like(grid.nodes, np.nan)
+    if callable(m.lap_drift):
+        out[mask] = m.lap_drift(grid.nodes[mask])
+    else:
+        out[mask] = eval_profile(m.lap_drift, grid.nodes, grid, m.grid)[mask]
+    return out
 
 
 def laplace_profile(m: SymmetricModel, grid, u: np.ndarray) -> np.ndarray:
@@ -369,17 +363,7 @@ def laplace_profile(m: SymmetricModel, grid, u: np.ndarray) -> np.ndarray:
     d2u = D @ du
     sigma = eval_profile(m.lap_scale, nodes, grid, m.grid)
 
-    out = np.empty_like(u)
-    mask = _non_pole_mask(m, grid)
-    drift = m.lap_drift
-    if callable(drift):
-        drift_vals = np.asarray(drift(nodes[mask]), dtype=float) * np.ones(mask.sum())
-    elif isinstance(drift, np.ndarray):
-        drift_vals = drift[mask]
-    else:
-        drift_vals = float(drift) * np.ones(mask.sum())
-    out[mask] = sigma[mask] * (d2u[mask] + drift_vals * du[mask])
-
+    out = sigma * (d2u + _nodal_drift(m, grid) * du)
     if m.topology == "interval":
         if isinstance(m.left, Pole):
             out[0] = (1 + m.left.order) * sigma[0] * d2u[0]

@@ -278,7 +278,7 @@ def coercivity_data(v: energy.NormalizedState, split: KernelSplit) -> Coercivity
     H = sla.solve_triangular(chol, half.T, lower=lower, trans=trans)
     C = sla.solve_triangular(chol, C, lower=lower, trans=trans)
     lam_w = float(constrained_lowest(H, C, 1)[0][0])
-    vnsq = float(v.u @ ops.w12_gram @ v.u)
+    vnsq = ops.w12_norm(v.u) ** 2
     lam_m = split.lambda1
     conversion = 2.0 * vnsq * lam_w / lam_m
     return CoercivityData(lambda1_m=lam_m, lambda1_w=lam_w, v_norm_sq=vnsq,

@@ -55,7 +55,7 @@ def raw_gradient(ops, w: np.ndarray) -> np.ndarray:
     """Nodal gradient of the homogeneous quotient at a positive function w."""
     ts = ops.two_star
     m = ops.vol_weights
-    Aw = ops.total_form @ w
+    Aw = (ops.stiffness + np.diag(ops.curv_weights) + np.diag(ops.bdry_weights)) @ w
     P = float(np.sum(m * w**ts))
     E = float(w @ Aw)
     p = m * w ** (ts - 1.0)
@@ -87,6 +87,19 @@ def factored_longdouble(ops, u: np.ndarray) -> tuple[np.longdouble, np.ndarray]:
     return Q, 2 * (Au - Q * m * u ** (ts - 1))
 
 
+def w12_norm_longdouble(ops, u: np.ndarray) -> np.longdouble:
+    """Sobolev norm sqrt(u'(S+M)u) in np.longdouble, with S applied in
+    factored form sum w (D u)^2 + e (y.u)^2 from the operator set's float64
+    data: the reference for the rounding error of ops.w12_norm."""
+    LD = np.longdouble
+    u = np.asarray(u).astype(LD)
+    du = ops.grid.diff_matrix.astype(LD) @ u
+    val = (ops.stiff_weights.astype(LD) * du) @ du + ops.vol_weights.astype(LD) @ (u * u)
+    if ops.nyquist is not None:
+        val += LD(ops.nyquist[0]) * (ops.nyquist[1].astype(LD) @ u) ** 2
+    return np.sqrt(val)
+
+
 def raw_hessian_reference(ops, w: np.ndarray) -> np.ndarray:
     """Nodal Hessian of the homogeneous quotient at a positive w, through
     dense diag and outer products, symmetrized.  The package's one Hessian
@@ -94,7 +107,7 @@ def raw_hessian_reference(ops, w: np.ndarray) -> np.ndarray:
     chord steps and the finite-difference checks are compared against."""
     ts = ops.two_star
     m = ops.vol_weights
-    A = ops.total_form
+    A = ops.stiffness + np.diag(ops.curv_weights) + np.diag(ops.bdry_weights)
     Aw = A @ w
     P = float(np.sum(m * w**ts))
     E = float(w @ Aw)

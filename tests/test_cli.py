@@ -64,7 +64,7 @@ def test_validate_rejects_bools_and_nonfinite(tmp_path, capsys, field, value, di
 
 
 @pytest.mark.parametrize("params", [{"d": 5, "radius": 0.5}, {"d": 5, "r": -0.5},
-                                    {"d": 5, "r": 0.0}])
+                                    {"d": 5, "r": 0.0}, {"d": 5.5, "r": 0.5}])
 def test_bad_model_params_are_config_errors(tmp_path, capsys, params):
     path, _ = base_config(tmp_path, "minimize",
                           model={"kind": "frank_product", "params": params})

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +6,8 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yamstab import disc, model
-from conftest import fourier_diff_reference
+from yamstab import disc, energy, minimize, model
+from conftest import fourier_diff_reference, w12_norm_longdouble
 
 
 def test_uniform_circle_weights():
@@ -103,18 +102,24 @@ def test_mass_matches_volume(hemisphere3):
 
 
 def test_stiffness_is_the_only_stored_dense_form():
-    # the diagonal forms are node vectors; total_form and w12_gram are built
-    # on first use and live in the cache
+    # the diagonal forms are node vectors, and the dense sums S + diag(d) of
+    # the Hessian, the damped polish step, the Laplace pencil and the start
+    # pick's floor are built on each use; only the Cholesky factor of S + M
+    # is kept beside S, after a multistart run and a Riesz solve too
     m = model.ball(3)
-    ops = disc.assemble_operators(m, disc.build_grid(m, 32))
-    square = [f.name for f in dataclasses.fields(ops)
-              if getattr(getattr(ops, f.name), "shape", None) == (ops.N, ops.N)]
-    assert square == ["stiffness"]
-    assert ops._cache == {}
+    reports = minimize.run_multistart(m, 32, 2, minimize.MinimizeOptions())
+    v = minimize.best_converged(reports, m, 32).v
+    ops = v.ops
+    G = energy.gradient(v)
+    minimize._polish_step(v, energy.second_variation(v), G, 1e-3)
+    minimize.laplace_modes(ops, 3)
+    ops.riesz(G)
+    square = [name for name, x in vars(ops).items()
+              for a in (x if isinstance(x, tuple) else (x,))
+              if getattr(a, "shape", None) == (ops.N, ops.N)]
+    assert square == ["stiffness", "w12_cho"]
     for name in ("vol_weights", "curv_weights", "bdry_weights"):
         assert getattr(ops, name).shape == (ops.N,)
-    ops.total_form
-    assert list(ops._cache) == ["total"]
 
 
 def test_normal_derivative_of_linear_function(cylinder3, hemisphere3):
@@ -233,7 +238,24 @@ def test_dual_norm_factors_once():
     m = model.cylinder(3, 1.0)
     ops = disc.assemble_operators(m, disc.build_grid(m, 32))
     G = np.linspace(-1.0, 1.0, ops.N)
-    r = np.linalg.solve(ops.w12_gram, G)
+    r = np.linalg.solve(ops.stiffness + np.diag(ops.vol_weights), G)
     assert ops.dual_norm(G) == pytest.approx(math.sqrt(G @ r), rel=1e-12)
     assert np.allclose(ops.riesz(G), r, rtol=1e-10, atol=0)
     assert ops.w12_cho is ops.w12_cho
+
+
+def test_sobolev_norm_rounding_at_N512():
+    # the factored norm stays within 1e-13 of its long-double value on smooth
+    # offsets and on the states they displace the constant to; the dense
+    # quadratic form u'(S+M)u erred by up to 8e-12 on these offsets and
+    # 1.3e-10 on these states, through S's entries of up to 2e6
+    m = model.cylinder(3, 1.0)
+    ops = disc.assemble_operators(m, disc.build_grid(m, 512))
+    _, modes = minimize.laplace_modes(ops, 5)
+    for seed in (1, 2, 3):
+        combo = modes @ np.random.default_rng(seed).standard_normal(5)
+        combo /= np.max(np.abs(combo))
+        for scale in (1e-3, 1e-2, 1e-1):
+            for u in (scale * combo, 1.0 + scale * combo):
+                ref = w12_norm_longdouble(ops, u)
+                assert abs(float(np.longdouble(ops.w12_norm(u)) - ref)) <= 1e-13 * float(ref)

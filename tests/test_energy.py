@@ -159,7 +159,8 @@ def test_hessian_form_is_projected_second_variation(frank_nondeg):
     Q = energy.yamabe_quotient(ops, v.u).Q
     ts = ops.two_star
     diag = ops.vol_weights * v.u ** (ts - 2.0)
-    H0 = 2.0 * (ops.total_form - (ts - 1.0) * Q * np.diag(diag))
+    A = ops.stiffness + np.diag(ops.curv_weights) + np.diag(ops.bdry_weights)
+    H0 = 2.0 * (A - (ts - 1.0) * Q * np.diag(diag))
     assert np.array_equal(energy.second_variation(v), H0)
 
 
@@ -171,6 +172,8 @@ def test_lean_kernels_keep_reference_bits(kind):
     # bits of the dense formula it replaces
     ops = operator_set(kind)
     ts = ops.two_star
+    S = ops.stiffness
+    A = S + np.diag(ops.curv_weights) + np.diag(ops.bdry_weights)
     for seed in (1, 2, 3):
         v = random_positive_state(ops, seed)
         for u in (v.u, 1.7 * v.u):
@@ -179,15 +182,13 @@ def test_lean_kernels_keep_reference_bits(kind):
             assert abs(float(np.longdouble(Q) - Q_ref)) <= ops.N * np.finfo(float).eps * abs(Q)
         Q = energy.yamabe_quotient(ops, v.u).Q
         diag = ops.vol_weights * v.u ** (ts - 2.0)
-        H0 = 2.0 * (ops.total_form - (ts - 1.0) * Q * np.diag(diag))
+        H0 = 2.0 * (A - (ts - 1.0) * Q * np.diag(diag))
         assert np.array_equal(energy.second_variation(v), H0)
     if kind == "ball":
         assert energy.yamabe_quotient(ops, v.u).boundary_term != 0.0
-    # the cached forms add the diagonal weights to S in the dense sums' order
-    S = ops.stiffness
-    assert np.array_equal(ops.total_form,
-                          S + np.diag(ops.curv_weights) + np.diag(ops.bdry_weights))
-    assert np.array_equal(ops.w12_gram, S + np.diag(ops.vol_weights))
+    # with_diagonal adds the diagonal weights to S in the dense sums' order
+    assert np.array_equal(ops.with_diagonal(ops.curv_weights, ops.bdry_weights), A)
+    assert np.array_equal(ops.with_diagonal(ops.vol_weights), S + np.diag(ops.vol_weights))
 
 
 def test_gradient_rounding_error_at_N512():
@@ -209,7 +210,8 @@ def test_forms_are_exactly_symmetric(kind):
     # matrix it factors must equal its transpose bit for bit
     ops = operator_set(kind)
     v = random_positive_state(ops, 4)
-    for X in (ops.total_form, ops.w12_gram, energy.second_variation(v)):
+    for X in (ops.with_diagonal(ops.curv_weights, ops.bdry_weights),
+              ops.with_diagonal(ops.vol_weights), energy.second_variation(v)):
         assert np.array_equal(X, X.T)
 
 

@@ -176,8 +176,9 @@ def test_polish_step_matches_tangent_basis_step():
     p = energy.volume_covector(state)
     frame = np.column_stack([p, np.eye(ops.N)[:, : ops.N - 1]])
     B = np.linalg.qr(frame, mode="complete")[0][:, 1:]
+    W = ops.stiffness + np.diag(ops.vol_weights)
     for mu in (0.0, 1e-3):
-        ref = B @ np.linalg.solve(B.T @ (H + mu * ops.w12_gram) @ B, -(B.T @ G))
+        ref = B @ np.linalg.solve(B.T @ (H + mu * W) @ B, -(B.T @ G))
         for hess in (H, H0):
             step = minimize._polish_step(state, hess, G, mu)
             assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
@@ -284,8 +285,9 @@ def real_report():
     m = model.frank_product(5, SUB_RADIUS)
     rep = minimize.run_multistart(m, 64, 1, minimize.MinimizeOptions())[0]
     assert rep.converged
-    v = rep.v.u
-    floor = 2.0 * np.finfo(float).eps * float(v @ (np.abs(rep.v.ops.total_form) @ v))
+    ops, v = rep.v.ops, rep.v.u
+    A = ops.stiffness + np.diag(ops.curv_weights) + np.diag(ops.bdry_weights)
+    floor = 2.0 * np.finfo(float).eps * float(v @ (np.abs(A) @ v))
     return m, rep, floor
 
 

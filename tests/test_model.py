@@ -74,6 +74,8 @@ def test_cylinder_profile():
     ("frank_product", {"d": 2, "r": 1.0}),
     ("frank_product", {"d": 5, "r": -1.0}),
     ("cylinder", {"n": 3, "length": 0.0}),
+    ("cylinder", {"n": 3.5, "length": 1.0}),
+    ("frank_product", {"d": 5.5, "r": 1.0}),
 ])
 def test_make_model_rejects_bad_params(kind, params):
     with pytest.raises(ValueError):

@@ -75,7 +75,8 @@ def test_eigen_decompose_matches_tangent_frame(frank_nondeg, frank_deg):
     for _, rep, _, split in (frank_nondeg, frank_deg):
         v = rep.v
         B = tangent_frame(v, split.K_basis)
-        ref = sla.eigh(B.T @ projected_hessian(v) @ B, B.T @ v.ops.w12_gram @ B,
+        W = v.ops.stiffness + np.diag(v.ops.vol_weights)
+        ref = sla.eigh(B.T @ projected_hessian(v) @ B, B.T @ W @ B,
                        eigvals_only=True, subset_by_index=(0, 0))[0]
         got = stability.coercivity_data(v, split).lambda1_w
         assert got == pytest.approx(ref, rel=1e-9)
