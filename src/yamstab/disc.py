@@ -11,7 +11,8 @@ and are kept as node vectors; with_diagonal adds them to a fresh copy of S
 for the matrices that are factored or eigensolved.  The Sobolev Cholesky
 factor is computed once per operator set, and linearly constrained Newton
 steps go through a bordered (KKT) factor instead of an explicit null-space
-basis; one factor serves any number of right-hand sides.
+basis: one LAPACK ?sytrf factorization, then one ?sytrs call per
+right-hand side.
 """
 
 from __future__ import annotations
@@ -292,7 +293,7 @@ class BorderedFactor:
     """Bunch-Kaufman LDL' factor of the bordered matrix [[A, C], [C', 0]].
 
     The matrix is factored once, in place, by LAPACK ?sytrf; each solve(b)
-    is then O(N^2) and returns the x of
+    is then one O(N^2) ?sytrs call and returns the x of
 
         [ A   C ] [x]   [b]
         [ C'  0 ] [l] = [0],
@@ -303,14 +304,10 @@ class BorderedFactor:
     LinAlgError here; an ill-conditioned system gives its (possibly poor)
     solutions silently, and callers judge the steps instead.
 
-    solve() repeats the arithmetic of LAPACK ?sytrs2, the solve inside ?sysv
-    (?syconv'd factor, two unit-triangular ?trsm passes, the 1x1 and 2x2
-    pivot blocks), so a factor-then-solve gives the bits of one ?sysv call;
-    plain ?sytrs differs from it in the last digits.
-
-    A must be exactly symmetric.  It is copied into the Fortran-ordered
-    factor block through its transpose, a contiguous copy for a C-ordered A;
-    ?sytrf reads only one triangle of that block in any case.
+    A must be exactly symmetric: ?sytrf reads only one triangle of the
+    block.  A is copied into the Fortran-ordered block through its
+    transpose, a contiguous copy for a C-ordered A, and the factor is kept
+    in the Fortran order ?sytrf returns, so ?sytrs never copies it.
     """
 
     def __init__(self, A: np.ndarray, C: np.ndarray):
@@ -320,60 +317,19 @@ class BorderedFactor:
         K[:N, :N] = A.T
         K[:N, N:] = C
         K[N:, :N] = C.T
-        sytrf, sytrf_lwork, syconv = sla.get_lapack_funcs(
-            ("sytrf", "sytrf_lwork", "syconv"), (K,))
-        lwork = int(sytrf_lwork(n)[0])
-        ldu, ipiv, info = sytrf(K, lwork=lwork, overwrite_a=True)
+        sytrf, sytrf_lwork, self._sytrs = sla.get_lapack_funcs(
+            ("sytrf", "sytrf_lwork", "sytrs"), (K,))
+        self._ldu, self._ipiv, info = sytrf(
+            K, lwork=int(sytrf_lwork(n)[0]), overwrite_a=True)
         if info > 0:
             raise np.linalg.LinAlgError(f"bordered system is singular (zero pivot {info})")
-        # U with the interchanges applied and the 2x2 off-diagonals moved to e
-        self._U, e, _ = syconv(ldu, ipiv, way=0, overwrite_a=True)
-        self._trsm = sla.get_blas_funcs("trsm", (K,))
         self._N = N
 
-        # P' as a gather index, and the 2x2 pivot blocks (lo, hi)
-        perm = list(range(n))
-        hi = []
-        j = n - 1
-        piv = ipiv.tolist()
-        while j >= 0:
-            if piv[j] > 0:
-                p = piv[j] - 1
-                perm[j], perm[p] = perm[p], perm[j]
-                j -= 1
-            else:
-                p = -piv[j] - 1
-                perm[j - 1], perm[p] = perm[p], perm[j - 1]
-                hi.append(j)
-                j -= 2
-        self._perm = np.array(perm)
-        self._hi = np.array(hi, dtype=int)
-        self._lo = self._hi - 1
-        d = np.diag(self._U)
-        self._one = np.ones(n, dtype=bool)
-        self._one[self._hi] = False
-        self._one[self._lo] = False
-        self._inv_d = 1.0 / d[self._one]
-        self._e = e[self._hi]
-        self._d_lo = d[self._lo] / self._e
-        self._d_hi = d[self._hi] / self._e
-        self._denom = self._d_lo * self._d_hi - 1.0
-
     def solve(self, b: np.ndarray) -> np.ndarray:
-        rhs = np.zeros((self._U.shape[0], 1), order="F")
-        rhs[:self._N, 0] = b
-        x = rhs[self._perm]
-        x = self._trsm(1.0, self._U, x, side=0, lower=0, trans_a=0, diag=1, overwrite_b=True)
-        y = x[:, 0]
-        y[self._one] *= self._inv_d
-        b_lo = y[self._lo] / self._e
-        b_hi = y[self._hi] / self._e
-        y[self._lo] = (self._d_hi * b_lo - b_hi) / self._denom
-        y[self._hi] = (self._d_lo * b_hi - b_lo) / self._denom
-        x = self._trsm(1.0, self._U, x, side=0, lower=0, trans_a=1, diag=1, overwrite_b=True)
-        out = np.empty(x.shape[0])
-        out[self._perm] = x[:, 0]
-        return out[:self._N]
+        rhs = np.zeros(self._ldu.shape[0])
+        rhs[:self._N] = b
+        x, _ = self._sytrs(self._ldu, self._ipiv, rhs, overwrite_b=True)
+        return x[:self._N]
 
 
 def bordered_solve(A: np.ndarray, C: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -23,9 +23,8 @@ step with the Jacobian frozen at v contracts at a rate of O(|phi|), so each
 solve takes only O(N^2) chord steps with that factor (the chord method).
 A step must cut the residual by CHORD_CONTRACTION and keep v + phi + z in
 the positive cone; one that does not, or a solve that reaches MAX_NEWTON
-steps, ends the solve, and the ChartError that follows names the cause and
-halves the chart radius.  A sample's newton_iters counts its accepted
-chord steps.
+steps, ends the solve, and the ChartError that follows names the cause.
+A sample's newton_iters counts its accepted chord steps.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ class InsufficientDataError(RuntimeError):
 
 
 NOISE_FLOOR = 1e-13
-RADIUS_HALVINGS = 4
 CHORD_CONTRACTION = 0.5  # residual ratio a chord step must reach to be kept
 MAX_NEWTON = 40          # accepted steps per correction solve
 # relative spread of the sampled reduced energy below which it counts as constant
@@ -66,7 +64,6 @@ class ReductionChart:
     split: KernelSplit
     newton_tol: float = 1e-11
     radius: float = field(init=False)
-    _halvings: int = field(init=False, default=0)
     _C: np.ndarray = field(init=False, repr=False)
     _factor: BorderedFactor = field(init=False, repr=False)
     _q0: float = field(init=False)
@@ -135,15 +132,6 @@ class ReductionChart:
     def kernel_vector(self, phi_coords: np.ndarray) -> np.ndarray:
         return self.split.K_basis @ np.asarray(phi_coords, dtype=float)
 
-    def halve_radius(self):
-        if self._halvings >= RADIUS_HALVINGS:
-            raise ChartError(
-                f"chart radius halved {RADIUS_HALVINGS} times without a "
-                "contracting correction solve; the kernel classification or "
-                "the resolution is suspect")
-        self._halvings += 1
-        self.radius *= 0.5
-
 
 @dataclass(frozen=True)
 class ReducedSample:
@@ -206,11 +194,9 @@ def solve_correction_full(chart: ReductionChart, phi_coords):
 
     z, res, iters, stop = _correction_solve(chart, phi)
     if stop is not None:
-        chart.halve_radius()
         raise ChartError(
             f"correction solve stopped at residual {res:.3e} (tolerance "
-            f"{chart.newton_tol:.1e}): {stop}; chart radius reduced to "
-            f"{chart.radius:.3e}")
+            f"{chart.newton_tol:.1e}): {stop}")
     return z, (iters, res)
 
 
