@@ -69,6 +69,8 @@ class ReductionChart:
     _q0: float = field(init=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise ValueError("newton_tol must be a positive finite number")
         if self.split.kernel_dim < 1:
             raise ValueError(
                 "a reduction chart needs a nontrivial kernel; the "

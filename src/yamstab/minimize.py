@@ -14,14 +14,11 @@ the same step the projected Hessian gives, because the multiplier absorbs the
 projection's p term.  A rejected step is retried with ten times the damping
 until it shrinks to round-off (POLISH_STEP_FLOOR), where the polish stops.
 A step is accepted when it lowers the gradient norm without raising the
-quotient by more than 1e-13 max(|Q|, 1), or, above the gradient tolerance,
-when its incremental energy deficit (energy.energy_deficit) is below minus
-that allowance: along a quartic kernel Newton steps lower the energy while
-the gradient norm rises.
-Below the gradient tolerance the polish continues only while each step halves
-the gradient norm, and each such step gets one try at the current damping: a
-rejected, singular or vanishing step ends the polish.  Convergence is
-declared on the preconditioned gradient norm alone: degenerate minimizers
+quotient by more than 1e-13 max(|Q|, 1), or when its incremental energy
+deficit (energy.energy_deficit) is below minus that allowance: along a
+quartic kernel Newton steps lower the energy while the gradient norm rises.
+The polish stops once the gradient norm is at most the tolerance.  Convergence
+is declared on the preconditioned gradient norm alone: degenerate minimizers
 move arbitrarily slowly along their kernel, so state movement is not a usable
 criterion.
 """
@@ -50,8 +47,8 @@ class MinimizeOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError("grad_tol must be a positive finite number")
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,55 +140,48 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
     # Near a degenerate minimizer the energy decrease per step falls under the
     # evaluation noise long before the gradient does, so steps are accepted on
     # gradient-norm decrease with a round-off allowance on the energy.
-    if grad_norm > opts.grad_tol:
-        mu = 0.0
-        newton_iters = 0
-        bonus = True  # keep polishing below tolerance while progress is rapid
-        while (grad_norm > opts.grad_tol or bonus) and newton_iters < 80:
-            H = energy.second_variation(state)
-            energy_slack = 1e-13 * max(abs(q_val), 1.0)
-            step_floor = POLISH_STEP_FLOOR * ops.w12_norm(state.u)
-            # below tolerance a step is a bonus: one try, no damping ladder
-            tries = 1 if grad_norm <= opts.grad_tol else 40
-            accepted = False
-            for _ in range(tries):
-                try:
-                    # on a degenerate kernel the undamped system is singular;
-                    # a garbage step is simply rejected and damping increased
-                    step = _polish_step(state, H, G, mu)
-                except sla.LinAlgError:
-                    mu = max(10.0 * mu, 1e-10)
-                    continue
-                trial = np.clip(state.u + step, 0.0, None)
-                if not np.any(trial > 0):
-                    mu = max(10.0 * mu, 1e-10)
-                    continue
-                trial_state = energy.normalize(ops, trial)
-                trial_q = energy.yamabe_quotient(ops, trial_state.u).Q
-                trial_G = energy.gradient(trial_state)
-                trial_norm = ops.dual_norm(trial_G)
-                if trial_norm < grad_norm and trial_q <= q_val + energy_slack:
-                    accepted = True
-                    break
-                # along a quartic kernel a Newton step lowers the energy while
-                # the gradient norm rises; the incremental deficit sees it
-                if (grad_norm > opts.grad_tol
-                        and energy.energy_deficit(state, trial - state.u) < -energy_slack):
-                    accepted = True
-                    break
-                if ops.w12_norm(step) <= step_floor:
-                    break
+    mu = 0.0
+    newton_iters = 0
+    while grad_norm > opts.grad_tol and newton_iters < 80:
+        H = energy.second_variation(state)
+        energy_slack = 1e-13 * max(abs(q_val), 1.0)
+        step_floor = POLISH_STEP_FLOOR * ops.w12_norm(state.u)
+        accepted = False
+        for _ in range(40):
+            try:
+                # on a degenerate kernel the undamped system is singular;
+                # a garbage step is simply rejected and damping increased
+                step = _polish_step(state, H, G, mu)
+            except sla.LinAlgError:
                 mu = max(10.0 * mu, 1e-10)
-            if not accepted:
+                continue
+            trial = np.clip(state.u + step, 0.0, None)
+            if not np.any(trial > 0):
+                mu = max(10.0 * mu, 1e-10)
+                continue
+            trial_state = energy.normalize(ops, trial)
+            trial_q = energy.yamabe_quotient(ops, trial_state.u).Q
+            trial_G = energy.gradient(trial_state)
+            trial_norm = ops.dual_norm(trial_G)
+            if trial_norm < grad_norm and trial_q <= q_val + energy_slack:
+                accepted = True
                 break
-            if grad_norm <= opts.grad_tol and trial_norm > 0.5 * grad_norm:
-                bonus = False
-            state, q_val = trial_state, trial_q
-            history.append(q_val)
-            iterations += 1
-            newton_iters += 1
-            mu *= 0.01
-            grad_norm, G = trial_norm, trial_G
+            # along a quartic kernel a Newton step lowers the energy while
+            # the gradient norm rises; the incremental deficit sees it
+            if energy.energy_deficit(state, trial - state.u) < -energy_slack:
+                accepted = True
+                break
+            if ops.w12_norm(step) <= step_floor:
+                break
+            mu = max(10.0 * mu, 1e-10)
+        if not accepted:
+            break
+        state, q_val = trial_state, trial_q
+        history.append(q_val)
+        iterations += 1
+        newton_iters += 1
+        mu *= 0.01
+        grad_norm, G = trial_norm, trial_G
 
     return MinimizeReport(
         v=state,

@@ -24,6 +24,14 @@ def test_chart_refuses_trivial_kernel(frank_nondeg):
         lsred.ReductionChart(v=rep.v, split=split)
 
 
+@pytest.mark.parametrize("newton_tol", [0.0, math.nan, math.inf])
+def test_chart_refuses_nonpositive_or_nonfinite_tolerance(frank_deg, newton_tol):
+    # a NaN tolerance would end every correction solve before its first step
+    _, rep, _, split = frank_deg
+    with pytest.raises(ValueError, match="newton_tol"):
+        lsred.ReductionChart(v=rep.v, split=split, newton_tol=newton_tol)
+
+
 def test_correction_at_origin_is_exact_zero(frank_deg_chart):
     z = lsred.solve_correction_full(frank_deg_chart, np.zeros(2))[0]
     assert np.all(z == 0.0)

@@ -14,8 +14,9 @@ from test_energy import frank_constant_quotient
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        minimize.MinimizeOptions(grad_tol=0.0)
+    for grad_tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="grad_tol"):
+            minimize.MinimizeOptions(grad_tol=grad_tol)
 
 
 def test_minimize_rejects_bad_start(frank_nondeg):
@@ -213,9 +214,8 @@ def test_polish_stops_damping_at_roundoff_steps(frank_deg, monkeypatch):
     assert counts[0] < counts[1]
 
 
-def test_polish_bonus_steps_take_one_try(monkeypatch):
-    # below grad_tol a polish step is a bonus: one bordered solve, and a
-    # rejected one ends the polish instead of climbing the damping ladder
+def test_polish_stops_at_tolerance(monkeypatch):
+    # the polish factors only while the gradient norm is above grad_tol
     m = model.frank_product(5, SUB_RADIUS)
     opts = minimize.MinimizeOptions(seed=2, grad_tol=1e-11)
     solve = minimize.bordered_solve
@@ -228,17 +228,9 @@ def test_polish_bonus_steps_take_one_try(monkeypatch):
     monkeypatch.setattr(minimize, "bordered_solve", counting_solve)
     reports = minimize.run_multistart(m, 256, 3, opts)
     assert all(r.converged for r in reports)
-    assert len(entry_grads) <= 8
+    assert entry_grads
     ops = reports[0].v.ops
-    runs = []  # consecutive solves for one iteration share its gradient
-    for G in entry_grads:
-        if runs and np.array_equal(runs[-1][0], G):
-            runs[-1][1] += 1
-        else:
-            runs.append([G, 1])
-    for G, n_solves in runs:
-        if ops.dual_norm(G) <= opts.grad_tol:
-            assert n_solves == 1
+    assert all(ops.dual_norm(G) > opts.grad_tol for G in entry_grads)
 
 
 def test_polish_evaluates_one_gradient_per_try(monkeypatch):
@@ -262,7 +254,8 @@ def test_polish_evaluates_one_gradient_per_try(monkeypatch):
 
 def test_descent_takes_few_iterations_on_cylinder():
     # with Barzilai-Borwein trial steps the descent does not crawl along the
-    # low modes: every start here takes at most 6 iterations
+    # low modes: every start here takes at most 5 descent and polish
+    # iterations together, well inside the bound
     m = model.cylinder(3, 1.0)
     reports = minimize.run_multistart(
         m, 96, 8, minimize.MinimizeOptions(seed=1, grad_tol=5e-11))
