@@ -18,9 +18,9 @@ from .lsred import (ChartError, FitRejectedError, GrowthFit,
                     InsufficientDataError, ReducedSample, ReductionChart,
                     detect_integrability, fit_growth_exponent, reduced_energy,
                     sample_reduced, solve_correction_full)
-from .stability import (CoercivityData, MinimizerFamily, SampleSpec,
-                        StabilityFit, StabilityRecord, coercivity_data,
+from .stability import (CoercivityData, SampleSpec, StabilityFit,
+                        StabilityRecord, coercivity_data,
                         distance_to_minimizers, fit_stability_exponent,
-                        sample_deficit_distance, single_family)
+                        sample_deficit_distance)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -43,6 +43,10 @@ class ConfigError(ValueError):
 
 DEFAULT_TOLERANCES = {"grad_tol": 1e-11, "kernel_tol": 1e-6, "newton_tol": 1e-11}
 DEFAULT_SAMPLING = {"directions": 2, "scales": [], "count": 4, "kinds": []}
+# default scale ladders when sampling.scales is empty: along a Hessian kernel
+# (lsred, and stability at a degenerate minimizer), and transverse to it
+KERNEL_SCALES = tuple(np.geomspace(1e-3, 1e-1, 8))
+TRANSVERSE_SCALES = tuple(np.geomspace(1e-3, 1.5e-2, 8))
 
 
 @dataclass(frozen=True)
@@ -334,7 +338,7 @@ def run_lsred(cfg: ExperimentConfig):
 
     chart = lsred.ReductionChart(v=best.v, split=split,
                                  newton_tol=cfg.tolerances["newton_tol"])
-    scales = cfg.sampling["scales"] or list(np.geomspace(1e-3, 1e-1, 8))
+    scales = cfg.sampling["scales"] or KERNEL_SCALES
     dirs = _unit_directions(split.kernel_dim, cfg.sampling["directions"], cfg.seed)
     samples = lsred.sample_reduced(chart, dirs, scales)
     fit = lsred.fit_growth_exponent(samples)
@@ -360,8 +364,6 @@ def run_lsred(cfg: ExperimentConfig):
 
 def run_stability(cfg: ExperimentConfig):
     best, spec, split = _spectral_pipeline(cfg)
-    fam = stability.single_family(best.v, split=split, spectrum=spec,
-                                  member_tol=1e4 * cfg.tolerances["grad_tol"])
     kinds = tuple(cfg.sampling["kinds"]) or (
         ("kernel",) if split.kernel_dim > 0 else ("transverse",))
     if split.kernel_dim == 0:
@@ -370,15 +372,13 @@ def run_stability(cfg: ExperimentConfig):
             raise ConfigError(
                 f"sampling.kinds: {', '.join(flat)} sampling needs a Hessian "
                 "kernel, and this minimizer has kernel_dim 0")
-    if cfg.sampling["scales"]:
-        scales = tuple(cfg.sampling["scales"])
-    elif split.kernel_dim > 0:
-        scales = tuple(np.geomspace(1e-3, 1e-1, 8))
-    else:
-        scales = tuple(np.geomspace(1e-3, 1.5e-2, 8))
+    scales = tuple(cfg.sampling["scales"]) or (
+        KERNEL_SCALES if split.kernel_dim > 0 else TRANSVERSE_SCALES)
     batch = stability.sample_deficit_distance(
-        fam, stability.SampleSpec(kinds=kinds, scales=scales,
-                                  count=cfg.sampling["count"], seed=cfg.seed))
+        best.v, split, spec,
+        stability.SampleSpec(kinds=kinds, scales=scales,
+                             count=cfg.sampling["count"], seed=cfg.seed),
+        member_tol=1e4 * cfg.tolerances["grad_tol"])
     fit = stability.fit_stability_exponent(batch.records)
     coer = stability.coercivity_data(best.v, split)
     rows = [[r.sample_id, r.perturbation_kind, r.direction_index, r.scale,

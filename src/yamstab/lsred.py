@@ -21,9 +21,10 @@ strictly positive; a singular factor raises ChartError, since it means the
 kernel split is suspect.  By the implicit-function contraction argument a
 step with the Jacobian frozen at v contracts at a rate of O(|phi|), so each
 solve takes only O(N^2) chord steps with that factor (the chord method).
-A step must cut the residual by CHORD_CONTRACTION and keep v + phi + z in
-the positive cone; one that does not, or a solve that reaches MAX_NEWTON
-steps, ends the solve, and the ChartError that follows names the cause.
+The offset v + phi must lie in the positive cone, and a step must cut the
+residual by CHORD_CONTRACTION and keep v + phi + z there; an offset or step
+that does not, or a solve that reaches MAX_NEWTON steps, ends the solve, and
+the ChartError that follows names the cause.
 A sample's newton_iters counts its accepted chord steps.
 """
 
@@ -193,6 +194,10 @@ def solve_correction_full(chart: ReductionChart, phi_coords):
         raise ChartError(
             f"kernel offset leaves the chart (|phi| = {chart.ops.w12_norm(phi):.3e}, "
             f"radius = {chart.radius:.3e})")
+    w = chart.v.u + phi
+    if not np.all(w > 0):
+        raise ChartError(
+            f"kernel offset leaves the positive cone (min of v + phi = {np.min(w):.3e})")
 
     z, res, iters, stop = _correction_solve(chart, phi)
     if stop is not None:

@@ -1,11 +1,12 @@
 """End-to-end stability experiment: deficits versus distance to minimizers.
 
-States near (and not so near) a minimizer are sampled in three families --
-along the Hessian kernel, transverse to it, and mixed -- and each sample is
-recorded as a (energy deficit, normalized Sobolev distance) pair.  The
-stability exponent is the slope of the lower envelope of that scatter in
-log-log coordinates, and the envelope constant is compared against the
-coercivity floor predicted by the smallest nonzero Hessian eigenvalue.
+States near (and not so near) an isolated minimizer are sampled in three
+kinds -- along the Hessian kernel, transverse to it, and mixed -- and each
+sample is recorded as a (energy deficit, normalized Sobolev distance) pair,
+the distance measured to that one minimizer.  The stability exponent is the
+slope of the lower envelope of that scatter in log-log coordinates, and the
+envelope constant is compared against the coercivity floor predicted by the
+smallest nonzero Hessian eigenvalue.
 """
 
 from __future__ import annotations
@@ -21,38 +22,8 @@ from .spectrum import (KernelSplit, SpectrumReport, constrained_lowest,
 from . import energy
 
 
-@dataclass(frozen=True, eq=False)
-class MinimizerFamily:
-    """The minimizer set near an isolated base minimizer: the state itself,
-    a locality radius, and the spectral data the samplers draw directions
-    from."""
-
-    v: energy.NormalizedState
-    delta: float
-    split: KernelSplit | None = None
-    spectrum: SpectrumReport | None = None
-
-    @property
-    def kernel_dim(self) -> int:
-        return self.split.kernel_dim if self.split is not None else 0
-
-
-def single_family(v: energy.NormalizedState, *,
-                  split: KernelSplit | None = None,
-                  spectrum: SpectrumReport | None = None,
-                  member_tol: float = 1e-9) -> MinimizerFamily:
-    """Family consisting of one minimizer, with a locality radius of a tenth
-    of its Sobolev norm; sampling data rides along."""
-    gn = v.ops.dual_norm(energy.gradient(v))
-    if gn > member_tol:
-        raise ValueError(f"family member has gradient norm {gn:.3e} > {member_tol:.1e}; "
-                         "not a usable minimizer")
-    return MinimizerFamily(v=v, delta=0.1 * v.ops.w12_norm(v.u),
-                           split=split, spectrum=spectrum)
-
-
-def distance_to_minimizers(u: energy.NormalizedState, fam: MinimizerFamily) -> float:
-    """Normalized Sobolev distance |u - v|_W / |u|_W from u to the base
+def distance_to_minimizers(u: energy.NormalizedState, v: energy.NormalizedState) -> float:
+    """Normalized Sobolev distance |u - v|_W / |u|_W from u to the isolated
     minimizer v.
 
     At a degenerate minimizer whose kernel integrates to a manifold of
@@ -60,7 +31,7 @@ def distance_to_minimizers(u: energy.NormalizedState, fam: MinimizerFamily) -> f
     that manifold, not to the manifold.
     """
     ops = u.ops
-    return ops.w12_norm(u.u - fam.v.u) / ops.w12_norm(u.u)
+    return ops.w12_norm(u.u - v.u) / ops.w12_norm(u.u)
 
 
 @dataclass(frozen=True)
@@ -75,10 +46,10 @@ class StabilityRecord:
 
 @dataclass(frozen=True)
 class SampleSpec:
-    kinds: tuple = ("transverse",)
-    scales: tuple = tuple(np.geomspace(1e-3, 1e-2, 8))
-    count: int = 4
-    seed: int = 0
+    kinds: tuple
+    scales: tuple
+    count: int
+    seed: int
 
 
 @dataclass(frozen=True)
@@ -90,76 +61,69 @@ class SampleBatch:
 N_TRANSVERSE_MODES = 6
 
 
-def _directions(fam: MinimizerFamily, cols: np.ndarray, count: int, rng) -> list[np.ndarray]:
+def _directions(cols: np.ndarray, count: int, rng, ops) -> list[np.ndarray]:
     """The first column, then count - 1 seeded random combinations of cols."""
     dirs = [cols[:, 0]]
     for _ in range(count - 1):
         dirs.append(cols @ rng.standard_normal(cols.shape[1]))
     # Sobolev-normalized so every direction sweeps the same distance ladder
-    return [d / fam.v.ops.w12_norm(d) for d in dirs]
+    return [d / ops.w12_norm(d) for d in dirs]
 
 
-def _kernel_directions(fam: MinimizerFamily, count: int, rng) -> list[np.ndarray]:
-    split = fam.split
-    if split is None or split.kernel_dim == 0:
-        raise ValueError("kernel sampling needs a nontrivial kernel")
-    return _directions(fam, split.K_basis, count, rng)
+def sample_deficit_distance(v: energy.NormalizedState, split: KernelSplit,
+                            spectrum: SpectrumReport, spec: SampleSpec, *,
+                            member_tol: float = 1e-9) -> SampleBatch:
+    """Deterministic batch of perturbed states around the minimizer v, with
+    deficits and distances.
 
-
-def _transverse_directions(fam: MinimizerFamily, count: int, rng) -> list[np.ndarray]:
-    spec = fam.spectrum
-    if spec is None:
-        raise ValueError("transverse sampling needs a computed spectrum")
-    kd = fam.kernel_dim
-    cols = spec.eigenvectors[:, kd: kd + N_TRANSVERSE_MODES]
-    if cols.shape[1] == 0:
-        raise ValueError("spectrum holds no modes beyond the kernel")
-    return _directions(fam, cols, count, rng)
-
-
-def sample_deficit_distance(fam: MinimizerFamily, spec: SampleSpec) -> SampleBatch:
-    """Deterministic batch of perturbed states with deficits and distances.
-
-    Kernel samples ride the flat directions of the second variation, the
-    expensive case of the stability bound; transverse samples probe its
-    coercive part; mixed samples combine one of each.  Each perturbed state
-    is clipped nonnegative and renormalized.  Samples leaving the locality
-    ball of radius delta around the base minimizer are skipped and counted,
-    never silently kept.
+    v must be critical: its Sobolev dual gradient norm is at most member_tol.
+    Kernel samples ride the flat directions of the second variation (the
+    columns of split.K_basis), the expensive case of the stability bound;
+    transverse samples probe its coercive part (the first
+    N_TRANSVERSE_MODES eigenvectors of spectrum past the kernel); mixed
+    samples combine one of each.  Each perturbed state is clipped
+    nonnegative and renormalized.  Samples leaving the locality ball of
+    radius 0.1 |v|_W are skipped and counted, never silently kept.
     """
+    ops = v.ops
+    gn = ops.dual_norm(energy.gradient(v))
+    if gn > member_tol:
+        raise ValueError(f"base state has gradient norm {gn:.3e} > {member_tol:.1e}; "
+                         "not a usable minimizer")
+    delta = 0.1 * ops.w12_norm(v.u)
+    kd = split.kernel_dim
+    transverse = spectrum.eigenvectors[:, kd: kd + N_TRANSVERSE_MODES]
     rng = np.random.default_rng(spec.seed)
-    ops = fam.v.ops
     records = []
     n_skipped = 0
-    sample_id = 0
     for kind in spec.kinds:
-        if kind == "kernel":
-            dirs = _kernel_directions(fam, spec.count, rng)
-        elif kind == "transverse":
-            dirs = _transverse_directions(fam, spec.count, rng)
-        elif kind == "mixed":
-            kdirs = _kernel_directions(fam, spec.count, rng)
-            tdirs = _transverse_directions(fam, spec.count, rng)
-            dirs = []
-            for kd_, td_ in zip(kdirs, tdirs):
-                z = kd_ + td_
-                dirs.append(z / ops.w12_norm(z))
-        else:
+        if kind not in ("kernel", "transverse", "mixed"):
             raise ValueError(f"unknown perturbation kind {kind!r}")
+        if kind != "transverse" and kd == 0:
+            raise ValueError(f"{kind} sampling needs a nontrivial kernel")
+        if kind != "kernel" and transverse.shape[1] == 0:
+            raise ValueError(f"{kind} sampling needs modes beyond the kernel, "
+                             "and the spectrum holds none")
+        if kind == "transverse":
+            dirs = _directions(transverse, spec.count, rng, ops)
+        else:
+            dirs = _directions(split.K_basis, spec.count, rng, ops)
+            if kind == "mixed":
+                tdirs = _directions(transverse, spec.count, rng, ops)
+                dirs = [z / ops.w12_norm(z) for z in map(np.add, dirs, tdirs)]
         for d_idx, direction in enumerate(dirs):
             for scale in spec.scales:
-                u = energy.normalize(ops, np.clip(fam.v.u + scale * direction, 0.0, None))
-                if ops.w12_norm(u.u - fam.v.u) > fam.delta:
+                u = energy.normalize(ops, np.clip(v.u + scale * direction, 0.0, None))
+                gap = ops.w12_norm(u.u - v.u)
+                if gap > delta:
                     n_skipped += 1
-                    sample_id += 1
                     continue
-                deficit = energy.energy_deficit(fam.v, u.u - fam.v.u)
-                dist = distance_to_minimizers(u, fam)
                 records.append(StabilityRecord(
-                    deficit=deficit, distance=dist, sample_id=sample_id,
+                    deficit=energy.energy_deficit(v, u.u - v.u),
+                    distance=gap / ops.w12_norm(u.u),
+                    sample_id=len(records) + n_skipped,
                     perturbation_kind=kind, scale=float(scale),
                     direction_index=d_idx))
-                sample_id += 1
     return SampleBatch(records=tuple(records), n_skipped=n_skipped)
 
 

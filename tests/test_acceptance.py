@@ -207,8 +207,7 @@ def run_stability_fit(N=256):
         m, N, starts=2, opts=minimize.MinimizeOptions(seed=1, grad_tol=_grad_tol(N)))
     spec = spectrum.eigen_decompose(rep.v, 12)
     split = spectrum.kernel_split(spec)
-    fam = stability.single_family(rep.v, split=split, spectrum=spec)
-    batch = stability.sample_deficit_distance(fam, stability.SampleSpec(
+    batch = stability.sample_deficit_distance(rep.v, split, spec, stability.SampleSpec(
         kinds=("transverse",), scales=tuple(np.geomspace(1e-3, 1.5e-2, 8)),
         count=4, seed=1))
     fit = stability.fit_stability_exponent(batch.records)

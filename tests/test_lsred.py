@@ -125,6 +125,24 @@ def test_chart_radius_enforced(frank_deg_chart):
         lsred.solve_correction_full(frank_deg_chart, [big, 0.0])
 
 
+def test_offset_outside_positive_cone_names_its_cause():
+    # a kernel bump inside the chart radius pushes a near-zero state negative:
+    # the offset itself is refused before any residual is evaluated there
+    m = model.frank_product(5, BIF_RADIUS)
+    ops = disc.assemble_operators(m, disc.build_grid(m, 64))
+    t = ops.grid.nodes
+    v = energy.normalize(ops, 1.0 + 0.999 * np.cos(t))
+    bump = np.exp(-0.5 * ((t - math.pi) / 0.3) ** 2)
+    bump /= math.sqrt(bump @ (ops.vol_weights * bump))
+    split = spectrum.KernelSplit(K_basis=bump[:, None], lambda1=1.0,
+                                 kernel_dim=1, threshold=1e-6)
+    chart = lsred.ReductionChart(v=v, split=split)
+    coord = -0.99 * chart.radius / ops.w12_norm(bump)
+    for solve in (lsred.solve_correction_full, lsred.reduced_energy):
+        with pytest.raises(lsred.ChartError, match="kernel offset leaves the positive cone"):
+            solve(chart, [coord])
+
+
 def test_max_newton_stop_names_its_cause(frank_deg, monkeypatch):
     # one chord step cannot reach a 1e-16 residual, so the step budget ends the solve
     _, rep, _, split = frank_deg
