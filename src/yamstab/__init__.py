@@ -18,8 +18,8 @@ from .lsred import (ChartError, FitRejectedError, GrowthFit,
                     InsufficientDataError, ReducedSample, ReductionChart,
                     detect_integrability, fit_growth_exponent, reduced_energy,
                     sample_reduced, solve_correction_full)
-from .stability import (CoercivityData, SampleSpec, StabilityFit,
-                        StabilityRecord, coercivity_data,
+from .stability import (CoercivityData, CoercivityError, SampleSpec,
+                        StabilityFit, StabilityRecord, coercivity_data,
                         distance_to_minimizers, fit_stability_exponent,
                         sample_deficit_distance)
 

@@ -5,8 +5,9 @@ writes a JSON report plus a CSV table under the output prefix.  Identical
 configs (seed included) produce byte-identical files; writes go through a
 temporary file and an atomic rename so partial outputs never appear.
 
-Exit codes: 0 success, 2 config error, 3 convergence failure or an
-untrustworthy kernel threshold, 4 fit rejection.
+Exit codes: 0 success, 2 config error, 3 convergence failure, an
+untrustworthy kernel threshold or a second variation that is not positive
+off its kernel, 4 fit rejection.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from . import energy, lsred, minimize, spectrum, stability
 from .minimize import ConvergenceError
 from .lsred import ChartError, FitRejectedError, InsufficientDataError
 from .spectrum import KernelThresholdError
+from .stability import CoercivityError
 
 EXPERIMENTS = ("minimize", "spectrum", "lsred", "stability", "covariance")
 
@@ -357,6 +359,7 @@ def run_lsred(cfg: ExperimentConfig):
         "r2": fit.r2,
         "window": list(fit.window),
         "n_below_floor": fit.n_below_floor,
+        "max_dual_residual": max(s.dual_residual for s in samples),
     }
     summary = f"exponent={_fmt(fit.exponent)} classification={classification}"
     return results, cols, rows, summary
@@ -380,7 +383,7 @@ def run_stability(cfg: ExperimentConfig):
                              count=cfg.sampling["count"], seed=cfg.seed),
         member_tol=1e4 * cfg.tolerances["grad_tol"])
     fit = stability.fit_stability_exponent(batch.records)
-    coer = stability.coercivity_data(best.v, split)
+    coer = stability.coercivity_data(best.v, split, spec)
     rows = [[r.sample_id, r.perturbation_kind, r.direction_index, r.scale,
              r.deficit, r.distance] for r in batch.records]
     results = {
@@ -390,6 +393,7 @@ def run_stability(cfg: ExperimentConfig):
         "lambda1_sobolev": coer.lambda1_w,
         "coercivity_floor": coer.floor,
         "norm_conversion": coer.conversion,
+        "coercivity_sweeps": coer.sweeps,
         "exponent": fit.exponent,
         "c_lower": fit.c_lower,
         "r2": fit.r2,
@@ -534,6 +538,9 @@ def main(argv=None) -> int:
         return EXIT_CONVERGENCE
     except KernelThresholdError as exc:
         print(f"kernel threshold failure: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE
+    except CoercivityError as exc:
+        print(f"coercivity failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except (FitRejectedError, InsufficientDataError) as exc:
         print(f"fit rejected: {exc}", file=sys.stderr)

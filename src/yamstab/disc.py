@@ -165,11 +165,18 @@ class DiscreteOperators:
         return self.grid.N
 
     def dirichlet(self, u: np.ndarray, du: np.ndarray,
-                  x: np.ndarray | None = None, dx: np.ndarray | None = None) -> float:
+                  x: np.ndarray | None = None, dx: np.ndarray | None = None):
         """Factored stiffness value u'Sx = sum w du dx + e (y.u)(y.x) from the
-        nodal derivatives du = D u and dx = D x; x defaults to u."""
+        nodal derivatives du = D u and dx = D x; x defaults to u.  For N x S
+        column blocks it is the S column-wise values."""
         if x is None:
             x, dx = u, du
+        if du.ndim > 1:
+            val = np.einsum("ij,ij->j", self.stiff_weights[:, None] * du, dx)
+            if self.nyquist is not None:
+                e, y = self.nyquist
+                val += e * (y @ u) * (y @ x)
+            return val
         val = float((self.stiff_weights * du) @ dx)
         if self.nyquist is not None:
             e, y = self.nyquist
@@ -221,13 +228,34 @@ class DiscreteOperators:
     def volume(self) -> float:
         return float(self.vol_weights.sum())
 
-    def w12_norm(self, u: np.ndarray) -> float:
+    def w12_apply(self, u: np.ndarray) -> np.ndarray:
+        """(S+M) u taken factored, D'(w * D u) + e y (y.u) + m * u, for a
+        vector or an N x S column block: the form that w12_norm measures,
+        applied as apply_form applies the energy form."""
+        D = self.grid.diff_matrix
+        du = D @ u
+        Wu = D.T @ (_colwise(self.stiff_weights, du) * du)
+        if self.nyquist is not None:
+            e, y = self.nyquist
+            Wu += np.multiply.outer(y, e * (y @ u))
+        return Wu + _colwise(self.vol_weights, u) * u
+
+    def w12_norm(self, u: np.ndarray):
         """Sobolev norm sqrt(u'(S+M)u), taken factored as dirichlet(u, D u)
-        + sum m u^2.  Against a long-double evaluation on cylinder(3, 1) at
-        N=512 it errs by at most 7e-15 (relative) on smooth offsets and
-        states; the dense quadratic form erred by up to 1.3e-10."""
-        return math.sqrt(self.dirichlet(u, self.grid.diff_matrix @ u)
-                         + float((self.vol_weights * u) @ u))
+        + sum m u^2; the S column norms of an N x S block.  Against a
+        long-double evaluation on cylinder(3, 1) at N=512 it errs by at most
+        7e-15 (relative) on smooth offsets and states; the dense quadratic
+        form erred by up to 1.3e-10."""
+        dirichlet = self.dirichlet(u, self.grid.diff_matrix @ u)
+        if u.ndim > 1:
+            return np.sqrt(dirichlet + np.einsum("ij,ij->j", self.vol_weights[:, None] * u, u))
+        return math.sqrt(dirichlet + float((self.vol_weights * u) @ u))
+
+
+def _colwise(d: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The node vector d shaped to scale u node by node: d itself for a
+    vector u, a column for an N x S block."""
+    return d if u.ndim == 1 else d[:, None]
 
 
 def assemble_operators(m: SymmetricModel, grid: Grid) -> DiscreteOperators:
@@ -326,10 +354,34 @@ class BorderedFactor:
         self._N = N
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        rhs = np.zeros(self._ldu.shape[0])
+        """x for a right-hand side b, or the N x S block of solutions for an
+        N x S block b, in one ?sytrs call."""
+        rhs = np.zeros((self._ldu.shape[0],) + b.shape[1:], order="F")
         rhs[:self._N] = b
         x, _ = self._sytrs(self._ldu, self._ipiv, rhs, overwrite_b=True)
         return x[:self._N]
+
+    def negative_eigenvalues(self) -> int:
+        """Number of negative eigenvalues of the bordered matrix.
+
+        By Sylvester's law of inertia it is that of the block-diagonal D of
+        the factor P U D U' P', whose 1 x 1 and 2 x 2 blocks ?sytrf leaves
+        on and next to the diagonal (a 2 x 2 block in rows k-1, k carries
+        ipiv[k-1] = ipiv[k] < 0).  With C of full column rank k it is k plus
+        the number of negative eigenvalues of A on ker C', so it equals k
+        exactly when A is positive definite there.
+        """
+        ldu, ipiv = self._ldu, self._ipiv
+        count, k = 0, ipiv.size - 1
+        while k >= 0:
+            if ipiv[k] > 0:
+                count += int(ldu[k, k] < 0)
+                k -= 1
+            else:
+                a, b, c = ldu[k - 1, k - 1], ldu[k - 1, k], ldu[k, k]
+                count += 1 if a * c < b * b else 2 * int(a < 0)
+                k -= 2
+        return count
 
 
 def bordered_solve(A: np.ndarray, C: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -337,9 +389,12 @@ def bordered_solve(A: np.ndarray, C: np.ndarray, b: np.ndarray) -> np.ndarray:
     return BorderedFactor(A, C).solve(b)
 
 
-def lp_norm(ops: DiscreteOperators, u: np.ndarray, p: float) -> float:
-    """(integral |u|^p a dt)^(1/p) via the grid quadrature."""
+def lp_norm(ops: DiscreteOperators, u: np.ndarray, p: float):
+    """(integral |u|^p a dt)^(1/p) via the grid quadrature; the S column
+    norms of an N x S block."""
     if not np.isfinite(p) or p < 1:
         raise ValueError(f"p must be a finite real >= 1, got {p}")
     u = np.asarray(u, dtype=float)
+    if u.ndim > 1:
+        return np.sum(ops.vol_weights[:, None] * np.abs(u) ** p, axis=0) ** (1.0 / p)
     return float(np.sum(ops.vol_weights * np.abs(u) ** p)) ** (1.0 / p)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disc import DiscreteOperators, lp_norm
+from .disc import DiscreteOperators, _colwise, lp_norm
 from .model import laplace_profile
 
 
@@ -150,13 +150,16 @@ def second_variation(v: NormalizedState) -> np.ndarray:
 
 
 def power_increment(v: np.ndarray, xi: np.ndarray, p: float) -> np.ndarray:
-    """Nodal (v + xi)^p - v^p around a nonnegative base function v.
+    """Nodal (v + xi)^p - v^p around a nonnegative base function v, for an
+    offset xi or an N x S block of offset columns.
 
     Where v is not negligible and v + xi > 0 the increment goes through
     expm1/log1p, so its round-off scales with |xi| instead of |v|; at the
     remaining nodes it is the plain difference, which is exactly -v^p where
     v + xi = 0.
     """
+    if xi.ndim > 1:  # one base for every column
+        v = np.broadcast_to(v[:, None], xi.shape)
     w = v + xi
     big = (v > 1e-12 * np.max(v)) & (w > 0)
     out = np.empty_like(w)
@@ -165,34 +168,47 @@ def power_increment(v: np.ndarray, xi: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def energy_deficit(v: NormalizedState, xi: np.ndarray) -> float:
-    """Q(v + xi) - Q(v), evaluated in incremental form.
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a'b of two vectors as a float, or the S column-wise products of two
+    N x S blocks."""
+    return float(a @ b) if a.ndim == 1 else np.einsum("ij,ij->j", a, b)
+
+
+def energy_deficit(v: NormalizedState, xi: np.ndarray):
+    """Q(v + xi) - Q(v), evaluated in incremental form; the S deficits of an
+    N x S block of offset columns.
 
     The direct difference of two quotient evaluations loses to round-off once
     it falls below ~1e-12; here the energy increment is expanded exactly
     (the numerator is a quadratic form) and the volume increment goes through
     power_increment, keeping the difference accurate down to ~1e-15 relative
     to the energy scale.  The numerator increment is sum w Dxi (2 Dv + Dxi)
-    plus its Nyquist and diagonal terms.
+    plus its Nyquist and diagonal terms.  A block takes D v once and D xi as
+    one product.
     """
     ops = v.ops
     ts = ops.two_star
     m = ops.vol_weights
     xi = np.asarray(xi, dtype=float)
-    if np.any(v.u + xi < 0):
+    vu = _colwise(v.u, xi)
+    if np.any(vu + xi < 0):
         raise ValueError("perturbed state leaves the nonnegative cone")
 
     D = ops.grid.diff_matrix
     dv, dxi = D @ v.u, D @ xi
     diag = ops.curv_weights + ops.bdry_weights
     E_v = ops.dirichlet(v.u, dv) + float((v.u * diag) @ v.u)
-    two_v_xi = 2.0 * v.u + xi
-    dE = ops.dirichlet(xi, dxi, two_v_xi, 2.0 * dv + dxi) + float((xi * diag) @ two_v_xi)
+    two_v_xi = 2.0 * vu + xi
+    dE = (ops.dirichlet(xi, dxi, two_v_xi, 2.0 * _colwise(dv, xi) + dxi)
+          + _dot(_colwise(diag, xi) * xi, two_v_xi))
 
     P_v = float(np.sum(m * v.u**ts))
-    delta = float(np.sum(m * power_increment(v.u, xi, ts)))
+    delta = np.sum(_colwise(m, xi) * power_increment(v.u, xi, ts), axis=0)
 
-    growth = math.expm1((2.0 / ts) * math.log1p(delta / P_v))
+    if xi.ndim == 1:  # a vector keeps the scalar libm evaluation
+        growth = math.expm1((2.0 / ts) * math.log1p(delta / P_v))
+    else:
+        growth = np.expm1((2.0 / ts) * np.log1p(delta / P_v))
     denom = P_v ** (2.0 / ts) * (1.0 + growth)
     return (dE - E_v * growth) / denom
 

@@ -24,8 +24,12 @@ solve takes only O(N^2) chord steps with that factor (the chord method).
 The offset v + phi must lie in the positive cone, and a step must cut the
 residual by CHORD_CONTRACTION and keep v + phi + z there; an offset or step
 that does not, or a solve that reaches MAX_NEWTON steps, ends the solve, and
-the ChartError that follows names the cause.
-A sample's newton_iters counts its accepted chord steps.
+the ChartError that follows names the cause.  A step that stops contracting
+ends the solve successfully instead when the residual already meets the
+tolerance in the Sobolev dual norm, the floor that float64 can reach at
+N=1024.  A sample's newton_iters counts its accepted chord steps, and its
+dual_residual bounds that dual norm: it is the dual norm where that norm met
+the tolerance, else the M^-1 norm, which is never smaller.
 """
 
 from __future__ import annotations
@@ -146,13 +150,20 @@ class ReducedSample:
     residual: float
     direction_index: int = 0
     scale: float = 0.0
+    dual_residual: float = 0.0   # bounds the residual's Sobolev dual norm
 
 
 def _correction_solve(chart: ReductionChart, phi: np.ndarray):
     """Chord iteration for the nodal correction z at kernel offset phi.
 
-    Returns (z, residual norm, accepted steps, why the solve stopped short),
-    the last None when the residual met the chart's tolerance.
+    Returns (z, residual norm sqrt(r'M^-1 r), a bound on the residual's
+    Sobolev dual norm, accepted steps, why the solve stopped short), the last
+    None when the residual met the chart's tolerance: in the M^-1 norm, or,
+    once a chord step stops contracting, in the dual norm.  The M^-1 norm
+    weights nodal round-off by 1/m_i and at N=1024 stalls above 1e-11 in
+    float64; the dual norm, the one the minimizer's grad_tol measures, does
+    not.  The bound is the dual norm where the solve computed it, else the
+    M^-1 norm, which is never smaller (S+M >= M).
     """
     z = np.zeros(chart.ops.N)
     res_vec = chart.complement_residual(phi)
@@ -160,24 +171,30 @@ def _correction_solve(chart: ReductionChart, phi: np.ndarray):
     iters = 0
     while res > chart.newton_tol:
         if iters == MAX_NEWTON:
-            return z, res, iters, f"MAX_NEWTON = {MAX_NEWTON} chord steps reached"
+            return z, res, res, iters, f"MAX_NEWTON = {MAX_NEWTON} chord steps reached"
         cand = z + chart._factor.solve(-res_vec)
         xi = phi + cand
         if not np.all(chart.v.u + xi > 0):
-            return z, res, iters, "a chord step left the positive cone"
+            return z, res, res, iters, "a chord step left the positive cone"
         cand_vec = chart.complement_residual(xi)
         cand_res = chart.residual_norm(cand_vec)
         if not cand_res <= CHORD_CONTRACTION * res:  # a NaN residual fails too
-            return z, res, iters, (
+            dual = chart.ops.dual_norm(res_vec)
+            if dual <= chart.newton_tol:
+                return z, res, dual, iters, None
+            return z, res, dual, iters, (
                 f"a chord step's residual ratio {cand_res / res:.3g} exceeds "
-                f"CHORD_CONTRACTION = {CHORD_CONTRACTION}")
+                f"CHORD_CONTRACTION = {CHORD_CONTRACTION}, and the residual's "
+                f"dual norm {dual:.3e} misses the tolerance too")
         z, res_vec, res = cand, cand_vec, cand_res
         iters += 1
-    return z, res, iters, None
+    return z, res, res, iters, None
 
 
 def solve_correction_full(chart: ReductionChart, phi_coords):
-    """Correction F(phi) with its solve diagnostics (newton_iters, residual).
+    """Correction F(phi) with its solve diagnostics (newton_iters, residual,
+    dual_residual): the complement residual's norm sqrt(r'M^-1 r) and a
+    bound on its Sobolev dual norm (see _correction_solve).
 
     F(phi) is the nodal function z, mass-orthogonal to the kernel basis and
     to the radial direction, with complement gradient norm below the chart's
@@ -187,7 +204,7 @@ def solve_correction_full(chart: ReductionChart, phi_coords):
     if phi_coords.size != chart.kernel_dim:
         raise ValueError(f"expected {chart.kernel_dim} kernel coordinates")
     if not np.any(phi_coords):
-        return np.zeros(chart.ops.N), (0, 0.0)
+        return np.zeros(chart.ops.N), (0, 0.0, 0.0)
 
     phi = chart.kernel_vector(phi_coords)
     if chart.ops.w12_norm(phi) > chart.radius * (1.0 + 1e-12):
@@ -199,18 +216,18 @@ def solve_correction_full(chart: ReductionChart, phi_coords):
         raise ChartError(
             f"kernel offset leaves the positive cone (min of v + phi = {np.min(w):.3e})")
 
-    z, res, iters, stop = _correction_solve(chart, phi)
+    z, res, dual_res, iters, stop = _correction_solve(chart, phi)
     if stop is not None:
         raise ChartError(
             f"correction solve stopped at residual {res:.3e} (tolerance "
             f"{chart.newton_tol:.1e}): {stop}")
-    return z, (iters, res)
+    return z, (iters, res, dual_res)
 
 
 def reduced_energy(chart: ReductionChart, phi_coords) -> ReducedSample:
     """Reduced energy q(phi) = Q(v + phi + F(phi)) with solve diagnostics."""
     phi_coords = np.atleast_1d(np.asarray(phi_coords, dtype=float))
-    z, (iters, res) = solve_correction_full(chart, phi_coords)
+    z, (iters, res, dual_res) = solve_correction_full(chart, phi_coords)
     xi = chart.kernel_vector(phi_coords) + z
     deficit = energy.energy_deficit(chart.v, xi)
     return ReducedSample(
@@ -221,6 +238,7 @@ def reduced_energy(chart: ReductionChart, phi_coords) -> ReducedSample:
         deficit=deficit,
         residual=res,
         scale=float(np.linalg.norm(phi_coords)),
+        dual_residual=dual_res,
     )
 
 
@@ -253,6 +271,7 @@ def sample_reduced(chart: ReductionChart, directions, scales) -> list[ReducedSam
                 residual=max(plus.residual, minus.residual),
                 direction_index=d_idx,
                 scale=float(scale),
+                dual_residual=max(plus.dual_residual, minus.dual_residual),
             ))
     return out
 

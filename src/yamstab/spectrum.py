@@ -69,14 +69,17 @@ def constrained_lowest(H: np.ndarray, C: np.ndarray,
     largest absolute row sum of H, a Gershgorin bound above the whole spectrum
     of P H P, so the k lowest eigenpairs are those of the restriction (Golub,
     "Some modified matrix eigenvalue problems", SIAM Rev. 15 (1973), sec. 4).
-    Eigenvectors come out orthonormal and orthogonal to range(C).
+    Eigenvectors come out orthonormal and orthogonal to range(C).  H is
+    overwritten: the deflated operator is built in it.
     """
     Q = np.linalg.qr(C)[0]
     sigma = 2.0 * float(np.max(np.sum(np.abs(H), axis=1)))
     HQ = H @ Q
     # P H P + sigma QQ' = H - Q W' - W Q' with W = HQ - Q (Q'HQ + sigma I) / 2
     W = HQ - Q @ (0.5 * (Q.T @ HQ + sigma * np.eye(Q.shape[1])))
-    return sla.eigh(H - Q @ W.T - W @ Q.T, subset_by_index=(0, k - 1))
+    H -= Q @ W.T
+    H -= W @ Q.T
+    return sla.eigh(H, subset_by_index=(0, k - 1))
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -107,7 +110,7 @@ def eigen_decompose(v: energy.NormalizedState, k: int) -> SpectrumReport:
 
     C = constraint_covectors(v)  # refuses a zero-mass node before the scaling
     wd = np.sqrt(ops.vol_weights)
-    H = energy.second_variation(v) / np.outer(wd, wd)
+    H = energy.second_variation(v) / np.outer(wd, wd)  # private, so overwritten
     lam, y = constrained_lowest(H, C / wd[:, None], k)
     vecs = _fix_signs(y / wd[:, None])
     return SpectrumReport(eigenvalues=lam, eigenvectors=vecs)

@@ -11,14 +11,15 @@ smallest nonzero Hessian eigenvalue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
+from .disc import BorderedFactor, lp_norm
 from .lsred import FitRejectedError, InsufficientDataError, NOISE_FLOOR, line_fit
-from .spectrum import (KernelSplit, SpectrumReport, constrained_lowest,
-                       constraint_covectors)
+from .spectrum import KernelSplit, SpectrumReport, constraint_covectors
 from . import energy
 
 
@@ -61,13 +62,22 @@ class SampleBatch:
 N_TRANSVERSE_MODES = 6
 
 
-def _directions(cols: np.ndarray, count: int, rng, ops) -> list[np.ndarray]:
-    """The first column, then count - 1 seeded random combinations of cols."""
-    dirs = [cols[:, 0]]
-    for _ in range(count - 1):
-        dirs.append(cols @ rng.standard_normal(cols.shape[1]))
+def _directions(cols: np.ndarray, count: int, rng, ops) -> np.ndarray:
+    """N x count block: the first column, then count - 1 seeded random
+    combinations of cols."""
+    dirs = np.column_stack([cols[:, 0]] + [cols @ rng.standard_normal(cols.shape[1])
+                                           for _ in range(count - 1)])
     # Sobolev-normalized so every direction sweeps the same distance ladder
-    return [d / ops.w12_norm(d) for d in dirs]
+    return dirs / ops.w12_norm(dirs)
+
+
+def _scale_ladder(v: energy.NormalizedState, direction: np.ndarray,
+                  scales: np.ndarray) -> np.ndarray:
+    """N x S block of the states v + s direction, clipped nonnegative and
+    volume-normalized, a column per scale s."""
+    # laid out scale by scale, so each column is contiguous
+    U = np.clip(v.u + np.multiply.outer(scales, direction), 0.0, None).T
+    return U / lp_norm(v.ops, U, v.ops.two_star)
 
 
 def sample_deficit_distance(v: energy.NormalizedState, split: KernelSplit,
@@ -84,6 +94,10 @@ def sample_deficit_distance(v: energy.NormalizedState, split: KernelSplit,
     samples combine one of each.  Each perturbed state is clipped
     nonnegative and renormalized.  Samples leaving the locality ball of
     radius 0.1 |v|_W are skipped and counted, never silently kept.
+
+    A direction's scale ladder is evaluated as one N x S block, a column
+    per scale: its volume norms, Sobolev gaps and norms and its energy
+    deficits each come from one block evaluation.
     """
     ops = v.ops
     gn = ops.dual_norm(energy.gradient(v))
@@ -93,6 +107,7 @@ def sample_deficit_distance(v: energy.NormalizedState, split: KernelSplit,
     delta = 0.1 * ops.w12_norm(v.u)
     kd = split.kernel_dim
     transverse = spectrum.eigenvectors[:, kd: kd + N_TRANSVERSE_MODES]
+    scales = np.asarray(spec.scales, dtype=float)
     rng = np.random.default_rng(spec.seed)
     records = []
     n_skipped = 0
@@ -109,18 +124,22 @@ def sample_deficit_distance(v: energy.NormalizedState, split: KernelSplit,
         else:
             dirs = _directions(split.K_basis, spec.count, rng, ops)
             if kind == "mixed":
-                tdirs = _directions(transverse, spec.count, rng, ops)
-                dirs = [z / ops.w12_norm(z) for z in map(np.add, dirs, tdirs)]
-        for d_idx, direction in enumerate(dirs):
-            for scale in spec.scales:
-                u = energy.normalize(ops, np.clip(v.u + scale * direction, 0.0, None))
-                gap = ops.w12_norm(u.u - v.u)
-                if gap > delta:
+                dirs = dirs + _directions(transverse, spec.count, rng, ops)
+                dirs /= ops.w12_norm(dirs)
+        for d_idx in range(dirs.shape[1]):
+            U = _scale_ladder(v, dirs[:, d_idx], scales)
+            gaps = ops.w12_norm(U - v.u[:, None])
+            kept = ~(gaps > delta)
+            deficits = energy.energy_deficit(v, U[:, kept] - v.u[:, None])
+            distances = gaps[kept] / ops.w12_norm(U[:, kept])
+            evaluated = zip(deficits.tolist(), distances.tolist())
+            for scale, keep in zip(spec.scales, kept):
+                if not keep:
                     n_skipped += 1
                     continue
+                deficit, distance = next(evaluated)
                 records.append(StabilityRecord(
-                    deficit=energy.energy_deficit(v, u.u - v.u),
-                    distance=gap / ops.w12_norm(u.u),
+                    deficit=deficit, distance=distance,
                     sample_id=len(records) + n_skipped,
                     perturbation_kind=kind, scale=float(scale),
                     direction_index=d_idx))
@@ -213,6 +232,13 @@ def fit_stability_exponent(records) -> StabilityFit:
                         hull_size=int(hull.size))
 
 
+class CoercivityError(RuntimeError):
+    """The Sobolev spectral gap lambda1_w could not be established."""
+
+
+MAX_SWEEPS = 40  # inverse-iteration sweeps of coercivity_data
+
+
 @dataclass(frozen=True)
 class CoercivityData:
     """Conversion between the mass-normalized spectral gap and the envelope.
@@ -221,7 +247,8 @@ class CoercivityData:
     Hessian minimized against the Sobolev form on the kernel complement.  For
     small transverse perturbations the deficit/distance^2 ratio approaches
     floor = lambda1_w |v|_W^2 / 2, reported alongside the factor that turns
-    (lambda1_m / 4) into that floor.
+    (lambda1_m / 4) into that floor.  sweeps counts the inverse-iteration
+    sweeps that lambda1_w took.
     """
 
     lambda1_m: float
@@ -229,21 +256,99 @@ class CoercivityData:
     v_norm_sq: float
     conversion: float
     floor: float
+    sweeps: int
 
 
-def coercivity_data(v: energy.NormalizedState, split: KernelSplit) -> CoercivityData:
+def _ritz(A: np.ndarray, ops, X: np.ndarray):
+    """Rayleigh-Ritz step for the pencil (A, S+M) on the span of the columns
+    of X: ascending Ritz values, the (S+M)-orthonormal Ritz vectors, and
+    S+M applied to them."""
+    WX = ops.w12_apply(X)
+    theta, Y = sla.eigh(X.T @ (A @ X), X.T @ WX)
+    return theta, X @ Y, WX @ Y
+
+
+def _positive_factor(A: np.ndarray, C: np.ndarray) -> BorderedFactor | None:
+    """The bordered factor of A and C if A is positive definite on ker C',
+    else None: certified by the factor's inertia, C.shape[1] negative
+    eigenvalues exactly."""
+    try:
+        factor = BorderedFactor(A, C)
+    except np.linalg.LinAlgError:
+        return None
+    return factor if factor.negative_eigenvalues() == C.shape[1] else None
+
+
+def coercivity_data(v: energy.NormalizedState, split: KernelSplit,
+                    spectrum: SpectrumReport) -> CoercivityData:
+    """The Sobolev spectral gap lambda1_w and its conversion to the envelope.
+
+    lambda1_w is the lowest eigenvalue of the pencil (H, W), H the second
+    variation at v and W = S+M, on ker C' (C the constraint covectors of v
+    and the kernel), by block inverse iteration with one shifted bordered
+    factor.  The start block is the first N_TRANSVERSE_MODES eigenvectors of
+    spectrum past the kernel, which lie in ker C'.  Its lowest Ritz value
+    theta bounds lambda1_w from above.  H - sigma W, bordered by C, is
+    factored at sigma = 0.9 theta, and the factor's inertia certifies
+    sigma < lambda1_w; if it does not, sigma = 0 is tried, and the failed
+    shift bounds lambda1_w from above.  Each sweep solves with the factor
+    for W X, all columns in one call, and takes a Rayleigh-Ritz step.  The
+    sweeps stop once the lowest Ritz value moves by at most its rounding
+    floor 2 eps |x|'|A||x|, x the start's lowest W-normalized Ritz vector
+    and A = H - sigma W.  CoercivityError names why lambda1_w could not be
+    established: a start block or a factor that is not positive, sweeps
+    that do not settle, or a result above the failed shift.
+    """
     ops = v.ops
     # first: S+M is positive definite even at a pole, so nothing after this
     # call would refuse a zero-mass node
     C = constraint_covectors(v, split.K_basis)
-    chol, lower = ops.w12_cho
-    trans = "N" if lower else "T"
-    half = sla.solve_triangular(chol, energy.second_variation(v), lower=lower, trans=trans)
-    H = sla.solve_triangular(chol, half.T, lower=lower, trans=trans)
-    C = sla.solve_triangular(chol, C, lower=lower, trans=trans)
-    lam_w = float(constrained_lowest(H, C, 1)[0][0])
+    kd = split.kernel_dim
+    start = spectrum.eigenvectors[:, kd: kd + N_TRANSVERSE_MODES]
+    if start.shape[1] == 0:
+        raise ValueError("the Sobolev gap needs modes beyond the kernel, "
+                         "and the spectrum holds none")
+    H = energy.second_variation(v)
+    theta, X, WX = _ritz(H, ops, start)
+    factor, bound = None, math.inf  # bound: lambda1_w lies below it
+    if theta[0] > 0:
+        # the shift speeds a sweep up from lambda_1 / lambda_7 of the pencil,
+        # near 1 on these models, to (lambda_1 - sigma) / (lambda_7 - sigma)
+        for sigma in (0.9 * float(theta[0]), 0.0):
+            A = H
+            if sigma:
+                A = ops.with_diagonal(ops.vol_weights)
+                A *= -sigma
+                A += H
+            factor = _positive_factor(A, C)
+            if factor is not None:
+                break
+            bound = sigma
+    if factor is None:
+        raise CoercivityError(
+            f"the second variation is not positive off the kernel (lowest Ritz "
+            f"value {theta[0]:.6g} against the Sobolev form); v is not an "
+            "isolated minimizer or its kernel split is wrong")
+    x = np.abs(X[:, 0])
+    floor = 2.0 * np.finfo(float).eps * float(x @ (np.abs(A) @ x))
+    for sweeps in range(1, MAX_SWEEPS + 1):
+        mu, X, WX = _ritz(A, ops, factor.solve(WX))
+        change = abs(sigma + mu[0] - theta[0])
+        theta = sigma + mu
+        if change <= floor:
+            break
+    else:
+        raise CoercivityError(
+            f"the Sobolev gap moved by {change:.3e} in sweep {MAX_SWEEPS}, above "
+            f"its rounding floor {floor:.3e}")
+    if theta[0] > bound:
+        raise CoercivityError(
+            f"the inertia puts an eigenvalue below {bound:.6g}, but the sweeps "
+            f"settled at {theta[0]:.6g}: the start block misses the lowest mode")
+    lam_w = float(theta[0])
     vnsq = ops.w12_norm(v.u) ** 2
     lam_m = split.lambda1
     conversion = 2.0 * vnsq * lam_w / lam_m
     return CoercivityData(lambda1_m=lam_m, lambda1_w=lam_w, v_norm_sq=vnsq,
-                          conversion=conversion, floor=0.5 * lam_w * vnsq)
+                          conversion=conversion, floor=0.5 * lam_w * vnsq,
+                          sweeps=sweeps)

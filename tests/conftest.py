@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from yamstab import disc, energy, minimize, model, spectrum
 
@@ -98,6 +99,23 @@ def w12_norm_longdouble(ops, u: np.ndarray) -> np.longdouble:
     if ops.nyquist is not None:
         val += LD(ops.nyquist[0]) * (ops.nyquist[1].astype(LD) @ u) ** 2
     return np.sqrt(val)
+
+
+def sobolev_gap_reference(v: energy.NormalizedState, split) -> float:
+    """lambda1_w by a dense transform: the second variation and the
+    constraint covectors in the coordinates of the Sobolev Cholesky factor
+    L (L L' = S+M), L^-1 H L^-T and L^-1 C, then the lowest eigenvalue on
+    ker (L^-1 C)' by the deflated eigensolve.  The reference that the
+    bordered inverse iteration of stability.coercivity_data is checked
+    against."""
+    ops = v.ops
+    C = spectrum.constraint_covectors(v, split.K_basis)
+    chol, lower = ops.w12_cho
+    trans = "N" if lower else "T"
+    half = sla.solve_triangular(chol, energy.second_variation(v), lower=lower, trans=trans)
+    H = sla.solve_triangular(chol, half.T, lower=lower, trans=trans)
+    C = sla.solve_triangular(chol, C, lower=lower, trans=trans)
+    return float(spectrum.constrained_lowest(H, C, 1)[0][0])
 
 
 def raw_hessian_reference(ops, w: np.ndarray) -> np.ndarray:

@@ -211,7 +211,7 @@ def run_stability_fit(N=256):
         kinds=("transverse",), scales=tuple(np.geomspace(1e-3, 1.5e-2, 8)),
         count=4, seed=1))
     fit = stability.fit_stability_exponent(batch.records)
-    coer = stability.coercivity_data(rep.v, split)
+    coer = stability.coercivity_data(rep.v, split, spec)
     return fit, coer
 
 

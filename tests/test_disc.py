@@ -232,6 +232,41 @@ def test_bordered_factor_solves_many_right_hand_sides():
         disc.BorderedFactor(np.zeros((3, 3)), np.zeros((3, 1)))
 
 
+def test_bordered_factor_block_solve_and_inertia():
+    rng = np.random.default_rng(7)
+    Q = rng.standard_normal((40, 40))
+    C = rng.standard_normal((40, 3))
+    B = rng.standard_normal((40, 5))
+    for A in (Q + Q.T, Q @ Q.T + np.eye(40)):
+        factor = disc.BorderedFactor(A, C)
+        X = factor.solve(B)
+        for j in range(B.shape[1]):
+            x = factor.solve(B[:, j])
+            assert np.linalg.norm(X[:, j] - x) <= 1e-13 * np.linalg.norm(x)
+        # Sylvester's law of inertia: the factor's D has the bordered
+        # matrix's negative eigenvalues
+        K = np.block([[A, C], [C.T, np.zeros((3, 3))]])
+        assert factor.negative_eigenvalues() == int(np.sum(np.linalg.eigvalsh(K) < 0))
+    # positive definite A: exactly one negative eigenvalue per constraint
+    assert factor.negative_eigenvalues() == 3
+
+
+def test_sobolev_forms_on_column_blocks(frank_nondeg):
+    ops = frank_nondeg[1].v.ops
+    t = ops.grid.nodes / ops.model.length
+    U = np.column_stack([1.0 + 0.1 * np.cos(2 * math.pi * k * t) for k in (1, 2, 5)])
+    norms, volumes, WU = ops.w12_norm(U), disc.lp_norm(ops, U, 3.0), ops.w12_apply(U)
+    absD = np.abs(ops.grid.diff_matrix)
+    for j in range(U.shape[1]):
+        u = U[:, j]
+        assert norms[j] == pytest.approx(ops.w12_norm(u), rel=1e-14)
+        assert volumes[j] == pytest.approx(disc.lp_norm(ops, u, 3.0), rel=1e-14)
+        # (S+M) u of a smooth u cancels sums of size |D|'(w |D| |u|)
+        sums = absD.T @ (ops.stiff_weights * (absD @ np.abs(u)))
+        assert np.all(np.abs(WU[:, j] - ops.w12_apply(u)) <= ops.N * np.finfo(float).eps * sums)
+        assert float(u @ WU[:, j]) == pytest.approx(ops.w12_norm(u) ** 2, rel=1e-13)
+
+
 def test_dual_norm_factors_once():
     m = model.cylinder(3, 1.0)
     ops = disc.assemble_operators(m, disc.build_grid(m, 32))

@@ -314,6 +314,22 @@ def test_energy_deficit_smooth_to_tiny_scales(frank_deg):
     assert max(ratios) / min(ratios) < 1.05
 
 
+def test_energy_deficit_on_column_blocks(frank_deg):
+    # a block of offsets gives each column's deficit and power increment
+    _, rep, _, split = frank_deg
+    v = rep.v
+    Xi = np.column_stack([s * split.K_basis[:, j] for s in (1e-3, 2e-2) for j in (0, 1)])
+    block = energy.energy_deficit(v, Xi)
+    incr = energy.power_increment(v.u, Xi, v.ops.two_star)
+    floor = np.finfo(float).eps * energy.yamabe_quotient(v.ops, v.u).Q
+    for j in range(Xi.shape[1]):
+        assert block[j] == pytest.approx(energy.energy_deficit(v, Xi[:, j]), rel=1e-12, abs=floor)
+        ref = energy.power_increment(v.u, Xi[:, j], v.ops.two_star)
+        assert np.max(np.abs(incr[:, j] - ref)) <= 1e-15 * np.max(np.abs(ref))
+    with pytest.raises(ValueError, match="nonnegative cone"):
+        energy.energy_deficit(v, np.column_stack([Xi[:, 0], -2.0 * v.u]))
+
+
 def test_power_increment_where_the_sum_vanishes():
     # v + xi = 0 at a node with v > 0 takes the plain difference: exactly -v^p,
     # with no divide-by-zero warning from log1p(-1)

@@ -254,10 +254,10 @@ def test_detect_integrability_cases(frank_deg_chart):
 def test_coercivity_off_kernel(frank_deg, frank_deg_chart):
     # on the kernel complement the Hessian dominates the Sobolev norm by the
     # smallest retained eigenvalue of the (H, S+M) pencil
-    _, rep, _, split = frank_deg
+    _, rep, spec, split = frank_deg
     ops = rep.v.ops
     H = projected_hessian(rep.v)
-    coer = stability.coercivity_data(rep.v, split)
+    coer = stability.coercivity_data(rep.v, split, spec)
     rng = np.random.default_rng(8)
     Z = tangent_frame(rep.v, split.K_basis)
     for _ in range(20):
@@ -311,7 +311,7 @@ def test_newton_loops_build_no_qr_frames(frank_deg, monkeypatch):
         rep = minimize.minimize_energy(ops, u0)
         assert rep.converged and rep.iterations > 0
         chart = lsred.ReductionChart(v=base.v, split=split)
-        z, (iters, _) = lsred.solve_correction_full(chart, [0.02, -0.01])
+        z, (iters, _, _) = lsred.solve_correction_full(chart, [0.02, -0.01])
         assert iters > 0 and np.any(z)
     assert calls == []
     # the basis-free residual norm is the complement-coordinate norm |Z'g|
@@ -337,7 +337,7 @@ def test_chord_correction_matches_full_newton(frank_deg_chart):
             coeffs = coeffs + np.linalg.solve(Z.T @ H @ Z, -res_vec)
             res_vec = Z.T @ chart.complement_residual(phi + Z @ coeffs)
         z_ref = Z @ coeffs
-        z, (iters, res) = lsred.solve_correction_full(chart, phi_coords)
+        z, (iters, res, _) = lsred.solve_correction_full(chart, phi_coords)
         assert res <= chart.newton_tol
         assert ops.w12_norm(z - z_ref) <= 1e-9 * ops.w12_norm(z_ref)
 
@@ -359,3 +359,25 @@ def test_quartic_sweep_factors_once(frank_deg, monkeypatch):
     assert all(s.residual <= chart.newton_tol for s in samples)
     assert max(s.newton_iters for s in samples) < lsred.MAX_NEWTON
     assert len(factors) == 1
+
+
+def test_stalled_chord_step_meets_tolerance_in_dual_norm(frank_deg):
+    # at newton_tol 1e-12 on the N=256 grid, the sqrt(r'M^-1 r) residual at
+    # the chart's edge stalls near 2e-12, which its chord step cannot halve,
+    # while the Sobolev dual norm of the same residual is about 4e-13
+    _, rep, _, split = frank_deg
+    chart = lsred.ReductionChart(v=rep.v, split=split, newton_tol=1e-12)
+    phi_coords = np.array([0.1, 0.0])
+    sample = lsred.reduced_energy(chart, phi_coords)
+    assert sample.residual > chart.newton_tol
+    assert sample.dual_residual <= chart.newton_tol
+    z, _ = lsred.solve_correction_full(chart, phi_coords)
+    res_vec = chart.complement_residual(chart.kernel_vector(phi_coords) + z)
+    assert chart.ops.dual_norm(res_vec) == sample.dual_residual
+    # where the M^-1 norm met the tolerance it bounds the dual norm
+    near = lsred.reduced_energy(chart, [1e-3, 0.0])
+    assert near.dual_residual == near.residual <= chart.newton_tol
+    # a tolerance below the dual norm's floor still ends in a ChartError
+    tight = lsred.ReductionChart(v=rep.v, split=split, newton_tol=1e-14)
+    with pytest.raises(lsred.ChartError, match="dual norm .* misses the tolerance"):
+        lsred.reduced_energy(tight, phi_coords)

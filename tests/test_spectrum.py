@@ -72,26 +72,27 @@ def test_eigen_decompose_matches_tangent_frame(frank_nondeg, frank_deg):
                        subset_by_index=(0, spec.k - 1))
         assert np.max(np.abs(spec.eigenvalues - ref)) <= 1e-9 * np.max(np.abs(ref))
     # lambda1_w: the (H, S+M) pencil on the frame mass-orthogonal to the kernel
-    for _, rep, _, split in (frank_nondeg, frank_deg):
+    for _, rep, spec, split in (frank_nondeg, frank_deg):
         v = rep.v
         B = tangent_frame(v, split.K_basis)
         W = v.ops.stiffness + np.diag(v.ops.vol_weights)
         ref = sla.eigh(B.T @ projected_hessian(v) @ B, B.T @ W @ B,
                        eigvals_only=True, subset_by_index=(0, 0))[0]
-        got = stability.coercivity_data(v, split).lambda1_w
+        got = stability.coercivity_data(v, split, spec).lambda1_w
         assert got == pytest.approx(ref, rel=1e-9)
 
 
 def test_eigensolves_build_no_square_qr_frames(frank_deg, monkeypatch):
-    # the only QR left is the thin one of the 1 + kernel_dim constraint covectors
+    # the only QR left is the thin one of the 1 + kernel_dim constraint
+    # covectors in eigen_decompose; coercivity_data takes none
     _, rep, _, split = frank_deg
     shapes = []
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr",
                         lambda a, *r, **k: shapes.append(np.shape(a)) or qr(a, *r, **k))
-    spectrum.eigen_decompose(rep.v, 12)
-    stability.coercivity_data(rep.v, split)
-    assert len(shapes) == 2
+    spec = spectrum.eigen_decompose(rep.v, 12)
+    stability.coercivity_data(rep.v, split, spec)
+    assert len(shapes) == 1
     assert all(cols <= 1 + split.kernel_dim for _, cols in shapes)
 
 
@@ -192,5 +193,6 @@ def test_pole_models_rejected(hemisphere3):
     # covectors stand between coercivity_data and a silent number
     split = spectrum.KernelSplit(K_basis=np.zeros((g.N, 0)), lambda1=1.0,
                                  kernel_dim=0, threshold=0.0)
+    spec = spectrum.SpectrumReport(eigenvalues=np.ones(1), eigenvectors=np.ones((g.N, 1)))
     with pytest.raises(ValueError, match="pole"):
-        stability.coercivity_data(v, split)
+        stability.coercivity_data(v, split, spec)

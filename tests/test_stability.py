@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from yamstab import energy, lsred, spectrum, stability
-from conftest import random_positive_state
+from yamstab import disc, energy, lsred, minimize, model, spectrum, stability
+from conftest import (BIF_RADIUS, SUB_RADIUS, random_positive_state,
+                      sobolev_gap_reference)
 
 
 def _synthetic_records(power, coeff=1.0, n=12, d_lo=1e-3, d_hi=1e-1):
@@ -96,7 +98,7 @@ def test_transverse_samples_quadratic_bracket(nondeg):
     v, split, spec = nondeg
     batch = stability.sample_deficit_distance(
         v, split, spec, _spec(("transverse",), np.geomspace(1e-3, 1e-2, 6), count=4, seed=3))
-    coer = stability.coercivity_data(v, split)
+    coer = stability.coercivity_data(v, split, spec)
     lam_max_m = float(np.max(spec.eigenvalues))
     lo = 0.8 * (coer.lambda1_m / 4.0) * coer.conversion
     hi = 1.2 * lam_max_m * coer.v_norm_sq  # crude but rigorous upper bound
@@ -193,12 +195,12 @@ def test_fit_rejects_scrambled_scatter():
 
 
 def test_nondegenerate_stability_exponent(nondeg):
-    v, split, _ = nondeg
+    v, split, spec = nondeg
     batch = stability.sample_deficit_distance(
         *nondeg, _spec(("transverse",), np.geomspace(1e-3, 1.5e-2, 8), count=4, seed=11))
     fit = stability.fit_stability_exponent(batch.records)
     assert fit.exponent == pytest.approx(2.0, abs=0.1)
-    coer = stability.coercivity_data(v, split)
+    coer = stability.coercivity_data(v, split, spec)
     assert fit.c_lower >= 0.9 * (coer.lambda1_m / 4.0) * coer.conversion
 
 
@@ -208,3 +210,125 @@ def test_degenerate_stability_exponent(deg):
     fit = stability.fit_stability_exponent(batch.records)
     assert fit.exponent == pytest.approx(4.0, abs=0.2)
     assert fit.c_lower > 0
+
+
+@pytest.fixture(scope="module", params=[SUB_RADIUS, BIF_RADIUS], ids=["sub", "bif"])
+def deformed(request):
+    # a conformally deformed frank_product: its minimizer, 1/w normalized, is
+    # not constant, so the start block is not the Sobolev pencil's answer
+    m = model.frank_product(5, request.param)
+    g = disc.build_grid(m, 256)
+    w = np.exp(0.4 * np.cos(2 * math.pi * g.nodes / m.length))
+    ops = disc.assemble_operators(model.conformal_deform(m, w, g), g)
+    rep = minimize.minimize_energy(ops, 1.0 / w)
+    assert rep.converged
+    spec = spectrum.eigen_decompose(rep.v, 12)
+    return rep.v, spectrum.kernel_split(spec), spec
+
+
+@pytest.mark.parametrize("case, r, k", [("nondeg", SUB_RADIUS, 1), ("deg", BIF_RADIUS, 2)])
+def test_sobolev_gap_closed_form(request, case, r, k):
+    # at the constant the circle mode cos(k t / r) has the mass-form
+    # eigenvalue 2((k/r)^2 - (d-2)) and the Sobolev-form one (k/r)^2 + 1;
+    # k = 1 is the kernel at the bifurcation radius
+    v, split, spec = request.getfixturevalue(case)
+    x = (k / r) ** 2
+    coer = stability.coercivity_data(v, split, spec)
+    assert coer.lambda1_w == pytest.approx(2.0 * (x - 3.0) / (x + 1.0), rel=1e-10)
+    assert coer.sweeps == 1
+
+
+def test_sobolev_gap_matches_dense_reference_off_the_constant(deformed):
+    v, split, spec = deformed
+    coer = stability.coercivity_data(v, split, spec)
+    assert coer.lambda1_w == pytest.approx(sobolev_gap_reference(v, split), rel=1e-10)
+    assert 2 <= coer.sweeps <= 10
+
+
+def test_sobolev_gap_takes_one_factor_and_no_dense_transform(deg, monkeypatch):
+    v, split, spec = deg
+    factors, eigh_sizes, dense = [], [], []
+
+    class CountingFactor(stability.BorderedFactor):
+        def __init__(self, *args):
+            factors.append(1)
+            super().__init__(*args)
+
+    eigh = sla.eigh
+    monkeypatch.setattr(stability, "BorderedFactor", CountingFactor)
+    monkeypatch.setattr(sla, "eigh",
+                        lambda a, *r, **k: eigh_sizes.append(a.shape[0]) or eigh(a, *r, **k))
+    monkeypatch.setattr(sla, "solve_triangular", lambda *a, **k: dense.append("trsm"))
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: dense.append("qr"))
+    stability.coercivity_data(v, split, spec)
+    assert factors == [1]
+    assert dense == []
+    assert eigh_sizes and max(eigh_sizes) <= stability.N_TRANSVERSE_MODES
+
+
+def test_sobolev_gap_refuses_a_saddle():
+    # the constant on frank_product(5, 0.7) is critical, but its circle mode
+    # k = 1 lowers the energy; the dense transform returned lambda1_w = -0.631
+    # here, and a floor of -1.60 that criterion 7 passes trivially
+    m = model.frank_product(5, 0.7)
+    ops = disc.assemble_operators(m, disc.build_grid(m, 128))
+    v = energy.normalize(ops, np.ones(ops.N))
+    assert ops.dual_norm(energy.gradient(v)) <= 1e-12
+    spec = spectrum.eigen_decompose(v, 12)
+    split = spectrum.kernel_split(spec)
+    with pytest.raises(stability.CoercivityError, match="not positive off the kernel"):
+        stability.coercivity_data(v, split, spec)
+    # a start block without the negative modes has positive Ritz values, and
+    # the factor's inertia refuses the saddle all the same
+    positive = spectrum.SpectrumReport(eigenvalues=spec.eigenvalues[2:],
+                                       eigenvectors=spec.eigenvectors[:, 2:])
+    with pytest.raises(stability.CoercivityError, match="not positive off the kernel"):
+        stability.coercivity_data(v, split, positive)
+
+
+def test_sobolev_gap_refuses_a_start_block_without_the_lowest_mode(nondeg):
+    # without the k = 1 modes the start's Ritz values sit at k = 2; the shift
+    # below them fails its inertia certificate, and the sweeps, blind to
+    # k = 1, settle above it
+    v, split, spec = nondeg
+    blind = spectrum.SpectrumReport(eigenvalues=spec.eigenvalues[2:],
+                                    eigenvectors=spec.eigenvectors[:, 2:])
+    with pytest.raises(stability.CoercivityError, match="misses the lowest mode"):
+        stability.coercivity_data(v, split, blind)
+
+
+def test_block_sampler_matches_per_sample_evaluation(deg):
+    v, split, spec = deg
+    ops = v.ops
+    scales = np.array([0.0, 1e-3, 1e-2, 5e-2])
+    sample_spec = _spec(("kernel", "transverse", "mixed"), scales, count=2, seed=6)
+    batch = stability.sample_deficit_distance(v, split, spec, sample_spec)
+    records = iter(batch.records)
+    # a quartic kernel deficit near the round-off floor of the incremental
+    # form, eps |Q|, agrees to that floor only (about 1e-18 apart here)
+    floor = np.finfo(float).eps * energy.yamabe_quotient(ops, v.u).Q
+    rng = np.random.default_rng(sample_spec.seed)
+    transverse = spec.eigenvectors[:, split.kernel_dim: split.kernel_dim + 6]
+    for kind in sample_spec.kinds:
+        cols = transverse if kind == "transverse" else split.K_basis
+        dirs = stability._directions(cols, sample_spec.count, rng, ops)
+        if kind == "mixed":
+            dirs = dirs + stability._directions(transverse, sample_spec.count, rng, ops)
+            dirs /= ops.w12_norm(dirs)
+        for d_idx in range(dirs.shape[1]):
+            direction = dirs[:, d_idx]
+            assert ops.w12_norm(direction) == pytest.approx(1.0, rel=1e-14)
+            U = stability._scale_ladder(v, direction, scales)
+            for j, scale in enumerate(scales):
+                u = energy.normalize(ops, np.clip(v.u + scale * direction, 0.0, None))
+                # every column is a state: nonnegative, of unit volume norm
+                state = energy.NormalizedState(u=U[:, j], ops=ops)
+                assert np.max(np.abs(state.u - u.u)) <= 1e-14
+                rec = next(records)
+                assert (rec.perturbation_kind, rec.direction_index, rec.scale) == \
+                    (kind, d_idx, scale)
+                deficit = energy.energy_deficit(v, u.u - v.u)
+                distance = ops.w12_norm(u.u - v.u) / ops.w12_norm(u.u)
+                assert rec.deficit == pytest.approx(deficit, rel=1e-12, abs=floor)
+                assert rec.distance == pytest.approx(distance, rel=1e-12, abs=1e-15)
+    assert next(records, None) is None
