@@ -6,8 +6,8 @@ configs (seed included) produce byte-identical files; writes go through a
 temporary file and an atomic rename so partial outputs never appear.
 
 Exit codes: 0 success, 2 config error, 3 convergence failure, an
-untrustworthy kernel threshold or a second variation that is not positive
-off its kernel, 4 fit rejection.
+untrustworthy kernel threshold, eigenpairs that could not be certified or a
+second variation that is not positive off its kernel, 4 fit rejection.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ import numpy as np
 
 from . import __version__
 from .model import MODEL_KINDS, conformal_deform, make_model
-from .disc import MIN_NODES, assemble_operators, build_grid
+from .disc import MIN_NODES, assemble_operators, build_grid, low_modes
 from . import energy, lsred, minimize, spectrum, stability
 from .minimize import ConvergenceError
 from .lsred import ChartError, FitRejectedError, InsufficientDataError
-from .spectrum import KernelThresholdError
+from .spectrum import KernelThresholdError, SpectrumError
 from .stability import CoercivityError
 
 EXPERIMENTS = ("minimize", "spectrum", "lsred", "stability", "covariance")
@@ -305,6 +305,7 @@ def run_spectrum(cfg: ExperimentConfig):
         "lambda1": split.lambda1,
         "threshold": split.threshold,
         "eigenvalues": [float(x) for x in spec.eigenvalues],
+        "spectrum_sweeps": spec.sweeps,
     }
     summary = f"kernel_dim={split.kernel_dim} lambda1={_fmt(split.lambda1)}"
     cols = ["index", "eigenvalue", "tangency", "in_kernel"]
@@ -335,6 +336,7 @@ def run_lsred(cfg: ExperimentConfig):
             "classification": classification,
             "exponent": None,
             "lambda1": split.lambda1,
+            "spectrum_sweeps": spec.sweeps,
         }
         return results, cols, [], f"classification={classification}"
 
@@ -360,6 +362,7 @@ def run_lsred(cfg: ExperimentConfig):
         "window": list(fit.window),
         "n_below_floor": fit.n_below_floor,
         "max_dual_residual": max(s.dual_residual for s in samples),
+        "spectrum_sweeps": spec.sweeps,
     }
     summary = f"exponent={_fmt(fit.exponent)} classification={classification}"
     return results, cols, rows, summary
@@ -394,6 +397,7 @@ def run_stability(cfg: ExperimentConfig):
         "coercivity_floor": coer.floor,
         "norm_conversion": coer.conversion,
         "coercivity_sweeps": coer.sweeps,
+        "spectrum_sweeps": spec.sweeps,
         "exponent": fit.exponent,
         "c_lower": fit.c_lower,
         "r2": fit.r2,
@@ -410,27 +414,20 @@ def run_stability(cfg: ExperimentConfig):
 COVARIANCE_AMPLITUDES = (0.2, 0.35, 0.5)
 
 
-def _cosine_mode(m, grid, k: int) -> np.ndarray:
-    """k-th cosine mode of the coordinate: periodic on circle models, with
-    zero end slopes (a half period per k) on intervals."""
-    base = 2 * math.pi if m.topology == "circle" else math.pi
-    return np.cos(base * k * grid.nodes / m.length)
-
-
 def run_covariance(cfg: ExperimentConfig):
     m = _model(cfg)
     grid = build_grid(m, cfg.N)
     ops = assemble_operators(m, grid)
     rng = np.random.default_rng(cfg.seed)
-    base_profile = _cosine_mode(m, grid, 1)
+    modes = low_modes(grid, 3)
     rows = []
     worst = 0.0
     for f_idx, amp in enumerate(COVARIANCE_AMPLITUDES):
-        w = np.exp(amp * base_profile)
+        w = np.exp(amp * modes[:, 0])
         ops_def = assemble_operators(conformal_deform(m, w, grid), grid)
         for s_idx in range(cfg.sampling["count"]):
             coeffs = rng.standard_normal(3)
-            pert = sum(c * _cosine_mode(m, grid, j + 1) for j, c in enumerate(coeffs))
+            pert = sum(c * modes[:, j] for j, c in enumerate(coeffs))
             u = np.clip(1.0 + 0.3 * pert / max(1.0, np.max(np.abs(pert))), 0.1, None)
             q_def = energy.yamabe_quotient(ops_def, u).Q
             q_pull = energy.yamabe_quotient(ops, u * w).Q
@@ -538,6 +535,9 @@ def main(argv=None) -> int:
         return EXIT_CONVERGENCE
     except KernelThresholdError as exc:
         print(f"kernel threshold failure: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE
+    except SpectrumError as exc:
+        print(f"spectrum failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except CoercivityError as exc:
         print(f"coercivity failure: {exc}", file=sys.stderr)

@@ -115,6 +115,22 @@ def build_grid(m: SymmetricModel, N: int) -> Grid:
                 kind="lobatto_interval", length=m.length)
 
 
+def low_modes(grid: Grid, count: int) -> np.ndarray:
+    """Fortran-ordered block of the count lowest nonconstant analytic modes:
+    cos jt, sin jt (j = 1, 2, ...), t = 2 pi node / length, on circles and
+    cos(pi j node / length), with zero end slopes, on intervals, without the
+    constant and the Nyquist sine (zero at every node), which vanish once
+    made tangent.  At most the N - 1 modes a circle resolves are returned, or
+    (N - 1) // 2 on a Chebyshev grid, whose center spacing aliases more."""
+    resolved = grid.N - 1 if grid.kind == "uniform_periodic" else (grid.N - 1) // 2
+    j = np.arange(1, min(count, resolved) + 1)
+    if grid.kind == "lobatto_interval":
+        return np.asfortranarray(np.cos(np.multiply.outer(grid.nodes, math.pi * j)
+                                        / grid.length))
+    t = np.multiply.outer(grid.nodes, 2 * math.pi * ((j + 1) // 2)) / grid.length
+    return np.asfortranarray(np.where(j % 2, np.cos(t), np.sin(t)))
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteOperators:
     """Assembled quadratic forms of the boundary Yamabe energy on a grid.
@@ -215,8 +231,11 @@ class DiscreteOperators:
         return sla.cho_factor(self.with_diagonal(self.vol_weights), overwrite_a=True)
 
     def riesz(self, G: np.ndarray) -> np.ndarray:
-        """Sobolev Riesz representative (S+M)^-1 G of a covector."""
-        return sla.cho_solve(self.w12_cho, G)
+        """Sobolev Riesz representative (S+M)^-1 G of a covector.  Only G is
+        checked for NaN and inf, not the cached factor (an N^2 scan a call)."""
+        if not np.all(np.isfinite(G)):
+            raise ValueError("the covector must not contain infs or NaNs")
+        return sla.cho_solve(self.w12_cho, G, check_finite=False)
 
     def dual_norm(self, G: np.ndarray, riesz: np.ndarray | None = None) -> float:
         """Sobolev dual norm sqrt(G'(S+M)^-1 G); pass riesz if already known."""

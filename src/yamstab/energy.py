@@ -106,9 +106,9 @@ def volume_covector(v: NormalizedState) -> np.ndarray:
 
 
 def project_tangent(v: NormalizedState, u: np.ndarray) -> np.ndarray:
-    """Project onto the tangent space of the constraint manifold at v."""
-    p = volume_covector(v)
-    return u - float(p @ u) * v.u
+    """Project u, or each column of an N x S block, onto the tangent space of
+    the constraint manifold at v: u - (p.u) v."""
+    return u - np.multiply.outer(v.u, volume_covector(v) @ u)
 
 
 def gradient(v: NormalizedState) -> np.ndarray:

@@ -1,33 +1,41 @@
 """Spectral analysis of the second variation at a critical state.
 
-The generalized eigenproblem H w = lambda M w is solved on the tangent space
-of the constraint manifold without building a basis of it: in mass-scaled
-coordinates the constraint directions are deflated by a shifted low-rank
-update of the projected operator (constrained_lowest), and eigenvectors are
-mapped back.  H is the unprojected second variation (energy.second_variation):
-on the tangent space P'H0P and H0 agree, so the projected form is never
-built.  Eigenvectors are therefore tangent and M-orthonormal by construction.
+lowest_pairs, the one eigensolver, gives the lowest eigenpairs of a pencil
+(H, B) on ker C' by block inverse iteration with one shifted bordered factor
+whose inertia certifies the shift (Ericsson & Ruhe, Math. Comp. 35 (1980);
+Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15 (1994)): B = M in
+eigen_decompose, S+M in stability.  H is the unprojected second variation,
+equal to P'H0P on the tangent space, and bordered solves stay in ker C'.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 
+from .disc import BorderedFactor, low_modes
 from . import energy
+
+MAX_SWEEPS = 40  # inverse-iteration sweeps of lowest_pairs
+POOL_MODES = 48  # analytic low modes in eigen_decompose's start block
 
 
 class KernelThresholdError(RuntimeError):
     """The kernel threshold falls inside a near-degenerate cluster."""
 
 
+class SpectrumError(RuntimeError):
+    """A shift that fails its inertia certificate, or sweeps that do not settle."""
+
+
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
     eigenvalues: np.ndarray       # ascending
-    eigenvectors: np.ndarray      # columns, M-orthonormal, tangent
+    eigenvectors: np.ndarray      # columns, B-orthonormal, in ker C'
+    sweeps: int = 0               # inverse-iteration sweeps they took
 
     @property
     def k(self) -> int:
@@ -53,51 +61,84 @@ def constraint_covectors(v: energy.NormalizedState,
         raise ValueError(
             "the constraint geometry needs a positive-definite mass matrix; "
             "models with pole endpoints carry a zero-mass node")
-    cols = [energy.volume_covector(v)]
-    if K is not None:
-        cols += [mvec * K[:, j] for j in range(K.shape[1])]
-    return np.column_stack(cols)
+    p = energy.volume_covector(v)
+    return p[:, None] if K is None else np.column_stack([p, mvec[:, None] * K])
 
 
-def constrained_lowest(H: np.ndarray, C: np.ndarray,
-                       k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs of the symmetric H restricted to ker C'.
+def _ritz(A: np.ndarray, apply_B, X: np.ndarray):
+    """Rayleigh-Ritz step for the pencil (A, B) on the span of X: ascending
+    Ritz values, the B-orthonormal Ritz vectors, and B applied to them."""
+    BX = apply_B(X)
+    theta, Y = sla.eigh(X.T @ (A @ X), X.T @ BX)
+    return theta, X @ Y, BX @ Y
 
-    With Q a thin orthonormal basis of range(C) and P = I - QQ', the
-    operator P H P + sigma QQ' (O(N^2) per column of C to form) keeps every
-    eigenpair of H on ker C' and sends range(C) to sigma.  sigma is twice the
-    largest absolute row sum of H, a Gershgorin bound above the whole spectrum
-    of P H P, so the k lowest eigenpairs are those of the restriction (Golub,
-    "Some modified matrix eigenvalue problems", SIAM Rev. 15 (1973), sec. 4).
-    Eigenvectors come out orthonormal and orthogonal to range(C).  H is
-    overwritten: the deflated operator is built in it.
-    """
-    Q = np.linalg.qr(C)[0]
-    sigma = 2.0 * float(np.max(np.sum(np.abs(H), axis=1)))
-    HQ = H @ Q
-    # P H P + sigma QQ' = H - Q W' - W Q' with W = HQ - Q (Q'HQ + sigma I) / 2
-    W = HQ - Q @ (0.5 * (Q.T @ HQ + sigma * np.eye(Q.shape[1])))
-    H -= Q @ W.T
-    H -= W @ Q.T
-    return sla.eigh(H, subset_by_index=(0, k - 1))
+
+def positive_factor(A: np.ndarray, C: np.ndarray) -> BorderedFactor | None:
+    """The bordered factor of A and C if A is positive definite on ker C', else
+    None: certified by its inertia, exactly C.shape[1] negative eigenvalues."""
+    try:
+        factor = BorderedFactor(A, C)
+    except np.linalg.LinAlgError:
+        return None
+    return factor if factor.negative_eigenvalues() == C.shape[1] else None
+
+
+def lowest_pairs(H: np.ndarray, B: np.ndarray, C: np.ndarray, X: np.ndarray, k: int,
+                 width: int | None = None, apply_B=None) -> SpectrumReport:
+    """The k lowest eigenpairs of the pencil (H, B) on ker C', B positive
+    definite there (a matrix, or the node vector of a diagonal B; apply_B(Y)
+    is B Y), by block inverse iteration from the columns of X in ker C'.
+    Rayleigh-Ritz keeps the width lowest Ritz pairs of X (all by default),
+    theta_1 <= ... <= theta_w.  A = H - sigma B, built in H and bordered by
+    C, is factored once at sigma = theta_1 - (theta_w - theta_1) / 10, its
+    inertia certifying sigma below the spectrum.  Each sweep solves for B X
+    and takes a Rayleigh-Ritz step, until each of the k lowest Ritz values
+    moves by at most 2 eps |x|'|A||x|, x its start Ritz vector.  A block as
+    wide as ker C' is exact, in 0 sweeps."""
+    apply_B = apply_B or ((lambda Y: B[:, None] * Y) if B.ndim == 1 else (lambda Y: B @ Y))
+    theta, X, BX = _ritz(H, apply_B, X)
+    if X.shape[1] == H.shape[0] - C.shape[1]:  # the block spans ker C'
+        return SpectrumReport(eigenvalues=theta[:k], eigenvectors=X[:, :k])
+    theta, X, BX = theta[:width], X[:, :width], BX[:, :width]
+    # the shift speeds a sweep up from lambda_j / lambda_w+1 of the pencil
+    # to (lambda_j - sigma) / (lambda_w+1 - sigma)
+    sigma = float(theta[0] - 0.1 * (theta[-1] - theta[0]))
+    A = H  # built in place: H is the caller's to give up
+    if B.ndim == 1:
+        A.flat[:: A.shape[0] + 1] -= sigma * B
+    else:
+        A -= sigma * B
+    factor = positive_factor(A, C)
+    if factor is None:
+        raise SpectrumError(f"the inertia puts an eigenvalue below the shift {sigma:.6g}, "
+                            f"under the start's lowest Ritz value {theta[0]:.6g}: the "
+                            "start block misses the lowest mode")
+    absX = np.abs(X[:, :k])
+    floor = 2.0 * np.finfo(float).eps * np.einsum("ij,ij->j", absX, np.abs(A) @ absX)
+    for sweeps in range(1, MAX_SWEEPS + 1):
+        mu, X, BX = _ritz(A, apply_B, factor.solve(BX))
+        change = np.abs(sigma + mu[:k] - theta[:k])
+        theta = sigma + mu
+        if np.all(change <= floor):
+            break
+    else:
+        raise SpectrumError(f"the Ritz values moved by up to {change.max():.3e} in "
+                            f"sweep {MAX_SWEEPS}, above their rounding floors")
+    return SpectrumReport(eigenvalues=theta[:k], eigenvectors=X[:, :k], sweeps=sweeps)
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        scale = np.max(np.abs(col))
-        if scale == 0:
-            continue
-        nz = np.nonzero(np.abs(col) > 1e-8 * scale)[0]
-        if nz.size and col[nz[0]] < 0:
-            out[:, j] = -col
-    return out
+    """Columns signed so that their first entry above 1e-8 of their peak is positive."""
+    big = np.abs(vecs) > 1e-8 * np.max(np.abs(vecs), axis=0)
+    first = vecs[np.argmax(big, axis=0), np.arange(vecs.shape[1])]
+    return vecs * np.where(first < 0, -1.0, 1.0)
 
 
 def eigen_decompose(v: energy.NormalizedState, k: int) -> SpectrumReport:
     """Lowest k eigenpairs of the second variation on the tangent space
-    against the mass form."""
+    against the mass form: lowest_pairs from max(POOL_MODES, k + 4) analytic
+    low modes made tangent, keeping k + 4 Ritz vectors, or from N - 1 unit
+    vectors, the whole tangent space, past the modes the grid resolves."""
     ops = v.ops
     if not 1 <= k <= ops.N - 1:
         raise ValueError(f"k must lie in [1, {ops.N - 1}], got {k}")
@@ -108,12 +149,13 @@ def eigen_decompose(v: energy.NormalizedState, k: int) -> SpectrumReport:
             "reported eigenvalues are not a second-variation spectrum",
             stacklevel=2)
 
-    C = constraint_covectors(v)  # refuses a zero-mass node before the scaling
-    wd = np.sqrt(ops.vol_weights)
-    H = energy.second_variation(v) / np.outer(wd, wd)  # private, so overwritten
-    lam, y = constrained_lowest(H, C / wd[:, None], k)
-    vecs = _fix_signs(y / wd[:, None])
-    return SpectrumReport(eigenvalues=lam, eigenvectors=vecs)
+    C = constraint_covectors(v)  # refuses a zero-mass node
+    pool = low_modes(ops.grid, max(POOL_MODES, k + 4))
+    if pool.shape[1] < k + 4:
+        pool = np.eye(ops.N)[:, 1:]
+    spec = lowest_pairs(energy.second_variation(v), ops.vol_weights, C,
+                        energy.project_tangent(v, pool), k, width=k + 4)
+    return replace(spec, eigenvectors=_fix_signs(spec.eigenvectors))
 
 
 def kernel_split(spec: SpectrumReport, tol_rel: float = 1e-6) -> KernelSplit:
@@ -142,8 +184,5 @@ def kernel_split(spec: SpectrumReport, tol_rel: float = 1e-6) -> KernelSplit:
                 f"kernel threshold splits a near-degenerate cluster: "
                 f"|last kernel| = {last_kernel:.3e}, |first retained| = {abs(lambda1):.3e}; "
                 "change the tolerance or the resolution")
-        K = spec.eigenvectors[:, in_kernel]
-    else:
-        K = np.zeros((spec.eigenvectors.shape[0], 0))
-    return KernelSplit(K_basis=K, lambda1=lambda1, kernel_dim=kernel_dim,
-                       threshold=threshold)
+    return KernelSplit(K_basis=spec.eigenvectors[:, in_kernel], lambda1=lambda1,
+                       kernel_dim=kernel_dim, threshold=threshold)

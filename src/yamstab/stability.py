@@ -11,15 +11,14 @@ smallest nonzero Hessian eigenvalue.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .disc import BorderedFactor, lp_norm
+from .disc import lp_norm
 from .lsred import FitRejectedError, InsufficientDataError, NOISE_FLOOR, line_fit
-from .spectrum import KernelSplit, SpectrumReport, constraint_covectors
+from .spectrum import (KernelSplit, SpectrumError, SpectrumReport, constraint_covectors,
+                       lowest_pairs, positive_factor)
 from . import energy
 
 
@@ -236,9 +235,6 @@ class CoercivityError(RuntimeError):
     """The Sobolev spectral gap lambda1_w could not be established."""
 
 
-MAX_SWEEPS = 40  # inverse-iteration sweeps of coercivity_data
-
-
 @dataclass(frozen=True)
 class CoercivityData:
     """Conversion between the mass-normalized spectral gap and the envelope.
@@ -259,45 +255,17 @@ class CoercivityData:
     sweeps: int
 
 
-def _ritz(A: np.ndarray, ops, X: np.ndarray):
-    """Rayleigh-Ritz step for the pencil (A, S+M) on the span of the columns
-    of X: ascending Ritz values, the (S+M)-orthonormal Ritz vectors, and
-    S+M applied to them."""
-    WX = ops.w12_apply(X)
-    theta, Y = sla.eigh(X.T @ (A @ X), X.T @ WX)
-    return theta, X @ Y, WX @ Y
-
-
-def _positive_factor(A: np.ndarray, C: np.ndarray) -> BorderedFactor | None:
-    """The bordered factor of A and C if A is positive definite on ker C',
-    else None: certified by the factor's inertia, C.shape[1] negative
-    eigenvalues exactly."""
-    try:
-        factor = BorderedFactor(A, C)
-    except np.linalg.LinAlgError:
-        return None
-    return factor if factor.negative_eigenvalues() == C.shape[1] else None
-
-
 def coercivity_data(v: energy.NormalizedState, split: KernelSplit,
                     spectrum: SpectrumReport) -> CoercivityData:
     """The Sobolev spectral gap lambda1_w and its conversion to the envelope.
 
     lambda1_w is the lowest eigenvalue of the pencil (H, W), H the second
-    variation at v and W = S+M, on ker C' (C the constraint covectors of v
-    and the kernel), by block inverse iteration with one shifted bordered
-    factor.  The start block is the first N_TRANSVERSE_MODES eigenvectors of
-    spectrum past the kernel, which lie in ker C'.  Its lowest Ritz value
-    theta bounds lambda1_w from above.  H - sigma W, bordered by C, is
-    factored at sigma = 0.9 theta, and the factor's inertia certifies
-    sigma < lambda1_w; if it does not, sigma = 0 is tried, and the failed
-    shift bounds lambda1_w from above.  Each sweep solves with the factor
-    for W X, all columns in one call, and takes a Rayleigh-Ritz step.  The
-    sweeps stop once the lowest Ritz value moves by at most its rounding
-    floor 2 eps |x|'|A||x|, x the start's lowest W-normalized Ritz vector
-    and A = H - sigma W.  CoercivityError names why lambda1_w could not be
-    established: a start block or a factor that is not positive, sweeps
-    that do not settle, or a result above the failed shift.
+    variation at v and W = S+M (applied factored), on ker C', C the
+    constraint covectors of v and the kernel: spectrum.lowest_pairs with k = 1
+    from the first N_TRANSVERSE_MODES eigenvectors of spectrum past the
+    kernel.  Only if it fails is H factored, bordered by C, to tell a second
+    variation not positive off the kernel (also refused if lambda1_w <= 0)
+    from a start block that misses the lowest mode; both are CoercivityErrors.
     """
     ops = v.ops
     # first: S+M is positive definite even at a pole, so nothing after this
@@ -308,47 +276,21 @@ def coercivity_data(v: energy.NormalizedState, split: KernelSplit,
     if start.shape[1] == 0:
         raise ValueError("the Sobolev gap needs modes beyond the kernel, "
                          "and the spectrum holds none")
-    H = energy.second_variation(v)
-    theta, X, WX = _ritz(H, ops, start)
-    factor, bound = None, math.inf  # bound: lambda1_w lies below it
-    if theta[0] > 0:
-        # the shift speeds a sweep up from lambda_1 / lambda_7 of the pencil,
-        # near 1 on these models, to (lambda_1 - sigma) / (lambda_7 - sigma)
-        for sigma in (0.9 * float(theta[0]), 0.0):
-            A = H
-            if sigma:
-                A = ops.with_diagonal(ops.vol_weights)
-                A *= -sigma
-                A += H
-            factor = _positive_factor(A, C)
-            if factor is not None:
-                break
-            bound = sigma
-    if factor is None:
+    try:
+        gap = lowest_pairs(energy.second_variation(v), ops.with_diagonal(ops.vol_weights),
+                           C, start, 1, apply_B=ops.w12_apply)
+    except SpectrumError as exc:
+        if positive_factor(energy.second_variation(v), C) is not None:
+            raise CoercivityError(str(exc)) from exc
+        gap = None
+    if gap is None or gap.eigenvalues[0] <= 0:
         raise CoercivityError(
-            f"the second variation is not positive off the kernel (lowest Ritz "
-            f"value {theta[0]:.6g} against the Sobolev form); v is not an "
-            "isolated minimizer or its kernel split is wrong")
-    x = np.abs(X[:, 0])
-    floor = 2.0 * np.finfo(float).eps * float(x @ (np.abs(A) @ x))
-    for sweeps in range(1, MAX_SWEEPS + 1):
-        mu, X, WX = _ritz(A, ops, factor.solve(WX))
-        change = abs(sigma + mu[0] - theta[0])
-        theta = sigma + mu
-        if change <= floor:
-            break
-    else:
-        raise CoercivityError(
-            f"the Sobolev gap moved by {change:.3e} in sweep {MAX_SWEEPS}, above "
-            f"its rounding floor {floor:.3e}")
-    if theta[0] > bound:
-        raise CoercivityError(
-            f"the inertia puts an eigenvalue below {bound:.6g}, but the sweeps "
-            f"settled at {theta[0]:.6g}: the start block misses the lowest mode")
-    lam_w = float(theta[0])
+            "the second variation is not positive off the kernel against the "
+            "Sobolev form; v is not an isolated minimizer or its kernel split is wrong")
+    lam_w = float(gap.eigenvalues[0])
     vnsq = ops.w12_norm(v.u) ** 2
     lam_m = split.lambda1
     conversion = 2.0 * vnsq * lam_w / lam_m
     return CoercivityData(lambda1_m=lam_m, lambda1_w=lam_w, v_norm_sq=vnsq,
                           conversion=conversion, floor=0.5 * lam_w * vnsq,
-                          sweeps=sweeps)
+                          sweeps=gap.sweeps)

@@ -102,20 +102,14 @@ def w12_norm_longdouble(ops, u: np.ndarray) -> np.longdouble:
 
 
 def sobolev_gap_reference(v: energy.NormalizedState, split) -> float:
-    """lambda1_w by a dense transform: the second variation and the
-    constraint covectors in the coordinates of the Sobolev Cholesky factor
-    L (L L' = S+M), L^-1 H L^-T and L^-1 C, then the lowest eigenvalue on
-    ker (L^-1 C)' by the deflated eigensolve.  The reference that the
-    bordered inverse iteration of stability.coercivity_data is checked
-    against."""
-    ops = v.ops
-    C = spectrum.constraint_covectors(v, split.K_basis)
-    chol, lower = ops.w12_cho
-    trans = "N" if lower else "T"
-    half = sla.solve_triangular(chol, energy.second_variation(v), lower=lower, trans=trans)
-    H = sla.solve_triangular(chol, half.T, lower=lower, trans=trans)
-    C = sla.solve_triangular(chol, C, lower=lower, trans=trans)
-    return float(spectrum.constrained_lowest(H, C, 1)[0][0])
+    """lambda1_w by a dense generalized eigensolve: the pencil (H, S+M) on an
+    explicit frame of ker C' (tangent_frame, mass-orthogonal to the kernel).
+    The reference that the bordered inverse iteration behind
+    stability.coercivity_data is checked against."""
+    B = tangent_frame(v, split.K_basis)
+    W = v.ops.with_diagonal(v.ops.vol_weights)
+    return float(sla.eigh(B.T @ energy.second_variation(v) @ B, B.T @ W @ B,
+                          eigvals_only=True, subset_by_index=(0, 0))[0])
 
 
 def raw_hessian_reference(ops, w: np.ndarray) -> np.ndarray:

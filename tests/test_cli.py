@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from yamstab import cli, lsred
+from yamstab import cli, lsred, spectrum
 from conftest import BIF_RADIUS, SUB_RADIUS
 from test_energy import frank_constant_quotient
 
@@ -178,6 +178,30 @@ def test_kernel_threshold_failure_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("kernel threshold failure:") and err.count("\n") == 1
     assert not (tmp_path / "out_spectrum.json").exists()
+
+
+def test_spectrum_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a start block without the lowest circle modes cos t, sin t puts the
+    # shift above them, and the engine refuses it
+    engine = spectrum.lowest_pairs
+
+    def blind(H, B, C, X, k, **kwargs):
+        return engine(H, B, C, X[:, 2:8], min(k, 6))
+
+    monkeypatch.setattr(spectrum, "lowest_pairs", blind)
+    path, _ = base_config(tmp_path, "spectrum", N=64)
+    assert cli.main(["spectrum", "--config", str(path)]) == cli.EXIT_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("spectrum failure:") and "misses the lowest mode" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out_spectrum.json").exists()
+
+
+def test_spectrum_reports_its_sweeps(tmp_path, capsys):
+    path, _ = base_config(tmp_path, "spectrum", N=64)
+    assert cli.main(["spectrum", "--config", str(path)]) == 0
+    report = json.loads((tmp_path / "out_spectrum.json").read_text())
+    assert report["results"]["spectrum_sweeps"] == 1
 
 
 @pytest.mark.parametrize("kind", ["kernel", "mixed"])

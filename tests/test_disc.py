@@ -277,6 +277,42 @@ def test_dual_norm_factors_once():
     assert ops.w12_cho is ops.w12_cho
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_riesz_refuses_a_nonfinite_covector(bad):
+    # the solve skips the scan of the cached factor, so the covector's own
+    # check is what stands between a NaN and a silent result
+    m = model.cylinder(3, 1.0)
+    ops = disc.assemble_operators(m, disc.build_grid(m, 32))
+    G = np.linspace(-1.0, 1.0, ops.N)
+    G[5] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        ops.riesz(G)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        ops.dual_norm(G)
+
+
+@pytest.mark.parametrize("kind, N", [("circle", 16), ("interval", 17), ("interval", 64)])
+def test_low_modes_are_the_resolved_nonconstant_modes(kind, N):
+    # a circle resolves N - 1 modes, which with the constant span the node
+    # vectors (the Nyquist sine vanishes at every node); a Chebyshev grid
+    # resolves (N - 1) // 2 cosines, which stay mass-orthogonal to round-off
+    m = model.frank_product(5, 0.5) if kind == "circle" else model.cylinder(3, 1.0)
+    ops = disc.assemble_operators(m, disc.build_grid(m, N))
+    modes = disc.low_modes(ops.grid, 10 * N)
+    assert modes.flags.f_contiguous
+    t = ops.grid.nodes / ops.grid.length
+    if kind == "circle":
+        assert modes.shape == (N, N - 1)
+        assert np.linalg.matrix_rank(np.column_stack([np.ones(N), modes])) == N
+        first = (np.cos(2 * math.pi * t), np.sin(2 * math.pi * t))
+    else:
+        assert modes.shape == (N, (N - 1) // 2)
+        assert np.linalg.cond(modes.T @ (ops.vol_weights[:, None] * modes)) < 10.0
+        first = (np.cos(math.pi * t), np.cos(2 * math.pi * t))
+    assert np.allclose(modes[:, :2], np.column_stack(first), rtol=0, atol=1e-15)
+    assert np.array_equal(disc.low_modes(ops.grid, 2), modes[:, :2])
+
+
 def test_sobolev_norm_rounding_at_N512():
     # the factored norm stays within 1e-13 of its long-double value on smooth
     # offsets and on the states they displace the constant to; the dense

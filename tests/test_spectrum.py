@@ -66,6 +66,19 @@ def test_eigen_decompose_matches_tangent_frame(frank_nondeg, frank_deg):
         ops = disc.assemble_operators(m, disc.build_grid(m, 32))
         v = energy.normalize(ops, np.ones(ops.N))
         cases.append((v, spectrum.eigen_decompose(v, ops.N - 1)))
+    # a Chebyshev grid, whose end weights fall like 1/N^2, and a minimizer
+    # that is not constant, so no pool mode is an eigenvector
+    m = model.cylinder(3, 1.0)
+    g = disc.build_grid(m, 128)
+    deformed = model.frank_product(5, SUB_RADIUS)
+    g_def = disc.build_grid(deformed, 128)
+    w = np.exp(0.4 * np.cos(2 * math.pi * g_def.nodes / deformed.length))
+    for ops, u0 in ((disc.assemble_operators(m, g), np.ones(g.N)),
+                    (disc.assemble_operators(model.conformal_deform(deformed, w, g_def),
+                                             g_def), 1.0 / w)):
+        rep = minimize.minimize_energy(ops, u0)
+        assert rep.converged
+        cases.append((rep.v, spectrum.eigen_decompose(rep.v, 12)))
     for v, spec in cases:
         B = tangent_frame(v)
         ref = sla.eigh(B.T @ projected_hessian(v) @ B, eigvals_only=True,
@@ -83,8 +96,8 @@ def test_eigen_decompose_matches_tangent_frame(frank_nondeg, frank_deg):
 
 
 def test_eigensolves_build_no_square_qr_frames(frank_deg, monkeypatch):
-    # the only QR left is the thin one of the 1 + kernel_dim constraint
-    # covectors in eigen_decompose; coercivity_data takes none
+    # both eigensolves border their factor by the constraint covectors, so
+    # neither takes a QR
     _, rep, _, split = frank_deg
     shapes = []
     qr = np.linalg.qr
@@ -92,8 +105,52 @@ def test_eigensolves_build_no_square_qr_frames(frank_deg, monkeypatch):
                         lambda a, *r, **k: shapes.append(np.shape(a)) or qr(a, *r, **k))
     spec = spectrum.eigen_decompose(rep.v, 12)
     stability.coercivity_data(rep.v, split, spec)
-    assert len(shapes) == 1
-    assert all(cols <= 1 + split.kernel_dim for _, cols in shapes)
+    assert len(shapes) == 0
+
+
+def test_cylinder_lambda1_on_a_fine_chebyshev_grid():
+    # at the constant on cylinder(3, 1) the lowest tangent eigenvalue is
+    # 2(pi^2 - 1); the mass-scaled dense solve lost it to 1.2e-5 at N=1024,
+    # where the Clenshaw-Curtis end weights fall like 1/N^2
+    m = model.cylinder(3, 1.0)
+    ops = disc.assemble_operators(m, disc.build_grid(m, 1024))
+    rep = minimize.minimize_energy(ops, np.ones(ops.N))
+    assert rep.converged
+    spec = spectrum.eigen_decompose(rep.v, 4)
+    assert spec.eigenvalues[0] == pytest.approx(2.0 * (math.pi**2 - 1.0), rel=1e-9)
+
+
+def test_eigen_decompose_past_the_resolved_modes():
+    # a 32-node Chebyshev grid resolves 15 cosines, fewer than k + 4 = 16, so
+    # the start is the whole tangent space and Rayleigh-Ritz alone is exact
+    m = model.cylinder(3, 1.0)
+    ops = disc.assemble_operators(m, disc.build_grid(m, 32))
+    rep = minimize.minimize_energy(ops, np.ones(ops.N))
+    spec = spectrum.eigen_decompose(rep.v, 12)
+    B = tangent_frame(rep.v)
+    ref = sla.eigh(B.T @ projected_hessian(rep.v) @ B, eigvals_only=True,
+                   subset_by_index=(0, 11))
+    assert spec.sweeps == 0
+    assert np.max(np.abs(spec.eigenvalues - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_engine_refuses_a_blind_start_block(frank_nondeg):
+    # without the k = 1 circle modes the start's Ritz values sit at k = 2 and
+    # above; the shift below them has the k = 1 pair under it, and the
+    # factor's inertia says so
+    _, rep, spec, _ = frank_nondeg
+    v = rep.v
+    m = v.ops.vol_weights
+    C = spectrum.constraint_covectors(v)
+    with pytest.raises(spectrum.SpectrumError, match="misses the lowest mode"):
+        spectrum.lowest_pairs(energy.second_variation(v), m, C, spec.eigenvectors[:, 2:8], 1)
+    # the same block with the k = 1 pair settles on the exact pairs, and a
+    # dense B gives them too
+    for B in (m, np.diag(m)):
+        got = spectrum.lowest_pairs(energy.second_variation(v), B, C, spec.eigenvectors[:, :6], 2)
+        assert got.sweeps >= 1
+        assert np.allclose(got.eigenvalues, frank_mode_eigenvalue(5, SUB_RADIUS, 1),
+                           rtol=1e-10, atol=0)
 
 
 def test_eigenvector_sign_convention(frank_nondeg):

@@ -249,13 +249,13 @@ def test_sobolev_gap_takes_one_factor_and_no_dense_transform(deg, monkeypatch):
     v, split, spec = deg
     factors, eigh_sizes, dense = [], [], []
 
-    class CountingFactor(stability.BorderedFactor):
+    class CountingFactor(spectrum.BorderedFactor):
         def __init__(self, *args):
             factors.append(1)
             super().__init__(*args)
 
     eigh = sla.eigh
-    monkeypatch.setattr(stability, "BorderedFactor", CountingFactor)
+    monkeypatch.setattr(spectrum, "BorderedFactor", CountingFactor)
     monkeypatch.setattr(sla, "eigh",
                         lambda a, *r, **k: eigh_sizes.append(a.shape[0]) or eigh(a, *r, **k))
     monkeypatch.setattr(sla, "solve_triangular", lambda *a, **k: dense.append("trsm"))
