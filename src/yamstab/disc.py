@@ -3,15 +3,16 @@
 Interval models use Chebyshev-Lobatto nodes with Clenshaw-Curtis weights and
 the dense Chebyshev differentiation matrix; circle models use uniform nodes
 with trapezoid weights and the Fourier differentiation matrix.  The stiffness
-S = D' diag(w) D is the one dense form an operator set holds (the grids are
-desk-scale, N of a few hundred).  Every product of a form with a vector is
-taken factored, D'(w * D u), which rounds far less than S u (S has entries
-up to 2e6 at N=512).  The mass, curvature and boundary forms are diagonal
-and are kept as node vectors; with_diagonal adds them to a fresh copy of S
-for the matrices that are factored or eigensolved.  The Sobolev Cholesky
-factor is computed once per operator set, and linearly constrained Newton
-steps go through a bordered (KKT) factor instead of an explicit null-space
-basis: one LAPACK ?sytrf factorization, then one ?sytrs call per
+S = D' diag(w) D, one product X'X of X = diag(sqrt w) D that BLAS takes as an
+exactly symmetric rank-k update, is the one dense form an operator set holds
+(the grids are desk-scale, N of a few hundred).  Every product of a form with
+a vector is taken factored, D'(w * D u), which rounds far less than S u (S
+has entries up to 2e6 at N=512).  The mass, curvature and boundary forms are
+diagonal and are kept as node vectors; with_diagonal adds them to a fresh
+copy of S for the matrices that are factored or eigensolved.  The Sobolev
+Cholesky factor is computed once per operator set, and linearly constrained
+Newton steps go through a bordered (KKT) factor instead of an explicit
+null-space basis: one LAPACK ?sytrf factorization, then one ?sytrs call per
 right-hand side.
 """
 
@@ -280,8 +281,10 @@ def _colwise(d: np.ndarray, u: np.ndarray) -> np.ndarray:
 def assemble_operators(m: SymmetricModel, grid: Grid) -> DiscreteOperators:
     """Assemble all forms for a model on its grid.
 
-    The stiffness is built as D' diag(s q) D and symmetrized, which is
-    positive semidefinite up to round-off and annihilates constants exactly.
+    The stiffness is built as X'X with X = diag(sqrt(s q)) D, one ?syrk
+    product, which is exactly symmetric, positive semidefinite up to
+    round-off and, after its row sums are moved to the diagonal,
+    annihilates constants exactly.
     Pole endpoints need no constraint row: the vanishing density removes
     their quadrature weight, which is the natural weak regularity condition.
     """
@@ -298,8 +301,8 @@ def assemble_operators(m: SymmetricModel, grid: Grid) -> DiscreteOperators:
     sigma = eval_profile(m.lap_scale, nodes, grid, m.grid)
 
     w = np.clip(s, 0.0, None) * q
-    S = D.T @ (w[:, None] * D)
-    S = 0.5 * (S + S.T)
+    Dw = np.sqrt(w)[:, None] * D
+    S = Dw.T @ Dw
     nyquist = None
     if m.topology == "circle":
         # The even-N Fourier derivative matrix annihilates the Nyquist
@@ -391,21 +394,13 @@ class BorderedFactor:
         exactly when A is positive definite there.
         """
         ldu, ipiv = self._ldu, self._ipiv
-        count, k = 0, ipiv.size - 1
-        while k >= 0:
-            if ipiv[k] > 0:
-                count += int(ldu[k, k] < 0)
-                k -= 1
-            else:
-                a, b, c = ldu[k - 1, k - 1], ldu[k - 1, k], ldu[k, k]
-                count += 1 if a * c < b * b else 2 * int(a < 0)
-                k -= 2
-        return count
-
-
-def bordered_solve(A: np.ndarray, C: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One constrained solve: BorderedFactor(A, C).solve(b)."""
-    return BorderedFactor(A, C).solve(b)
+        d = ldu.diagonal()
+        pair = ipiv < 0
+        # the negative entries come in adjacent pairs, one per 2 x 2 block
+        k = np.flatnonzero(pair)[::2]
+        a, b, c = d[k], ldu[k, k + 1], d[k + 1]
+        blocks = np.where(a * c < b * b, 1, 2 * (a < 0))
+        return int(np.count_nonzero(d[~pair] < 0) + blocks.sum())
 
 
 def lp_norm(ops: DiscreteOperators, u: np.ndarray, p: float):

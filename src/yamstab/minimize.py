@@ -20,7 +20,8 @@ quartic kernel Newton steps lower the energy while the gradient norm rises.
 The polish stops once the gradient norm is at most the tolerance.  Convergence
 is declared on the preconditioned gradient norm alone: degenerate minimizers
 move arbitrarily slowly along their kernel, so state movement is not a usable
-criterion.
+criterion.  A multistart run starts from the constant and from seeded smooth
+perturbations of it along the analytic modes of disc.low_modes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .disc import DiscreteOperators, assemble_operators, bordered_solve, build_grid
+from .disc import BorderedFactor, DiscreteOperators, assemble_operators, build_grid, low_modes
 from .model import SymmetricModel, dim_constant, sphere_area
 from . import energy
 
@@ -83,7 +84,7 @@ def _polish_step(state: energy.NormalizedState, H: np.ndarray, G: np.ndarray,
         W *= mu
         W += H
         H = W
-    return bordered_solve(H, p[:, None], -G)
+    return BorderedFactor(H, p[:, None]).solve(-G)
 
 
 def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
@@ -194,37 +195,18 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
     )
 
 
-def laplace_modes(ops: DiscreteOperators, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k nonconstant modes of the weighted Laplace operator.
-
-    Solved through the pencil M w = theta (S+M) w, whose right-hand matrix is
-    positive definite even when the density vanishes at a pole, with
-    eigenvalue conversion lambda = (1-theta)/theta.
-    """
-    m = ops.vol_weights
-    theta, vecs = sla.eigh(np.diag(m), ops.with_diagonal(m))
-    order = np.argsort(-theta)  # descending: constant first, then low modes
-    lam = []
-    modes = []
-    for idx in order[1: k + 1]:
-        th = theta[idx]
-        lam.append((1.0 - th) / th)
-        w = vecs[:, idx]
-        mnorm = math.sqrt(float((w * m) @ w))
-        modes.append(w / mnorm if mnorm > 0 else w)
-    return np.array(lam), np.column_stack(modes)
-
-
 def random_starts(ops: DiscreteOperators, starts: int, seed: int) -> list[np.ndarray]:
     """Constant start plus seeded smooth perturbations of it.
 
-    Perturbations put Gaussian coefficients on the five lowest Laplace modes,
-    are scaled to 10 percent of the constant and clipped nonnegative.
+    Perturbations put Gaussian coefficients on the five lowest analytic
+    modes of disc.low_modes (cosines with zero end slopes on intervals, so
+    pole ends suit them too), are scaled to 10 percent of the constant and
+    clipped nonnegative.
     """
     out = [np.ones(ops.N)]
     if starts > 1:
         rng = np.random.default_rng(seed)
-        _, modes = laplace_modes(ops, min(5, ops.N - 2))
+        modes = low_modes(ops.grid, 5)
         for _ in range(starts - 1):
             combo = modes @ rng.standard_normal(modes.shape[1])
             peak = np.max(np.abs(combo))

@@ -102,16 +102,15 @@ def test_mass_matches_volume(hemisphere3):
 
 def test_stiffness_is_the_only_stored_dense_form():
     # the diagonal forms are node vectors, and the dense sums S + diag(d) of
-    # the Hessian, the damped polish step, the Laplace pencil and the start
-    # pick's floor are built on each use; only the Cholesky factor of S + M
-    # is kept beside S, after a multistart run and a Riesz solve too
+    # the Hessian, the damped polish step and the start pick's floor are
+    # built on each use; only the Cholesky factor of S + M is kept beside S,
+    # after a multistart run and a Riesz solve too
     m = model.ball(3)
     reports = minimize.run_multistart(m, 32, 2, minimize.MinimizeOptions())
     v = minimize.best_converged(reports, m, 32).v
     ops = v.ops
     G = energy.gradient(v)
     minimize._polish_step(v, energy.second_variation(v), G, 1e-3)
-    minimize.laplace_modes(ops, 3)
     ops.riesz(G)
     square = [name for name, x in vars(ops).items()
               for a in (x if isinstance(x, tuple) else (x,))
@@ -203,12 +202,12 @@ def test_bordered_solve_constrained_minimizer():
     A = Q @ Q.T + np.eye(6)
     c = rng.standard_normal((6, 1))
     b = rng.standard_normal(6)
-    x = disc.bordered_solve(A, c, b)
+    x = disc.BorderedFactor(A, c).solve(b)
     assert abs(float(c[:, 0] @ x)) <= 1e-12
     g = A @ x - b
     assert np.linalg.norm(g - (c[:, 0] @ g) / (c[:, 0] @ c[:, 0]) * c[:, 0]) <= 1e-12
     with pytest.raises(np.linalg.LinAlgError):
-        disc.bordered_solve(np.zeros((3, 3)), np.zeros((3, 1)), np.ones(3))
+        disc.BorderedFactor(np.zeros((3, 3)), np.zeros((3, 1))).solve(np.ones(3))
 
 
 def test_bordered_factor_solves_many_right_hand_sides():
@@ -316,11 +315,11 @@ def test_low_modes_are_the_resolved_nonconstant_modes(kind, N):
 def test_sobolev_norm_rounding_at_N512():
     # the factored norm stays within 1e-13 of its long-double value on smooth
     # offsets and on the states they displace the constant to; the dense
-    # quadratic form u'(S+M)u erred by up to 8e-12 on these offsets and
-    # 1.3e-10 on these states, through S's entries of up to 2e6
+    # quadratic form u'(S+M)u erred by up to 2.3e-12 on these offsets and
+    # 1.7e-10 on these states, through S's entries of up to 2e6
     m = model.cylinder(3, 1.0)
     ops = disc.assemble_operators(m, disc.build_grid(m, 512))
-    _, modes = minimize.laplace_modes(ops, 5)
+    modes = disc.low_modes(ops.grid, 5)
     for seed in (1, 2, 3):
         combo = modes @ np.random.default_rng(seed).standard_normal(5)
         combo /= np.max(np.abs(combo))
