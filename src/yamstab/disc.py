@@ -6,10 +6,11 @@ with trapezoid weights and the Fourier differentiation matrix.  The stiffness
 S = D' diag(w) D, one product X'X of X = diag(sqrt w) D that BLAS takes as an
 exactly symmetric rank-k update, is the one dense form an operator set holds
 (the grids are desk-scale, N of a few hundred).  Every product of a form with
-a vector is taken factored, D'(w * D u), which rounds far less than S u (S
-has entries up to 2e6 at N=512).  The mass, curvature and boundary forms are
-diagonal and are kept as node vectors; with_diagonal adds them to a fresh
-copy of S for the matrices that are factored or eigensolved.  The Sobolev
+a vector or a column block is taken factored, D'(w * D u), by the one applier
+apply_form, which rounds far less than S u (S has entries up to 2e6 at
+N=512).  The mass, curvature and boundary forms are diagonal and are kept as
+node vectors; with_diagonal adds them to a fresh copy of S for the matrices
+that are factored or eigensolved.  The Sobolev
 Cholesky factor is computed once per operator set, and linearly constrained
 Newton steps go through a bordered (KKT) factor instead of an explicit
 null-space basis: one LAPACK ?sytrf factorization, then one ?sytrs call per
@@ -148,8 +149,10 @@ class DiscreteOperators:
     bdry_weights  b with sum b u^2 ~ sum over boundary ends of ((n-2)/2) h b u(e)^2
     normal_derivs per-boundary-end row functionals approximating du/dnu
 
-    apply_form, dirichlet and w12_norm apply the forms factored.  The dense
-    sums S + diag(d) that the Hessian, the eigensolves, the Sobolev Cholesky
+    apply_form(u, d), dirichlet and w12_norm apply the forms factored, to a
+    vector or an N x S column block alike: a block gives the S column values
+    and a vector a numpy float64 scalar (a float subclass).  The dense sums
+    S + diag(d) that the Hessian, the eigensolves, the Sobolev Cholesky
     factor and the start pick's rounding floor need are built on each use by
     with_diagonal and not kept.
     """
@@ -188,35 +191,30 @@ class DiscreteOperators:
         column blocks it is the S column-wise values."""
         if x is None:
             x, dx = u, du
-        if du.ndim > 1:
-            val = np.einsum("ij,ij->j", self.stiff_weights[:, None] * du, dx)
-            if self.nyquist is not None:
-                e, y = self.nyquist
-                val += e * (y @ u) * (y @ x)
-            return val
-        val = float((self.stiff_weights * du) @ dx)
+        val = np.einsum("i,i...,i...->...", self.stiff_weights, du, dx)
         if self.nyquist is not None:
             e, y = self.nyquist
-            val += e * float(y @ u) * float(y @ x)
+            val += e * (y @ u) * (y @ x)
         return val
 
-    def apply_form(self, u: np.ndarray) -> tuple[np.ndarray, float]:
-        """(A u, u'Su) of the energy form A = S + C + B in factored form.
+    def apply_form(self, u: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(S u + d * u, D u) of a vector or N x S column block u and a node
+        vector d: c + b gives the energy form A = S + C + B, m the Sobolev form.
 
-        A u = D'(w * D u) + e y (y.u) + (c + b) * u, and u'Su is dirichlet()
-        of the same D u: two N x N passes over D and no dense S.  Against a
-        long-double evaluation, the gradient built from it on cylinder(3, 1)
-        at N=512 errs by about 2e-12 in the Sobolev dual norm; built from
-        the dense (S + C + B) @ u it erred by 4e-10 to 1.4e-9.
+        S u = D'(w * D u) + e y (y.u), and u'Su is dirichlet(u, D u): two
+        N x N passes over D and no dense S.  Against a long-double
+        evaluation, the gradient built from it on cylinder(3, 1) at N=512
+        errs by about 2e-12 in the Sobolev dual norm; built from the dense
+        (S + C + B) @ u it erred by 4e-10 to 1.4e-9.
         """
         D = self.grid.diff_matrix
         du = D @ u
-        Au = D.T @ (self.stiff_weights * du)
+        Au = D.T @ (_colwise(self.stiff_weights, du) * du)
         if self.nyquist is not None:
             e, y = self.nyquist
-            Au += (e * float(y @ u)) * y
-        Au += (self.curv_weights + self.bdry_weights) * u
-        return Au, self.dirichlet(u, du)
+            Au += np.multiply.outer(y, e * (y @ u))
+        Au += _colwise(d, u) * u
+        return Au, du
 
     def with_diagonal(self, *diagonals: np.ndarray) -> np.ndarray:
         """A fresh S + diag(d1) + diag(d2) + ..., with the dense sum's bits:
@@ -248,28 +246,14 @@ class DiscreteOperators:
     def volume(self) -> float:
         return float(self.vol_weights.sum())
 
-    def w12_apply(self, u: np.ndarray) -> np.ndarray:
-        """(S+M) u taken factored, D'(w * D u) + e y (y.u) + m * u, for a
-        vector or an N x S column block: the form that w12_norm measures,
-        applied as apply_form applies the energy form."""
-        D = self.grid.diff_matrix
-        du = D @ u
-        Wu = D.T @ (_colwise(self.stiff_weights, du) * du)
-        if self.nyquist is not None:
-            e, y = self.nyquist
-            Wu += np.multiply.outer(y, e * (y @ u))
-        return Wu + _colwise(self.vol_weights, u) * u
-
     def w12_norm(self, u: np.ndarray):
         """Sobolev norm sqrt(u'(S+M)u), taken factored as dirichlet(u, D u)
         + sum m u^2; the S column norms of an N x S block.  Against a
         long-double evaluation on cylinder(3, 1) at N=512 it errs by at most
         7e-15 (relative) on smooth offsets and states; the dense quadratic
         form erred by up to 1.3e-10."""
-        dirichlet = self.dirichlet(u, self.grid.diff_matrix @ u)
-        if u.ndim > 1:
-            return np.sqrt(dirichlet + np.einsum("ij,ij->j", self.vol_weights[:, None] * u, u))
-        return math.sqrt(dirichlet + float((self.vol_weights * u) @ u))
+        return np.sqrt(self.dirichlet(u, self.grid.diff_matrix @ u)
+                       + np.einsum("i,i...,i...->...", self.vol_weights, u, u))
 
 
 def _colwise(d: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -409,6 +393,4 @@ def lp_norm(ops: DiscreteOperators, u: np.ndarray, p: float):
     if not np.isfinite(p) or p < 1:
         raise ValueError(f"p must be a finite real >= 1, got {p}")
     u = np.asarray(u, dtype=float)
-    if u.ndim > 1:
-        return np.sum(ops.vol_weights[:, None] * np.abs(u) ** p, axis=0) ** (1.0 / p)
-    return float(np.sum(ops.vol_weights * np.abs(u) ** p)) ** (1.0 / p)
+    return np.sum(_colwise(ops.vol_weights, u) * np.abs(u) ** p, axis=0) ** (1.0 / p)

@@ -17,9 +17,11 @@ normal, which the Newton polish, the eigensolves and the chart's bordered
 factor absorb, so none of them builds the projection.
 
 The quotient, the gradient and the deficit apply the energy form factored
-(ops.apply_form, ops.dirichlet): one N x N pass (D u) for the quotient, two
-for the gradient, whose Q comes from the same D u as A u, and two (D v,
-D xi) for the deficit.  Only second_variation builds the dense S + C + B.
+(ops.apply_form with d = c + b, ops.dirichlet): one N x N pass (D u) for the
+quotient, two for the gradient, whose Q comes from the same D u as A u, and
+two (D v, D xi) for the deficit.  Only second_variation builds the dense
+S + C + B.  power_increment and energy_deficit take an offset or a block of
+offset columns alike; a vector's deficit is a numpy float64 scalar.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ class NormalizedState:
             raise ValueError("normalized state must be nonnegative")
         object.__setattr__(self, "u", np.clip(u, 0.0, None))
         nrm = lp_norm(self.ops, self.u, self.ops.two_star)
-        if abs(nrm - 1.0) > 1e-10:
-            raise ValueError(f"state is not volume-normalized: ||u|| = {nrm!r}")
+        if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
+            raise ValueError(f"state is not volume-normalized: ||u|| = {nrm}")
 
 
 @dataclass(frozen=True)
@@ -119,8 +121,9 @@ def gradient(v: NormalizedState) -> np.ndarray:
     manifold-projected first variation on every direction.  A v and Q(v)
     come from one D v (ops.apply_form), and Q has yamabe_quotient's bits.
     """
-    Av, dir_term = v.ops.apply_form(v.u)
-    return 2.0 * (Av - _report(v.ops, v.u, dir_term).Q * volume_covector(v))
+    ops = v.ops
+    Av, dv = ops.apply_form(v.u, ops.curv_weights + ops.bdry_weights)
+    return 2.0 * (Av - _report(ops, v.u, ops.dirichlet(v.u, dv)).Q * volume_covector(v))
 
 
 def second_variation(v: NormalizedState) -> np.ndarray:
@@ -158,20 +161,13 @@ def power_increment(v: np.ndarray, xi: np.ndarray, p: float) -> np.ndarray:
     remaining nodes it is the plain difference, which is exactly -v^p where
     v + xi = 0.
     """
-    if xi.ndim > 1:  # one base for every column
-        v = np.broadcast_to(v[:, None], xi.shape)
+    v = np.broadcast_to(_colwise(v, xi), xi.shape)  # one base for every column
     w = v + xi
     big = (v > 1e-12 * np.max(v)) & (w > 0)
     out = np.empty_like(w)
     out[big] = v[big] ** p * np.expm1(p * np.log1p(xi[big] / v[big]))
     out[~big] = w[~big] ** p - v[~big] ** p
     return out
-
-
-def _dot(a: np.ndarray, b: np.ndarray):
-    """a'b of two vectors as a float, or the S column-wise products of two
-    N x S blocks."""
-    return float(a @ b) if a.ndim == 1 else np.einsum("ij,ij->j", a, b)
 
 
 def energy_deficit(v: NormalizedState, xi: np.ndarray):
@@ -200,15 +196,11 @@ def energy_deficit(v: NormalizedState, xi: np.ndarray):
     E_v = ops.dirichlet(v.u, dv) + float((v.u * diag) @ v.u)
     two_v_xi = 2.0 * vu + xi
     dE = (ops.dirichlet(xi, dxi, two_v_xi, 2.0 * _colwise(dv, xi) + dxi)
-          + _dot(_colwise(diag, xi) * xi, two_v_xi))
+          + np.einsum("i,i...,i...->...", diag, xi, two_v_xi))
 
     P_v = float(np.sum(m * v.u**ts))
     delta = np.sum(_colwise(m, xi) * power_increment(v.u, xi, ts), axis=0)
-
-    if xi.ndim == 1:  # a vector keeps the scalar libm evaluation
-        growth = math.expm1((2.0 / ts) * math.log1p(delta / P_v))
-    else:
-        growth = np.expm1((2.0 / ts) * np.log1p(delta / P_v))
+    growth = np.expm1((2.0 / ts) * np.log1p(delta / P_v))
     denom = P_v ** (2.0 / ts) * (1.0 + growth)
     return (dE - E_v * growth) / denom
 

@@ -96,7 +96,8 @@ class ReductionChart:
         # fixed references for the incremental residual evaluation
         ts = self.ops.two_star
         mvec = self.ops.vol_weights
-        self._Av, _ = self.ops.apply_form(self.v.u)
+        self._diag = self.ops.curv_weights + self.ops.bdry_weights  # A = S + diag(c + b)
+        self._Av, _ = self.ops.apply_form(self.v.u, self._diag)
         self._Ev = float(self.v.u @ self._Av)
         self._Pv = float(np.sum(mvec * self.v.u**ts))
         # range(C) holds p = M v^(2*-1), so of g(v) only A v has a complement part
@@ -113,7 +114,7 @@ class ReductionChart:
         ts = ops.two_star
         m = ops.vol_weights
         v = self.v.u
-        Axi, _ = ops.apply_form(xi)
+        Axi, _ = ops.apply_form(xi, self._diag)
         E = self._Ev + 2.0 * float(xi @ self._Av) + float(xi @ Axi)
         P = self._Pv + float(np.sum(m * energy.power_increment(v, xi, ts)))
         dg = Axi - (E / P) * m * energy.power_increment(v, xi, ts - 1.0)

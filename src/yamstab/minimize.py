@@ -91,6 +91,8 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
                     opts: MinimizeOptions = MinimizeOptions()) -> MinimizeReport:
     """Minimize the quotient starting from a nonnegative nonzero function."""
     u0 = np.asarray(u0, dtype=float)
+    if not np.all(np.isfinite(u0)):
+        raise ValueError("starting point must be finite")
     if np.any(u0 < 0) or not np.any(u0 > 0):
         raise ValueError("starting point must be nonnegative and nonzero")
 

@@ -87,8 +87,8 @@ class SymmetricModel:
             raise ValueError(f"dimension must be a whole number, got {self.n}")
         if self.n < 3:
             raise ValueError(f"dimension must be >= 3, got {self.n}")
-        if self.length <= 0:
-            raise ValueError(f"length must be positive, got {self.length}")
+        if not (math.isfinite(self.length) and self.length > 0):
+            raise ValueError(f"length must be finite and positive, got {self.length}")
         if self.topology not in ("interval", "circle"):
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.topology == "circle" and (self.left is not None or self.right is not None):

@@ -278,7 +278,7 @@ def coercivity_data(v: energy.NormalizedState, split: KernelSplit,
                          "and the spectrum holds none")
     try:
         gap = lowest_pairs(energy.second_variation(v), ops.with_diagonal(ops.vol_weights),
-                           C, start, 1, apply_B=ops.w12_apply)
+                           C, start, 1, apply_B=lambda Y: ops.apply_form(Y, ops.vol_weights)[0])
     except SpectrumError as exc:
         if positive_factor(energy.second_variation(v), C) is not None:
             raise CoercivityError(str(exc)) from exc

@@ -83,6 +83,16 @@ def test_quotient_rejects_bad_input(frank_nondeg):
         energy.yamabe_quotient(ops, u)
 
 
+def test_normalized_state_rejects_a_nan(frank_nondeg):
+    # a NaN norm fails the volume check instead of passing it
+    ops = frank_nondeg[1].v.ops
+    u = np.full(ops.N, ops.volume ** (-1.0 / ops.two_star))
+    energy.NormalizedState(u=u.copy(), ops=ops)
+    u[3] = math.nan
+    with pytest.raises(ValueError, match="volume-normalized"):
+        energy.NormalizedState(u=u, ops=ops)
+
+
 def test_normalize(frank_nondeg):
     ops = frank_nondeg[1].v.ops
     v = random_positive_state(ops, 7)
@@ -315,17 +325,35 @@ def test_energy_deficit_smooth_to_tiny_scales(frank_deg):
 
 
 def test_energy_deficit_on_column_blocks(frank_deg):
-    # a block of offsets gives each column's deficit and power increment
+    # a block of offsets gives each column's deficit, power increment and
+    # (S + C + B) xi
     _, rep, _, split = frank_deg
     v = rep.v
+    ops, ts = v.ops, v.ops.two_star
     Xi = np.column_stack([s * split.K_basis[:, j] for s in (1e-3, 2e-2) for j in (0, 1)])
+    cb = ops.curv_weights + ops.bdry_weights
     block = energy.energy_deficit(v, Xi)
-    incr = energy.power_increment(v.u, Xi, v.ops.two_star)
-    floor = np.finfo(float).eps * energy.yamabe_quotient(v.ops, v.u).Q
+    incr = energy.power_increment(v.u, Xi, ts)
+    AXi = ops.apply_form(Xi, cb)[0]
+    eps = np.finfo(float).eps
+    floor = eps * energy.yamabe_quotient(ops, v.u).Q
+    absD = np.abs(ops.grid.diff_matrix)
     for j in range(Xi.shape[1]):
-        assert block[j] == pytest.approx(energy.energy_deficit(v, Xi[:, j]), rel=1e-12, abs=floor)
-        ref = energy.power_increment(v.u, Xi[:, j], v.ops.two_star)
+        xi, col = Xi[:, j], Xi[:, j:j + 1]
+        deficit = energy.energy_deficit(v, xi)
+        assert block[j] == pytest.approx(deficit, rel=1e-12, abs=floor)
+        ref = energy.power_increment(v.u, xi, ts)
         assert np.max(np.abs(incr[:, j] - ref)) <= 1e-15 * np.max(np.abs(ref))
+        # A xi cancels sums of size |D|'(w |D| |xi|) + |(c + b) xi|
+        Axi = ops.apply_form(xi, cb)[0]
+        sums = absD.T @ (ops.stiff_weights * (absD @ np.abs(xi))) + np.abs(cb * xi)
+        assert np.all(np.abs(AXi[:, j] - Axi) <= ops.N * eps * sums)
+        # a one-column block gives the vector call's values to a few eps
+        assert energy.energy_deficit(v, col)[0] == pytest.approx(deficit, rel=4 * eps,
+                                                                 abs=4 * floor)
+        assert np.max(np.abs(energy.power_increment(v.u, col, ts)[:, 0] - ref)) \
+            <= 4 * eps * np.max(np.abs(ref))
+        assert np.all(np.abs(ops.apply_form(col, cb)[0][:, 0] - Axi) <= 4 * eps * sums)
     with pytest.raises(ValueError, match="nonnegative cone"):
         energy.energy_deficit(v, np.column_stack([Xi[:, 0], -2.0 * v.u]))
 

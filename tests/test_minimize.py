@@ -28,6 +28,15 @@ def test_minimize_rejects_bad_start(frank_nondeg):
         minimize.minimize_energy(ops, -np.ones(ops.N))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_minimize_rejects_a_non_finite_start(frank_nondeg, bad):
+    ops = frank_nondeg[1].v.ops
+    u0 = np.ones(ops.N)
+    u0[5] = bad
+    with pytest.raises(ValueError, match="starting point must be finite"):
+        minimize.minimize_energy(ops, u0)
+
+
 def test_frank_subbifurcation_minimum():
     # the constant minimizes below the bifurcation radius;
     # oracle: closed-form constant energy plus the strong-form residual

@@ -76,6 +76,9 @@ def test_cylinder_profile():
     ("cylinder", {"n": 3, "length": 0.0}),
     ("cylinder", {"n": 3.5, "length": 1.0}),
     ("frank_product", {"d": 5.5, "r": 1.0}),
+    # nan <= 0 is False, and an infinite radius gives an infinite circle
+    ("cylinder", {"n": 3, "length": math.nan}),
+    ("frank_product", {"d": 5, "r": math.inf}),
 ])
 def test_make_model_rejects_bad_params(kind, params):
     with pytest.raises(ValueError):
