@@ -266,12 +266,13 @@ def _best_report(cfg: ExperimentConfig):
 
 def run_minimize(cfg: ExperimentConfig):
     m, reports, best = _best_report(cfg)
-    rows = [[r.start_index, r.converged, r.iterations, r.Y_est, r.grad_norm,
+    rows = [[r.start_index, r.converged, r.coarse_iterations, r.iterations, r.Y_est, r.grad_norm,
              r.residual.interior, r.residual.boundary] for r in reports]
     results = {
         "Y_est": best.Y_est,
         "grad_norm": best.grad_norm,
         "iterations": best.iterations,
+        "coarse_iterations": best.coarse_iterations,
         "converged": best.converged,
         "start_index": best.start_index,
         "residual_interior": best.residual.interior,
@@ -279,7 +280,7 @@ def run_minimize(cfg: ExperimentConfig):
         "halfsphere_reference": minimize.hemisphere_comparison_value(m.n),
     }
     summary = f"Y_est={_fmt(best.Y_est)}"
-    cols = ["start_index", "converged", "iterations", "Y_est", "grad_norm",
+    cols = ["start_index", "converged", "coarse_iterations", "iterations", "Y_est", "grad_norm",
             "residual_interior", "residual_boundary"]
     return results, cols, rows, summary
 

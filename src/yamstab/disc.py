@@ -133,6 +133,30 @@ def low_modes(grid: Grid, count: int) -> np.ndarray:
     return np.asfortranarray(np.where(j % 2, np.cos(t), np.sin(t)))
 
 
+def interpolate(grid_from: Grid, grid_to: Grid, u: np.ndarray) -> np.ndarray:
+    """Values at grid_to's nodes of the spectral interpolant of the nodal
+    values u on grid_from, a grid of the same model.  Circles zero-pad the
+    FFT and, onto a finer grid, split the Nyquist coefficient evenly between
+    the two frequencies +-N/2, which keeps the interpolant real; intervals
+    evaluate the barycentric formula on the Chebyshev-Lobatto nodes, weights
+    (-1)^j halved at the ends (Berrut & Trefethen, SIAM Rev. 46, 2004)."""
+    if grid_from.kind == "uniform_periodic":
+        U = np.fft.rfft(u)
+        if grid_to.N > grid_from.N:
+            U[-1] *= 0.5
+        return np.fft.irfft(U, grid_to.N) * (grid_to.N / grid_from.N)
+    w = (-1.0) ** np.arange(grid_from.N)
+    w[[0, -1]] *= 0.5
+    diff = np.subtract.outer(grid_to.nodes, grid_from.nodes)
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    C = w / diff
+    out = (C @ u) / C.sum(axis=1)
+    rows, cols = np.nonzero(hit)  # a shared node takes its value exactly
+    out[rows] = u[cols]
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteOperators:
     """Assembled quadratic forms of the boundary Yamabe energy on a grid.

@@ -22,6 +22,20 @@ is declared on the preconditioned gradient norm alone: degenerate minimizers
 move arbitrarily slowly along their kernel, so state movement is not a usable
 criterion.  A multistart run starts from the constant and from seeded smooth
 perturbations of it along the analytic modes of disc.low_modes.
+
+Nested iteration: run_multistart solves each start that does not already
+meet grad_tol on the N-node grid on one coarse grid of the same model,
+N/4 nodes rounded up to even (used when that is at least disc.MIN_NODES),
+from the same seeded start taken on the coarse nodes; it interpolates the
+coarse minimizer to the N-node grid (disc.interpolate) and finishes there
+with minimize_energy at the same grad_tol, so convergence is decided on N
+alone.  Newton's iteration count does not depend on the mesh (Allgower,
+Bohmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986), and at a
+degenerate minimizer the polish converges only linearly (Decker & Kelley,
+SIAM J. Numer. Anal. 17, 1980): its 20-30 factorizations cost (N/4)^3
+each on the coarse grid, while the interpolated state needs 0-3 iterations
+on N.  A start whose coarse or finishing run does not converge runs
+directly on N from its own N-node start, so no start is dropped.
 """
 
 from __future__ import annotations
@@ -33,7 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .disc import BorderedFactor, DiscreteOperators, assemble_operators, build_grid, low_modes
+from .disc import (MIN_NODES, BorderedFactor, DiscreteOperators, assemble_operators,
+                   build_grid, interpolate, low_modes)
 from .model import SymmetricModel, dim_constant, sphere_area
 from . import energy
 
@@ -61,6 +76,7 @@ class MinimizeReport:
     iterations: int
     converged: bool
     start_index: int = 0
+    coarse_iterations: int = 0  # iterations on the coarse grid of a nested start
     q_history: tuple = field(default=())
 
 
@@ -220,15 +236,38 @@ def random_starts(ops: DiscreteOperators, starts: int, seed: int) -> list[np.nda
 
 def run_multistart(m: SymmetricModel, N: int, starts: int,
                    opts: MinimizeOptions) -> list[MinimizeReport]:
-    """One report per start, converged or not, in start order."""
+    """One report per start, converged or not, in start order; each start
+    that is not critical on N is solved by nested iteration (module
+    docstring)."""
     if starts < 1:
         raise ValueError("starts must be at least 1")
-    grid = build_grid(m, N)
-    ops = assemble_operators(m, grid)
+    ops = assemble_operators(m, build_grid(m, N))
+    n_coarse = 2 * math.ceil(N / 8)
+    coarse = (assemble_operators(m, build_grid(m, n_coarse))
+              if n_coarse >= MIN_NODES else None)
+    coarse_starts = random_starts(coarse, starts, opts.seed) if coarse is not None else []
     reports = []
     for j, u0 in enumerate(random_starts(ops, starts, opts.seed)):
-        reports.append(dataclasses.replace(minimize_energy(ops, u0, opts), start_index=j))
+        rep = None
+        if coarse is not None and ops.dual_norm(
+                energy.gradient(energy.normalize(ops, u0))) > opts.grad_tol:
+            rep = _nested(coarse, coarse_starts[j], ops, opts)
+        if rep is None:
+            rep = minimize_energy(ops, u0, opts)
+        reports.append(dataclasses.replace(rep, start_index=j))
     return reports
+
+
+def _nested(coarse: DiscreteOperators, u0: np.ndarray, ops: DiscreteOperators,
+            opts: MinimizeOptions) -> MinimizeReport | None:
+    """minimize_energy from u0 on the coarse operators, finished on ops from
+    the interpolated coarse minimizer; None unless both runs converge."""
+    rough = minimize_energy(coarse, u0, opts)
+    if not rough.converged:
+        return None
+    u = np.clip(interpolate(coarse.grid, ops.grid, rough.v.u), 0.0, None)
+    rep = minimize_energy(ops, u, opts)
+    return dataclasses.replace(rep, coarse_iterations=rough.iterations) if rep.converged else None
 
 
 def best_converged(reports: list[MinimizeReport], m: SymmetricModel,

@@ -269,3 +269,15 @@ def test_criterion_8_determinism_and_convergence(tmp_path):
     _report(8, f"byte-identical reruns; doubling drift: Y {dy:.2e}, "
                f"lambda1 {dlam:.2e}, exponents {dq4:.3f}/{dq2:.3f}, "
                f"{elapsed:.1f}s")
+
+
+def test_criterion_8_quartic_exponent_doubling_to_N1024():
+    # the N=1024 contract: the quartic exponent moves by at most criterion
+    # 8's bound when the grid doubles from 512
+    t0 = time.perf_counter()
+    quartic = {N: run_quartic_fit(N)[0].exponent for N in (512, 1024)}
+    dq4 = abs(quartic[1024] - quartic[512])
+    elapsed = time.perf_counter() - t0
+    assert dq4 <= 0.05
+    _report(8, f"quartic exponent {quartic[512]:.10f} -> {quartic[1024]:.10f} "
+               f"(N 512 -> 1024), drift {dq4:.2e}, {elapsed:.1f}s")

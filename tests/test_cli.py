@@ -273,7 +273,7 @@ def test_minimize_csv_columns(tmp_path):
     path, _ = base_config(tmp_path, "minimize")
     cli.main(["minimize", "--config", str(path)])
     header = (tmp_path / "out_minimize.csv").read_text().split("\n")[0]
-    assert header == ("start_index,converged,iterations,Y_est,grad_norm,"
+    assert header == ("start_index,converged,coarse_iterations,iterations,Y_est,grad_norm,"
                       "residual_interior,residual_boundary")
 
 

@@ -324,6 +324,26 @@ def test_low_modes_are_the_resolved_nonconstant_modes(kind, N):
     assert np.array_equal(disc.low_modes(ops.grid, 2), modes[:, :2])
 
 
+@pytest.mark.parametrize("kind", ["circle", "interval"])
+def test_interpolate_is_exact_on_what_the_coarse_grid_resolves(kind):
+    # a circle's N nodes resolve the trigonometric polynomials of degree N/2
+    # with the Nyquist cosine as cos(pi N t / T), its real interpolant; a
+    # Chebyshev grid's N nodes resolve the polynomials of degree N - 1
+    m = model.frank_product(5, 0.5) if kind == "circle" else model.cylinder(3, 1.0)
+    coarse, fine = disc.build_grid(m, 16), disc.build_grid(m, 64)
+    if kind == "circle":
+        def f(t):
+            s = 2 * math.pi * t / m.length
+            return 1.0 + 0.3 * np.sin(s) - 0.2 * np.cos(7 * s) + 0.1 * np.cos(8 * s)
+    else:
+        def f(t):
+            return np.polynomial.chebyshev.chebval(2 * t / m.length - 1, np.linspace(1, -1, 16))
+    u = disc.interpolate(coarse, fine, f(coarse.nodes))
+    assert np.allclose(u, f(fine.nodes), rtol=0, atol=1e-13)
+    if kind == "interval":  # the shared end nodes keep their values exactly
+        assert np.array_equal(u[[0, -1]], f(coarse.nodes)[[0, -1]])
+
+
 def test_sobolev_norm_rounding_at_N512():
     # the factored norm stays within 1e-13 of its long-double value on smooth
     # offsets and on the states they displace the constant to; the dense

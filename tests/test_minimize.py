@@ -246,8 +246,11 @@ def test_polish_stops_at_tolerance(monkeypatch):
     reports = minimize.run_multistart(m, 256, 3, opts)
     assert all(r.converged for r in reports)
     assert entry_grads
-    ops = reports[0].v.ops
-    assert all(ops.dual_norm(G) > opts.grad_tol for G in entry_grads)
+    # nested starts polish on the coarse grid too: each solve is checked
+    # against the operators of its own grid
+    ops = {G.size: disc.assemble_operators(m, disc.build_grid(m, G.size))
+           for G in entry_grads}
+    assert all(ops[G.size].dual_norm(G) > opts.grad_tol for G in entry_grads)
 
 
 def test_polish_evaluates_one_gradient_per_try(monkeypatch):
@@ -272,22 +275,80 @@ def test_polish_evaluates_one_gradient_per_try(monkeypatch):
 def test_descent_takes_few_iterations_on_cylinder():
     # with Barzilai-Borwein trial steps the descent does not crawl along the
     # low modes: every start here takes at most 5 descent and polish
-    # iterations together, well inside the bound
+    # iterations together, well inside the bound; a nested start counts
+    # its coarse-grid iterations too
     m = model.cylinder(3, 1.0)
     reports = minimize.run_multistart(
         m, 96, 8, minimize.MinimizeOptions(seed=1, grad_tol=5e-11))
     assert all(r.converged for r in reports)
-    assert max(r.iterations for r in reports) <= 20
+    assert max(r.coarse_iterations + r.iterations for r in reports) <= 20
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_default_tolerance_converges_every_start_at_N512(seed):
+def test_default_tolerance_converges_every_start_at_N512(seed, monkeypatch):
     # the gradient's rounding error sits well below grad_tol = 1e-11 at the
     # N=512 bifurcation radius, so every start reaches it; with the dense
-    # stiffness matvec 2 of these 6 starts did
+    # stiffness matvec 2 of these 6 starts did.  The perturbed starts take
+    # their ~25 polish iterations on the 128-node grid, and the interpolated
+    # minimizer already meets grad_tol on N, so no N-node factor is built
+    orders = []
+    factor = minimize.BorderedFactor
+    monkeypatch.setattr(minimize, "BorderedFactor",
+                        lambda A, C: orders.append(A.shape[0] + C.shape[1]) or factor(A, C))
     reports = minimize.run_multistart(model.frank_product(5, BIF_RADIUS), 512, 3,
                                       minimize.MinimizeOptions(seed=seed))
     assert [r.converged for r in reports] == [True, True, True]
+    assert orders and set(orders) == {512 // 4 + 1}
+
+
+def _direct_reports(m, N, starts, opts):
+    """run_multistart without nested iteration: minimize_energy on N from
+    each start."""
+    ops = disc.assemble_operators(m, disc.build_grid(m, N))
+    return [dataclasses.replace(minimize.minimize_energy(ops, u0, opts), start_index=j)
+            for j, u0 in enumerate(minimize.random_starts(ops, starts, opts.seed))]
+
+
+@pytest.mark.parametrize("N", [128, 256])
+@pytest.mark.parametrize("m", [model.hemisphere(3), model.ball(3), model.spherical_cap(3, 1.0),
+                               model.cylinder(3, 1.0), model.frank_product(5, BIF_RADIUS)],
+                         ids=lambda m: m.label)
+def test_nested_agrees_with_direct(m, N):
+    opts = minimize.MinimizeOptions(seed=1)
+    nested = minimize.run_multistart(m, N, 4, opts)
+    direct = _direct_reports(m, N, 4, opts)
+    assert [r.converged for r in nested] == [r.converged for r in direct]
+    best = minimize.best_converged(direct, m, N)
+    assert minimize.best_converged(nested, m, N).start_index == best.start_index
+    ops, v = best.v.ops, best.v.u
+    floor = 2.0 * np.finfo(float).eps * float(
+        v @ (np.abs(ops.with_diagonal(ops.curv_weights, ops.bdry_weights)) @ v))
+    for a, b in zip(nested, direct):
+        assert abs(a.Y_est - b.Y_est) <= floor
+    # the perturbed starts are not critical on N, so they run nested
+    assert all(r.coarse_iterations > 0 for r in nested[1:])
+
+
+def test_unconverged_coarse_run_falls_back_to_direct(monkeypatch):
+    m, N = model.frank_product(5, BIF_RADIUS), 128
+    opts = minimize.MinimizeOptions(seed=1)
+    run = minimize.minimize_energy
+    grids = []
+
+    def coarse_fails(ops, u0, opts):
+        grids.append(ops.N)
+        rep = run(ops, u0, opts)
+        return dataclasses.replace(rep, converged=False) if ops.N < N else rep
+
+    monkeypatch.setattr(minimize, "minimize_energy", coarse_fails)
+    nested = minimize.run_multistart(m, N, 3, opts)
+    monkeypatch.setattr(minimize, "minimize_energy", run)
+    assert grids == [N, N // 4, N, N // 4, N]  # start 0 is critical on N
+    for a, b in zip(nested, _direct_reports(m, N, 3, opts), strict=True):
+        assert (a.start_index, a.converged, a.coarse_iterations, a.iterations) == \
+            (b.start_index, b.converged, 0, b.iterations)
+        assert a.Y_est == b.Y_est
+        assert np.array_equal(a.v.u, b.v.u)
 
 
 @pytest.fixture(scope="module")
