@@ -20,7 +20,6 @@ from .lsred import (ChartError, FitRejectedError, GrowthFit,
                     sample_reduced, solve_correction_full)
 from .stability import (CoercivityData, CoercivityError, SampleSpec,
                         StabilityFit, StabilityRecord, coercivity_data,
-                        distance_to_minimizers, fit_stability_exponent,
-                        sample_deficit_distance)
+                        fit_stability_exponent, sample_deficit_distance)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,18 +22,6 @@ from .spectrum import (KernelSplit, SpectrumError, SpectrumReport, constraint_co
 from . import energy
 
 
-def distance_to_minimizers(u: energy.NormalizedState, v: energy.NormalizedState) -> float:
-    """Normalized Sobolev distance |u - v|_W / |u|_W from u to the isolated
-    minimizer v.
-
-    At a degenerate minimizer whose kernel integrates to a manifold of
-    minimizers (a rotation orbit, say), this is the distance to one point of
-    that manifold, not to the manifold.
-    """
-    ops = u.ops
-    return ops.w12_norm(u.u - v.u) / ops.w12_norm(u.u)
-
-
 @dataclass(frozen=True)
 class StabilityRecord:
     deficit: float

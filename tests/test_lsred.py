@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from yamstab import disc, energy, lsred, minimize, model, spectrum, stability
+from yamstab import cli, disc, energy, lsred, minimize, model, spectrum, stability
 from conftest import BIF_RADIUS, projected_hessian, raw_hessian_reference, tangent_frame
 
 
@@ -351,6 +351,11 @@ def test_quartic_sweep_factors_once(frank_deg, monkeypatch):
             factors.append(1)
             super().__init__(*args)
 
+        def solve(self, b):
+            solves.append(b.shape)
+            return super().solve(b)
+
+    solves = []
     monkeypatch.setattr(lsred, "BorderedFactor", CountingFactor)
     chart = lsred.ReductionChart(v=rep.v, split=split)
     samples = lsred.sample_reduced(
@@ -359,6 +364,8 @@ def test_quartic_sweep_factors_once(frank_deg, monkeypatch):
     assert all(s.residual <= chart.newton_tol for s in samples)
     assert max(s.newton_iters for s in samples) < lsred.MAX_NEWTON
     assert len(factors) == 1
+    # one multi-column solve per lockstep sweep, not one per sample and step
+    assert len(solves) <= max(s.newton_iters for s in samples) + 1
 
 
 def test_stalled_chord_step_meets_tolerance_in_dual_norm(frank_deg):
@@ -381,3 +388,113 @@ def test_stalled_chord_step_meets_tolerance_in_dual_norm(frank_deg):
     tight = lsred.ReductionChart(v=rep.v, split=split, newton_tol=1e-14)
     with pytest.raises(lsred.ChartError, match="dual norm .* misses the tolerance"):
         lsred.reduced_energy(tight, phi_coords)
+
+
+def _default_ladder(chart, seed=1):
+    """The CLI's default sweep: 2 directions x KERNEL_SCALES x +-, as the k x S
+    coordinate block in sweep order."""
+    dirs = cli._unit_directions(chart.kernel_dim, 2, seed)
+    return np.column_stack([sign * s * d for d in dirs for s in cli.KERNEL_SCALES
+                            for sign in (1.0, -1.0)])
+
+
+def test_block_columns_match_one_column_solves(frank_deg_chart):
+    chart = frank_deg_chart
+    coords = _default_ladder(chart)
+    Z, iters, *_, stops = lsred._chord_block(chart, coords)
+    assert stops == [None] * coords.shape[1]
+    deficits = energy.energy_deficit(chart.v, chart.kernel_vector(coords) + Z)
+    alone = [lsred.reduced_energy(chart, coords[:, j]) for j in range(coords.shape[1])]
+    assert iters.tolist() == [s.newton_iters for s in alone]
+    for d_block, s in zip(deficits, alone):
+        assert d_block == pytest.approx(s.deficit, rel=1e-5)
+    # the averaged samples carry the same counts and deficits
+    samples = lsred.sample_reduced(chart, cli._unit_directions(chart.kernel_dim, 2, 1),
+                                   cli.KERNEL_SCALES)
+    for j, s in enumerate(samples):
+        plus, minus = alone[2 * j], alone[2 * j + 1]
+        assert s.newton_iters == max(plus.newton_iters, minus.newton_iters)
+        assert s.deficit == pytest.approx(0.5 * (plus.deficit + minus.deficit), rel=1e-5)
+
+
+def test_first_failing_sample_in_sweep_order_names_it(frank_deg, monkeypatch):
+    # the 3rd scale leaves the chart; the 4th would stop on MAX_NEWTON, but
+    # the error is the one a sample-by-sample sweep meets first
+    _, rep, _, split = frank_deg
+    chart = lsred.ReductionChart(v=rep.v, split=split)
+    early = (1e-3, 3e-3)
+    budget = max(lsred.reduced_energy(chart, [s, 0.0]).newton_iters for s in early)
+    monkeypatch.setattr(lsred, "MAX_NEWTON", budget)
+    with pytest.raises(lsred.ChartError, match="MAX_NEWTON"):
+        lsred.reduced_energy(chart, [0.05, 0.0])
+    big = 2.0 * chart.radius
+    with pytest.raises(lsred.ChartError) as err:
+        lsred.sample_reduced(chart, [np.array([1.0, 0.0])], (*early, big, 0.05))
+    msg = str(err.value)
+    assert f"direction 0, scale {big:.3e}, sign +: kernel offset leaves the chart" in msg
+    assert "MAX_NEWTON" not in msg
+
+
+def test_zero_direction_refused_before_any_solve(frank_deg_chart, monkeypatch):
+    chart = frank_deg_chart
+    monkeypatch.setattr(chart._factor, "solve", lambda b: pytest.fail("solve called"))
+    with pytest.raises(ValueError, match="nonzero"):
+        lsred.sample_reduced(chart, [np.array([1.0, 0.0]), np.zeros(2)], (1e-2,))
+
+
+def _complement_residual_longdouble(chart, xi):
+    """complement_residual's columns for the N x S block xi, evaluated directly
+    (not incrementally) in long double around the chart's float64 data."""
+    ld = np.longdouble
+    ops = chart.ops
+    ts = ld(ops.two_star)
+    D = ops.grid.diff_matrix.astype(ld)
+    m = ops.vol_weights.astype(ld)[:, None]
+    inv_m = 1 / m
+    u = chart.v.u.astype(ld)[:, None] + xi.astype(ld)
+    du = D @ u
+    Au = D.T @ (ops.stiff_weights.astype(ld)[:, None] * du) + (
+        ops.curv_weights + ops.bdry_weights).astype(ld)[:, None] * u
+    if ops.nyquist is not None:
+        e, y = ops.nyquist
+        y = y.astype(ld)
+        Au += ld(e) * np.outer(y, y @ u)
+    E = np.sum(u * Au, axis=0)
+    P = np.sum(m * u**ts, axis=0)
+    g = 2 * P ** (-2 / ts) * (Au - (E / P) * m * u ** (ts - 1))
+    # the range(C) part, through an M^-1-orthonormal basis of range(C)
+    # (Gram-Schmidt applied twice; numpy has no long-double solve)
+    basis = []
+    for c in chart._C.T.astype(ld):
+        for _ in range(2):
+            for q in basis:
+                c = c - q * (q @ (inv_m[:, 0] * c))
+        basis.append(c / np.sqrt(c @ (inv_m[:, 0] * c)))
+    for _ in range(2):
+        for q in basis:
+            g = g - np.outer(q, q @ (inv_m * g))
+    return g
+
+
+def test_block_residuals_meet_tolerance_in_long_double():
+    # the default-ladder chart at the N=1024 bifurcation radius: every column
+    # the block solve returns, its residual re-evaluated in long double, meets
+    # newton_tol in the Sobolev dual norm (taken in float64 from the rounded
+    # long-double residual)
+    rep = minimize.estimate_yamabe_constant(
+        model.frank_product(5, BIF_RADIUS), 1024, starts=4,
+        opts=minimize.MinimizeOptions(seed=1))
+    split = spectrum.kernel_split(spectrum.eigen_decompose(rep.v, 12))
+    chart = lsred.ReductionChart(v=rep.v, split=split)
+    coords = _default_ladder(chart)
+    Z, *_, stops = lsred._chord_block(chart, coords)
+    assert stops == [None] * coords.shape[1]
+    phi = chart.kernel_vector(coords)
+    xi = phi + Z
+    exact = _complement_residual_longdouble(chart, xi).astype(float)
+    for j in range(coords.shape[1]):
+        assert chart.ops.dual_norm(exact[:, j]) <= chart.newton_tol
+    # the reference is the chart's residual: at the uncorrected offsets the
+    # two agree far below the residual's own size
+    ref, fast = _complement_residual_longdouble(chart, phi), chart.complement_residual(phi)
+    assert np.max(np.abs(ref.astype(float) - fast)) <= 1e-6 * np.max(np.abs(fast))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -61,34 +62,40 @@ def test_sampler_rejects_spectrum_without_transverse_modes(deg, kind):
         stability.sample_deficit_distance(v, split, kernel_only, _spec((kind,)))
 
 
-def test_distance_to_self_and_members(nondeg):
-    v = nondeg[0]
-    assert stability.distance_to_minimizers(v, v) == 0.0
+def _first_kernel_direction(deg):
+    phi = deg[1].K_basis[:, 0]
+    return phi / deg[0].ops.w12_norm(phi)
+
+
+def test_distance_to_self_and_members(deg, nondeg):
+    # the scale-0 sample is v renormalized: exactly v on deg's grid, v to
+    # round-off on nondeg's
+    for fixture, kind, tol in ((deg, "kernel", 0.0), (nondeg, "transverse", 1e-15)):
+        batch = stability.sample_deficit_distance(*fixture, _spec((kind,), (0.0,), count=1))
+        assert batch.records[0].distance <= tol
 
 
 def test_distance_chart_linearization(deg):
     # the normalized chart is tangent to the identity, so small kernel
     # perturbations move by t |phi| / |u| to first order
-    v, split, _ = deg
-    ops = v.ops
-    phi = split.K_basis[:, 0]
-    for t in (1e-3, 1e-2):
-        u = energy.normalize(ops, np.clip(v.u + t * phi, 0, None))
-        d = stability.distance_to_minimizers(u, v)
-        pred = t * ops.w12_norm(phi) / ops.w12_norm(u.u)
-        assert d == pytest.approx(pred, rel=50 * t)
+    # (the sampler's first kernel direction is K_basis[:, 0], Sobolev-normalized)
+    v = deg[0]
+    batch = stability.sample_deficit_distance(*deg, _spec(("kernel",), (1e-3, 1e-2), count=1))
+    for r in batch.records:
+        u = energy.normalize(v.ops, np.clip(v.u + r.scale * _first_kernel_direction(deg), 0, None))
+        pred = r.scale / v.ops.w12_norm(u.u)
+        assert r.distance == pytest.approx(pred, rel=50 * r.scale)
 
 
 def test_distance_rotation_invariance(deg):
     # rotating the circle is an isometry: rolled samples keep their distance
-    v, split, _ = deg
-    ops = v.ops
-    phi = split.K_basis[:, 0]
-    u = energy.normalize(ops, np.clip(v.u + 0.01 * phi, 0, None))
-    d0 = stability.distance_to_minimizers(u, v)
-    for shift in (ops.N // 4, ops.N // 2):
-        u_rot = energy.NormalizedState(u=np.roll(u.u, shift), ops=ops)
-        d1 = stability.distance_to_minimizers(u_rot, v)
+    # (v is the constant, so a rolled kernel basis samples the rolled states)
+    v, split, spec = deg
+    one = _spec(("kernel",), (0.01,), count=1)
+    d0 = stability.sample_deficit_distance(v, split, spec, one).records[0].distance
+    for shift in (v.ops.N // 4, v.ops.N // 2):
+        rolled = dataclasses.replace(split, K_basis=np.roll(split.K_basis, shift, axis=0))
+        d1 = stability.sample_deficit_distance(v, rolled, spec, one).records[0].distance
         assert abs(d1 - d0) <= 1e-9
 
 
@@ -148,15 +155,14 @@ def test_records_nonnegative_deficit(deg):
 
 def test_zero_homogeneity_of_record_quantities(deg):
     # both sides of the stability inequality ignore rescaling of the state
-    v, split, _ = deg
+    # a record of the state v + s phi carries the quantities of any rescaling
+    v = deg[0]
     ops = v.ops
-    phi = split.K_basis[:, 1]
-    raw = np.clip(v.u + 0.02 * phi, 0, None)
-    u1 = energy.normalize(ops, raw)
-    u2 = energy.normalize(ops, 37.0 * raw)
-    assert stability.distance_to_minimizers(u1, v) == pytest.approx(
-        stability.distance_to_minimizers(u2, v), rel=1e-13)
-    assert energy.energy_deficit(v, u1.u - v.u) == pytest.approx(
+    rec = stability.sample_deficit_distance(*deg, _spec(("kernel",), (0.02,), count=1)).records[0]
+    u2 = energy.normalize(ops, 37.0 * np.clip(v.u + 0.02 * _first_kernel_direction(deg), 0, None))
+    assert rec.distance == pytest.approx(
+        ops.w12_norm(u2.u - v.u) / ops.w12_norm(u2.u), rel=1e-13)
+    assert rec.deficit == pytest.approx(
         energy.energy_deficit(v, u2.u - v.u), rel=1e-10, abs=1e-15)
 
 
