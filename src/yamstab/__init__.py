@@ -16,8 +16,8 @@ from .spectrum import (KernelSplit, KernelThresholdError, SpectrumReport,
                        eigen_decompose, kernel_split)
 from .lsred import (ChartError, FitRejectedError, GrowthFit,
                     InsufficientDataError, ReducedSample, ReductionChart,
-                    detect_integrability, fit_growth_exponent, reduced_energy,
-                    sample_reduced, solve_correction_full)
+                    detect_integrability, fit_growth_exponent, sample_reduced,
+                    solve_corrections)
 from .stability import (CoercivityData, CoercivityError, SampleSpec,
                         StabilityFit, StabilityRecord, coercivity_data,
                         fit_stability_exponent, sample_deficit_distance)

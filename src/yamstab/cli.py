@@ -43,6 +43,19 @@ class ConfigError(ValueError):
     pass
 
 
+# exit code and stderr label of each failure that ends a run
+FAILURES = {
+    ConfigError: (EXIT_CONFIG, "config error"),  # also a setting a run's results rule out
+    ConvergenceError: (EXIT_CONVERGENCE, "convergence failure"),
+    ChartError: (EXIT_CONVERGENCE, "convergence failure"),
+    KernelThresholdError: (EXIT_CONVERGENCE, "kernel threshold failure"),
+    SpectrumError: (EXIT_CONVERGENCE, "spectrum failure"),
+    CoercivityError: (EXIT_CONVERGENCE, "coercivity failure"),
+    FitRejectedError: (EXIT_FIT, "fit rejected"),
+    InsufficientDataError: (EXIT_FIT, "fit rejected"),
+}
+
+
 DEFAULT_TOLERANCES = {"grad_tol": 1e-11, "kernel_tol": 1e-6, "newton_tol": 1e-11}
 DEFAULT_SAMPLING = {"directions": 2, "scales": [], "count": 4, "kinds": []}
 # default scale ladders when sampling.scales is empty: along a Hessian kernel
@@ -314,14 +327,8 @@ def run_spectrum(cfg: ExperimentConfig):
 
 
 def _unit_directions(dim: int, count: int, seed: int) -> list[np.ndarray]:
-    dirs = [np.eye(dim)[:, 0]]
-    rng = np.random.default_rng(seed)
-    while len(dirs) < count:
-        vec = rng.standard_normal(dim)
-        nrm = np.linalg.norm(vec)
-        if nrm > 1e-12:
-            dirs.append(vec / nrm)
-    return dirs[:count]
+    rows = np.random.default_rng(seed).standard_normal((count - 1, dim))
+    return [np.eye(dim)[:, 0], *(row / np.linalg.norm(row) for row in rows)]
 
 
 def run_lsred(cfg: ExperimentConfig):
@@ -522,30 +529,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if diags else EXIT_OK
 
     try:
-        cfg = _load_config(args.config, args.command, args.out, args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return run(cfg)
-    except ConfigError as exc:  # a setting that this run's results rule out
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConvergenceError, ChartError) as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except KernelThresholdError as exc:
-        print(f"kernel threshold failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except SpectrumError as exc:
-        print(f"spectrum failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except CoercivityError as exc:
-        print(f"coercivity failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except (FitRejectedError, InsufficientDataError) as exc:
-        print(f"fit rejected: {exc}", file=sys.stderr)
-        return EXIT_FIT
+        return run(_load_config(args.config, args.command, args.out, args.seed))
+    except tuple(FAILURES) as exc:
+        code, label = next(v for t, v in FAILURES.items() if isinstance(exc, t))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

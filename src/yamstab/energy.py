@@ -161,9 +161,10 @@ def power_increment(v: np.ndarray, xi: np.ndarray, p: float) -> np.ndarray:
     remaining nodes it is the plain difference, which is exactly -v^p where
     v + xi = 0.
     """
+    floor = 1e-12 * np.max(v)
     v = np.broadcast_to(_colwise(v, xi), xi.shape)  # one base for every column
     w = v + xi
-    big = (v > 1e-12 * np.max(v)) & (w > 0)
+    big = (v > floor) & (w > 0)
     out = np.empty_like(w)
     out[big] = v[big] ** p * np.expm1(p * np.log1p(xi[big] / v[big]))
     out[~big] = w[~big] ** p - v[~big] ** p

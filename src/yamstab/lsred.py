@@ -38,11 +38,13 @@ a block against 8 of 16 in one-column solves, and max_dual_residual reads
 The offsets of a chart are solved together: the N x S block Phi = K coords
 runs the chord iteration in lockstep, each sweep one multi-column solve of
 the factor and one block residual over the columns still active, with
-every rule above kept per column.  The block runs to completion, and
+every rule above kept per column.  solve_corrections is this block
+iteration and the package's one correction solver; it reports each column's
+stop cause instead of raising.  The block runs to completion, and
 sample_reduced then raises the ChartError of the first failing sample in
 sweep order (direction, then scale, then +, then -), the error a
-sample-by-sample sweep would meet.  solve_correction_full is the block's
-one-column call.  A column's last bits can depend on the block's width.
+sample-by-sample sweep would meet.  A column's last bits can depend on the
+block's width.
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ class InsufficientDataError(RuntimeError):
 NOISE_FLOOR = 1e-13
 CHORD_CONTRACTION = 0.5  # residual ratio a chord step must reach to be kept
 MAX_NEWTON = 40          # accepted steps per correction solve
+# radius of the locality ball around v in units of |v|_W: the chart radius
+# and the ball outside which stability samples are skipped
+LOCALITY_RADIUS = 0.1
 # relative spread of the sampled reduced energy below which it counts as constant
 INTEGRABLE_TOL = 1e-8
 
@@ -104,7 +109,7 @@ class ReductionChart:
             raise ChartError(
                 f"the bordered second variation is singular at v ({exc}); the "
                 "kernel split is suspect") from exc
-        self.radius = 0.1 * self.ops.w12_norm(self.v.u)
+        self.radius = LOCALITY_RADIUS * self.ops.w12_norm(self.v.u)
         self._q0 = energy.yamabe_quotient(self.ops, self.v.u).Q
         # fixed references for the incremental residual evaluation
         ts = self.ops.two_star
@@ -169,12 +174,17 @@ class ReducedSample:
     dual_residual: float = 0.0   # bounds the residual's Sobolev dual norm
 
 
-def _chord_block(chart: ReductionChart, coords: np.ndarray):
-    """Lockstep chord iteration at the k x S kernel coordinates coords.
+def solve_corrections(chart: ReductionChart, coords: np.ndarray):
+    """Corrections F(phi) at the k x S kernel coordinates coords, solved as
+    one lockstep chord block.
 
     Returns per column (Z, newton_iters, residual, dual_residual, stops):
-    the N x S corrections, their diagnostics, and the ChartError text of a
-    column whose solve failed (None where it met the tolerance).
+    the N x S corrections, their accepted chord steps, the complement
+    residual's norm sqrt(r'M^-1 r), a bound on its Sobolev dual norm (see the
+    module docstring), and the ChartError text of a column whose solve failed
+    (None where it met the tolerance).  A column of Z is mass-orthogonal to
+    the kernel basis and to the radial direction; phi = 0 gives the zero
+    column exactly, with 0 steps.
     """
     if coords.shape[0] != chart.kernel_dim:
         raise ValueError(f"expected {chart.kernel_dim} kernel coordinates")
@@ -191,10 +201,9 @@ def _chord_block(chart: ReductionChart, coords: np.ndarray):
                         f"radius = {chart.radius:.3e})")
         elif not low > 0:
             stops[j] = f"kernel offset leaves the positive cone (min of v + phi = {low:.3e})"
-    a = np.flatnonzero(np.array([s is None for s in stops]) & np.any(coords, axis=0))
-    if a.size:  # power_increment needs a nonempty block
-        R[:, a] = chart.complement_residual(Phi[:, a])
-        res[a] = chart.residual_norm(R[:, a])
+    a = np.flatnonzero(np.array([s is None for s in stops], dtype=bool) & np.any(coords, axis=0))
+    R[:, a] = chart.complement_residual(Phi[:, a])
+    res[a] = chart.residual_norm(R[:, a])
     active = np.zeros(S, dtype=bool)
     active[a] = res[a] > tol
 
@@ -215,8 +224,6 @@ def _chord_block(chart: ReductionChart, coords: np.ndarray):
         for j in a[~inside]:
             stop(j, "a chord step left the positive cone")
         a, cand = a[inside], cand[:, inside]
-        if not a.size:
-            continue
         cand_R = chart.complement_residual(Xi[:, inside])
         cand_res = chart.residual_norm(cand_R)
         kept = cand_res <= CHORD_CONTRACTION * res[a]  # a NaN residual fails too
@@ -231,40 +238,6 @@ def _chord_block(chart: ReductionChart, coords: np.ndarray):
         Z[:, a], R[:, a], res[a] = cand[:, kept], cand_R[:, kept], cand_res[kept]
         iters[a] += 1
         active[a] = res[a] > tol
-
-
-def solve_correction_full(chart: ReductionChart, phi_coords):
-    """Correction F(phi) with its solve diagnostics (newton_iters, residual,
-    dual_residual): the complement residual's norm sqrt(r'M^-1 r) and a
-    bound on its Sobolev dual norm (see the module docstring).
-
-    F(phi) is the nodal function z, mass-orthogonal to the kernel basis and
-    to the radial direction, with complement gradient norm below the chart's
-    Newton tolerance.  phi = 0 returns the zero function exactly.
-    """
-    phi_coords = np.atleast_1d(np.asarray(phi_coords, dtype=float))
-    Z, iters, res, dual, stops = _chord_block(chart, phi_coords[:, None])
-    if stops[0] is not None:
-        raise ChartError(stops[0])
-    return Z[:, 0], (int(iters[0]), float(res[0]), float(dual[0]))
-
-
-def reduced_energy(chart: ReductionChart, phi_coords) -> ReducedSample:
-    """Reduced energy q(phi) = Q(v + phi + F(phi)) with solve diagnostics."""
-    phi_coords = np.atleast_1d(np.asarray(phi_coords, dtype=float))
-    z, (iters, res, dual_res) = solve_correction_full(chart, phi_coords)
-    xi = chart.kernel_vector(phi_coords) + z
-    deficit = energy.energy_deficit(chart.v, xi)
-    return ReducedSample(
-        phi_coords=phi_coords,
-        q_value=chart.q0 + deficit,
-        correction_norm=chart.ops.w12_norm(z),
-        newton_iters=iters,
-        deficit=deficit,
-        residual=res,
-        scale=float(np.linalg.norm(phi_coords)),
-        dual_residual=dual_res,
-    )
 
 
 def sample_reduced(chart: ReductionChart, directions, scales) -> list[ReducedSample]:
@@ -291,7 +264,7 @@ def sample_reduced(chart: ReductionChart, directions, scales) -> list[ReducedSam
     if not labels:
         return []
     offsets = np.array([sign * s * units[d] for d, s, sign in labels])
-    Z, iters, res, dual, stops = _chord_block(chart, offsets.T)
+    Z, iters, res, dual, stops = solve_corrections(chart, offsets.T)
     for (d, s, sign), why in zip(labels, stops):
         if why is not None:
             raise ChartError(f"sample at direction {d}, scale {s:.3e}, "

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disc import lp_norm
-from .lsred import FitRejectedError, InsufficientDataError, NOISE_FLOOR, line_fit
+from .lsred import (FitRejectedError, InsufficientDataError, LOCALITY_RADIUS,
+                    NOISE_FLOOR, line_fit)
 from .spectrum import (KernelSplit, SpectrumError, SpectrumReport, constraint_covectors,
                        lowest_pairs, positive_factor)
 from . import energy
@@ -91,7 +92,7 @@ def sample_deficit_distance(v: energy.NormalizedState, split: KernelSplit,
     if gn > member_tol:
         raise ValueError(f"base state has gradient norm {gn:.3e} > {member_tol:.1e}; "
                          "not a usable minimizer")
-    delta = 0.1 * ops.w12_norm(v.u)
+    delta = LOCALITY_RADIUS * ops.w12_norm(v.u)
     kd = split.kernel_dim
     transverse = spectrum.eigenvectors[:, kd: kd + N_TRANSVERSE_MODES]
     scales = np.asarray(spec.scales, dtype=float)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from yamstab import disc, energy, minimize, model, spectrum
+from yamstab import disc, energy, lsred, minimize, model, spectrum
 
 BIF_RADIUS = 1.0 / math.sqrt(3.0)      # kernel appears at the first circle mode
 SUB_RADIUS = 0.8 / math.sqrt(3.0)      # strictly below: nondegenerate constant
@@ -42,6 +42,18 @@ def tangent_frame(v: energy.NormalizedState, K: np.ndarray | None = None) -> np.
     frame = np.column_stack([C / wd[:, None], np.eye(N)[:, : N - k]])
     q = np.linalg.qr(frame, mode="complete")[0]
     return q[:, k:] / wd[:, None]
+
+
+def one_sided(chart, *phis):
+    """One-sided corrections at the kernel coordinate vectors phis, solved as
+    one block: lsred.solve_corrections' (Z, newton_iters, residual,
+    dual_residual) columns with the energy deficits Q(v + phi + F(phi)) - Q(v)
+    in second place.  Every column must meet the chart's tolerance."""
+    coords = np.column_stack(phis).astype(float)
+    Z, iters, res, dual, stops = lsred.solve_corrections(chart, coords)
+    assert stops == [None] * coords.shape[1], stops
+    deficits = energy.energy_deficit(chart.v, chart.kernel_vector(coords) + Z)
+    return Z, deficits, iters, res, dual
 
 
 def projected_hessian(v: energy.NormalizedState) -> np.ndarray:

@@ -372,6 +372,10 @@ def test_power_increment_where_the_sum_vanishes():
     assert out == pytest.approx(ref, rel=1e-14)
 
 
+def test_power_increment_of_an_empty_block():
+    assert energy.power_increment(np.ones(8), np.zeros((8, 0)), 2.5).shape == (8, 0)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.floats(min_value=1e-3, max_value=1e3),
        st.integers(min_value=0, max_value=10**6))

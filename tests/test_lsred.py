@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from yamstab import cli, disc, energy, lsred, minimize, model, spectrum, stability
-from conftest import BIF_RADIUS, projected_hessian, raw_hessian_reference, tangent_frame
+from conftest import (BIF_RADIUS, one_sided, projected_hessian, raw_hessian_reference,
+                      tangent_frame)
 
 
 def _synthetic_samples(power, coeff=1.0, scales=None, q0=10.0, direction=0):
@@ -33,17 +35,16 @@ def test_chart_refuses_nonpositive_or_nonfinite_tolerance(frank_deg, newton_tol)
 
 
 def test_correction_at_origin_is_exact_zero(frank_deg_chart):
-    z = lsred.solve_correction_full(frank_deg_chart, np.zeros(2))[0]
-    assert np.all(z == 0.0)
-    sample = lsred.reduced_energy(frank_deg_chart, np.zeros(2))
-    assert sample.newton_iters == 0
-    assert sample.q_value == pytest.approx(frank_deg_chart.q0, abs=1e-14)
+    Z, deficits, iters, *_ = one_sided(frank_deg_chart, np.zeros(2))
+    assert np.all(Z == 0.0)
+    assert iters[0] == 0
+    assert frank_deg_chart.q0 + deficits[0] == pytest.approx(frank_deg_chart.q0, abs=1e-14)
 
 
 def test_correction_lives_in_complement(frank_deg_chart):
     chart = frank_deg_chart
     ops = chart.ops
-    z = lsred.solve_correction_full(chart, np.array([0.02, -0.01]))[0]
+    z = one_sided(chart, [0.02, -0.01])[0][:, 0]
     p = energy.volume_covector(chart.v)
     assert abs(float(p @ z)) <= 1e-9
     for j in range(chart.kernel_dim):
@@ -54,8 +55,8 @@ def test_correction_lives_in_complement(frank_deg_chart):
 def test_correction_quadratic_smallness(frank_deg_chart):
     # slope of log |F| against log s is 2: the correction has no linear term
     scales = np.array([1e-3, 3e-3, 1e-2])
-    norms = [lsred.reduced_energy(frank_deg_chart, [s, 0.0]).correction_norm
-             for s in scales]
+    Z = one_sided(frank_deg_chart, *([s, 0.0] for s in scales))[0]
+    norms = frank_deg_chart.ops.w12_norm(Z)
     slope = np.polyfit(np.log(scales), np.log(norms), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.1)
 
@@ -68,8 +69,8 @@ def test_correction_ratio_stable_under_refinement():
             m, N, starts=1, opts=minimize.MinimizeOptions(seed=1))
         split = spectrum.kernel_split(spectrum.eigen_decompose(rep.v, 8))
         chart = lsred.ReductionChart(v=rep.v, split=split)
-        sample = lsred.reduced_energy(chart, [1e-2, 0.0])
-        ratios[N] = sample.correction_norm / 1e-4
+        Z = one_sided(chart, [1e-2, 0.0])[0]
+        ratios[N] = chart.ops.w12_norm(Z)[0] / 1e-4
     assert ratios[128] == pytest.approx(ratios[256], rel=1e-4)
 
 
@@ -80,20 +81,19 @@ def test_residual_below_tolerance(frank_deg_chart):
         assert s.residual <= frank_deg_chart.newton_tol
 
 
-def test_reduced_energy_evenness(frank_deg_chart):
-    qp = lsred.reduced_energy(frank_deg_chart, [0.01, 0.0]).q_value
-    qm = lsred.reduced_energy(frank_deg_chart, [-0.01, 0.0]).q_value
+def test_reduced_q_evenness(frank_deg_chart):
+    qp, qm = frank_deg_chart.q0 + one_sided(frank_deg_chart, [0.01, 0.0], [-0.01, 0.0])[1]
     assert abs(qp - qm) <= 1e-10
 
 
-def test_reduced_energy_rotation_invariance(frank_deg_chart):
-    qs = [lsred.reduced_energy(frank_deg_chart,
-                               [0.01 * math.cos(a), 0.01 * math.sin(a)]).q_value
-          for a in np.linspace(0, 2 * math.pi, 8, endpoint=False)]
+def test_reduced_q_rotation_invariance(frank_deg_chart):
+    qs = frank_deg_chart.q0 + one_sided(
+        frank_deg_chart, *([0.01 * math.cos(a), 0.01 * math.sin(a)]
+                           for a in np.linspace(0, 2 * math.pi, 8, endpoint=False)))[1]
     assert max(qs) - min(qs) <= 1e-9
 
 
-def test_reduced_energy_minimality(frank_deg_chart):
+def test_reduced_q_minimality(frank_deg_chart):
     samples = lsred.sample_reduced(
         frank_deg_chart,
         [np.array([1.0, 0.0]), np.array([0.6, 0.8])],
@@ -117,12 +117,14 @@ def test_sample_sweep_shape_and_order(frank_deg_chart):
 
 def test_sample_sweep_empty_ladder(frank_deg_chart):
     assert lsred.sample_reduced(frank_deg_chart, [np.array([1.0, 0.0])], []) == []
+    Z, iters, *_, stops = lsred.solve_corrections(frank_deg_chart, np.zeros((2, 0)))
+    assert Z.shape[1] == iters.size == 0 and stops == []
 
 
 def test_chart_radius_enforced(frank_deg_chart):
     big = 2.0 * frank_deg_chart.radius
-    with pytest.raises(lsred.ChartError, match="chart"):
-        lsred.solve_correction_full(frank_deg_chart, [big, 0.0])
+    with pytest.raises(lsred.ChartError, match="kernel offset leaves the chart"):
+        lsred.sample_reduced(frank_deg_chart, [np.array([1.0, 0.0])], [big])
 
 
 def test_offset_outside_positive_cone_names_its_cause():
@@ -137,10 +139,10 @@ def test_offset_outside_positive_cone_names_its_cause():
     split = spectrum.KernelSplit(K_basis=bump[:, None], lambda1=1.0,
                                  kernel_dim=1, threshold=1e-6)
     chart = lsred.ReductionChart(v=v, split=split)
-    coord = -0.99 * chart.radius / ops.w12_norm(bump)
-    for solve in (lsred.solve_correction_full, lsred.reduced_energy):
-        with pytest.raises(lsred.ChartError, match="kernel offset leaves the positive cone"):
-            solve(chart, [coord])
+    scale = 0.99 * chart.radius / ops.w12_norm(bump)
+    with pytest.raises(lsred.ChartError,
+                       match="sign \\+: kernel offset leaves the positive cone"):
+        lsred.sample_reduced(chart, [np.array([-1.0])], [scale])
 
 
 def test_max_newton_stop_names_its_cause(frank_deg, monkeypatch):
@@ -150,7 +152,7 @@ def test_max_newton_stop_names_its_cause(frank_deg, monkeypatch):
     chart = lsred.ReductionChart(v=rep.v, split=split, newton_tol=1e-16)
     r0 = chart.radius
     with pytest.raises(lsred.ChartError, match=r"MAX_NEWTON = 1 chord steps reached"):
-        lsred.solve_correction_full(chart, [0.05, 0.0])
+        lsred.sample_reduced(chart, [np.array([1.0, 0.0])], [0.05])
     assert chart.radius == r0
 
 
@@ -161,7 +163,7 @@ def test_chord_stop_names_its_cause(frank_deg, monkeypatch):
     chart = lsred.ReductionChart(v=rep.v, split=split)
     r0 = chart.radius
     with pytest.raises(lsred.ChartError, match=r"residual ratio \S+ exceeds CHORD_CONTRACTION = 0\.0"):
-        lsred.reduced_energy(chart, [0.02, -0.01])
+        lsred.sample_reduced(chart, [np.array([0.02, -0.01])], [0.02])
     assert chart.radius == r0
 
 
@@ -311,8 +313,8 @@ def test_newton_loops_build_no_qr_frames(frank_deg, monkeypatch):
         rep = minimize.minimize_energy(ops, u0)
         assert rep.converged and rep.iterations > 0
         chart = lsred.ReductionChart(v=base.v, split=split)
-        z, (iters, _, _) = lsred.solve_correction_full(chart, [0.02, -0.01])
-        assert iters > 0 and np.any(z)
+        F, _, iters, *_ = one_sided(chart, [0.02, -0.01])
+        assert iters[0] > 0 and np.any(F)
     assert calls == []
     # the basis-free residual norm is the complement-coordinate norm |Z'g|
     Z = tangent_frame(chart.v, split.K_basis)
@@ -337,9 +339,9 @@ def test_chord_correction_matches_full_newton(frank_deg_chart):
             coeffs = coeffs + np.linalg.solve(Z.T @ H @ Z, -res_vec)
             res_vec = Z.T @ chart.complement_residual(phi + Z @ coeffs)
         z_ref = Z @ coeffs
-        z, (iters, res, _) = lsred.solve_correction_full(chart, phi_coords)
-        assert res <= chart.newton_tol
-        assert ops.w12_norm(z - z_ref) <= 1e-9 * ops.w12_norm(z_ref)
+        F, _, _, res, _ = one_sided(chart, phi_coords)
+        assert res[0] <= chart.newton_tol
+        assert ops.w12_norm(F[:, 0] - z_ref) <= 1e-9 * ops.w12_norm(z_ref)
 
 
 def test_quartic_sweep_factors_once(frank_deg, monkeypatch):
@@ -375,19 +377,18 @@ def test_stalled_chord_step_meets_tolerance_in_dual_norm(frank_deg):
     _, rep, _, split = frank_deg
     chart = lsred.ReductionChart(v=rep.v, split=split, newton_tol=1e-12)
     phi_coords = np.array([0.1, 0.0])
-    sample = lsred.reduced_energy(chart, phi_coords)
-    assert sample.residual > chart.newton_tol
-    assert sample.dual_residual <= chart.newton_tol
-    z, _ = lsred.solve_correction_full(chart, phi_coords)
-    res_vec = chart.complement_residual(chart.kernel_vector(phi_coords) + z)
-    assert chart.ops.dual_norm(res_vec) == sample.dual_residual
+    Z, _, _, res, dual = one_sided(chart, phi_coords)
+    assert res[0] > chart.newton_tol
+    assert dual[0] <= chart.newton_tol
+    res_vec = chart.complement_residual(chart.kernel_vector(phi_coords) + Z[:, 0])
+    assert chart.ops.dual_norm(res_vec) == dual[0]
     # where the M^-1 norm met the tolerance it bounds the dual norm
-    near = lsred.reduced_energy(chart, [1e-3, 0.0])
-    assert near.dual_residual == near.residual <= chart.newton_tol
+    _, _, _, res, dual = one_sided(chart, [1e-3, 0.0])
+    assert dual[0] == res[0] <= chart.newton_tol
     # a tolerance below the dual norm's floor still ends in a ChartError
     tight = lsred.ReductionChart(v=rep.v, split=split, newton_tol=1e-14)
-    with pytest.raises(lsred.ChartError, match="dual norm .* misses the tolerance"):
-        lsred.reduced_energy(tight, phi_coords)
+    stops = lsred.solve_corrections(tight, phi_coords[:, None])[4]
+    assert re.search("dual norm .* misses the tolerance", stops[0])
 
 
 def _default_ladder(chart, seed=1):
@@ -401,20 +402,20 @@ def _default_ladder(chart, seed=1):
 def test_block_columns_match_one_column_solves(frank_deg_chart):
     chart = frank_deg_chart
     coords = _default_ladder(chart)
-    Z, iters, *_, stops = lsred._chord_block(chart, coords)
-    assert stops == [None] * coords.shape[1]
-    deficits = energy.energy_deficit(chart.v, chart.kernel_vector(coords) + Z)
-    alone = [lsred.reduced_energy(chart, coords[:, j]) for j in range(coords.shape[1])]
-    assert iters.tolist() == [s.newton_iters for s in alone]
-    for d_block, s in zip(deficits, alone):
-        assert d_block == pytest.approx(s.deficit, rel=1e-5)
+    _, deficits, iters, *_ = one_sided(chart, *coords.T)
+    alone = [one_sided(chart, phi) for phi in coords.T]
+    iters_alone = [int(a[2][0]) for a in alone]
+    deficits_alone = [a[1][0] for a in alone]
+    assert iters.tolist() == iters_alone
+    for d_block, d_alone in zip(deficits, deficits_alone):
+        assert d_block == pytest.approx(d_alone, rel=1e-5)
     # the averaged samples carry the same counts and deficits
     samples = lsred.sample_reduced(chart, cli._unit_directions(chart.kernel_dim, 2, 1),
                                    cli.KERNEL_SCALES)
     for j, s in enumerate(samples):
-        plus, minus = alone[2 * j], alone[2 * j + 1]
-        assert s.newton_iters == max(plus.newton_iters, minus.newton_iters)
-        assert s.deficit == pytest.approx(0.5 * (plus.deficit + minus.deficit), rel=1e-5)
+        assert s.newton_iters == max(iters_alone[2 * j], iters_alone[2 * j + 1])
+        assert s.deficit == pytest.approx(
+            0.5 * (deficits_alone[2 * j] + deficits_alone[2 * j + 1]), rel=1e-5)
 
 
 def test_first_failing_sample_in_sweep_order_names_it(frank_deg, monkeypatch):
@@ -422,14 +423,14 @@ def test_first_failing_sample_in_sweep_order_names_it(frank_deg, monkeypatch):
     # the error is the one a sample-by-sample sweep meets first
     _, rep, _, split = frank_deg
     chart = lsred.ReductionChart(v=rep.v, split=split)
-    early = (1e-3, 3e-3)
-    budget = max(lsred.reduced_energy(chart, [s, 0.0]).newton_iters for s in early)
+    axis, early = [np.array([1.0, 0.0])], (1e-3, 3e-3)
+    budget = max(s.newton_iters for s in lsred.sample_reduced(chart, axis, early))
     monkeypatch.setattr(lsred, "MAX_NEWTON", budget)
     with pytest.raises(lsred.ChartError, match="MAX_NEWTON"):
-        lsred.reduced_energy(chart, [0.05, 0.0])
+        lsred.sample_reduced(chart, axis, [0.05])
     big = 2.0 * chart.radius
     with pytest.raises(lsred.ChartError) as err:
-        lsred.sample_reduced(chart, [np.array([1.0, 0.0])], (*early, big, 0.05))
+        lsred.sample_reduced(chart, axis, (*early, big, 0.05))
     msg = str(err.value)
     assert f"direction 0, scale {big:.3e}, sign +: kernel offset leaves the chart" in msg
     assert "MAX_NEWTON" not in msg
@@ -487,8 +488,7 @@ def test_block_residuals_meet_tolerance_in_long_double():
     split = spectrum.kernel_split(spectrum.eigen_decompose(rep.v, 12))
     chart = lsred.ReductionChart(v=rep.v, split=split)
     coords = _default_ladder(chart)
-    Z, *_, stops = lsred._chord_block(chart, coords)
-    assert stops == [None] * coords.shape[1]
+    Z = one_sided(chart, *coords.T)[0]
     phi = chart.kernel_vector(coords)
     xi = phi + Z
     exact = _complement_residual_longdouble(chart, xi).astype(float)
