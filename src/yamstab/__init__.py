@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .model import (BoundaryData, Pole, SymmetricModel, conformal_deform,
                     make_model, sphere_area)
 from .disc import DiscreteOperators, Grid, assemble_operators, build_grid, lp_norm
-from .energy import (ELResidual, EnergyReport, NormalizedState, el_residual,
+from .energy import (ELResidual, NormalizedState, el_residual,
                      energy_deficit, gradient, normalize, power_increment,
                      project_tangent, second_variation, yamabe_quotient)
 from .minimize import (ConvergenceError, MinimizeOptions, MinimizeReport,

@@ -271,14 +271,14 @@ def _model(cfg: ExperimentConfig):
     return make_model(cfg.model_kind, **cfg.model_params)
 
 
-def _best_report(cfg: ExperimentConfig):
+def _multistart(cfg: ExperimentConfig):
     m = _model(cfg)
     reports = minimize.run_multistart(m, cfg.N, cfg.sampling["count"], _opts(cfg))
     return m, reports, minimize.best_converged(reports, m, cfg.N)
 
 
 def run_minimize(cfg: ExperimentConfig):
-    m, reports, best = _best_report(cfg)
+    m, reports, best = _multistart(cfg)
     rows = [[r.start_index, r.converged, r.coarse_iterations, r.iterations, r.Y_est, r.grad_norm,
              r.residual.interior, r.residual.boundary] for r in reports]
     results = {
@@ -299,7 +299,7 @@ def run_minimize(cfg: ExperimentConfig):
 
 
 def _spectral_pipeline(cfg: ExperimentConfig):
-    _, _, best = _best_report(cfg)
+    _, _, best = _multistart(cfg)
     spec = spectrum.eigen_decompose(best.v, min(12, cfg.N - 2))
     split = spectrum.kernel_split(spec, cfg.tolerances["kernel_tol"])
     return best, spec, split
@@ -437,8 +437,8 @@ def run_covariance(cfg: ExperimentConfig):
             coeffs = rng.standard_normal(3)
             pert = sum(c * modes[:, j] for j, c in enumerate(coeffs))
             u = np.clip(1.0 + 0.3 * pert / max(1.0, np.max(np.abs(pert))), 0.1, None)
-            q_def = energy.yamabe_quotient(ops_def, u).Q
-            q_pull = energy.yamabe_quotient(ops, u * w).Q
+            q_def = energy.yamabe_quotient(ops_def, u)
+            q_pull = energy.yamabe_quotient(ops, u * w)
             rel = abs(q_def - q_pull) / abs(q_pull)
             worst = max(worst, rel)
             rows.append([f_idx, s_idx, q_def, q_pull, rel])

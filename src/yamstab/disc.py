@@ -411,6 +411,14 @@ class BorderedFactor:
         return int(np.count_nonzero(d[~pair] < 0) + blocks.sum())
 
 
+def rounding_floor(A: np.ndarray, x: np.ndarray):
+    """2 eps |x|'|A||x|, the rounding floor of the quadratic form x'Ax (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1);
+    the S column floors of an N x S block."""
+    ax = np.abs(x)
+    return 2.0 * np.finfo(float).eps * np.einsum("i...,i...->...", ax, np.abs(A) @ ax)
+
+
 def lp_norm(ops: DiscreteOperators, u: np.ndarray, p: float):
     """(integral |u|^p a dt)^(1/p) via the grid quadrature; the S column
     norms of an N x S block."""

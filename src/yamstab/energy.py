@@ -16,16 +16,22 @@ it agrees with the projected form P'H0P up to a multiple of the constraint
 normal, which the Newton polish, the eigensolves and the chart's bordered
 factor absorb, so none of them builds the projection.
 
+A NormalizedState evaluates its quotient, gradient, Riesz vector and
+gradient norm once each, on first use, and keeps them; every stage reads
+them from the state.  yamabe_quotient, normalize and energy_deficit refuse
+infs and NaNs.
+
 The quotient, the gradient and the deficit apply the energy form factored
 (ops.apply_form with d = c + b, ops.dirichlet): one N x N pass (D u) for the
-quotient, two for the gradient, whose Q comes from the same D u as A u, and
-two (D v, D xi) for the deficit.  Only second_variation builds the dense
-S + C + B.  power_increment and energy_deficit take an offset or a block of
-offset columns alike; a vector's deficit is a numpy float64 scalar.
+quotient, two for the gradient, which reads the state's Q, and two (D v,
+D xi) for the deficit.  Only second_variation builds the dense S + C + B.
+power_increment and energy_deficit take an offset or a block of offset
+columns alike; a vector's deficit is a numpy float64 scalar.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +43,9 @@ from .model import laplace_profile
 
 @dataclass(frozen=True, eq=False)
 class NormalizedState:
-    """Nonnegative nodal function with unit critical-exponent norm."""
+    """Nonnegative nodal function with unit critical-exponent norm.  u is
+    read-only, so Q (yamabe_quotient), G (gradient), riesz (ops.riesz of G)
+    and grad_norm (ops.dual_norm of G) are evaluated on first use and kept."""
 
     u: np.ndarray
     ops: DiscreteOperators
@@ -46,19 +54,28 @@ class NormalizedState:
         u = np.asarray(self.u, dtype=float)
         if np.any(u < -1e-12):
             raise ValueError("normalized state must be nonnegative")
-        object.__setattr__(self, "u", np.clip(u, 0.0, None))
+        u = np.clip(u, 0.0, None)
+        u.flags.writeable = False
+        object.__setattr__(self, "u", u)
         nrm = lp_norm(self.ops, self.u, self.ops.two_star)
         if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
             raise ValueError(f"state is not volume-normalized: ||u|| = {nrm}")
 
+    @functools.cached_property
+    def Q(self) -> float:
+        return yamabe_quotient(self.ops, self.u)
 
-@dataclass(frozen=True)
-class EnergyReport:
-    Q: float
-    dirichlet: float
-    curvature_term: float
-    boundary_term: float
-    volume_norm: float
+    @functools.cached_property
+    def G(self) -> np.ndarray:
+        return gradient(self)
+
+    @functools.cached_property
+    def riesz(self) -> np.ndarray:
+        return self.ops.riesz(self.G)
+
+    @functools.cached_property
+    def grad_norm(self) -> float:
+        return self.ops.dual_norm(self.G, self.riesz)
 
 
 @dataclass(frozen=True)
@@ -67,38 +84,38 @@ class ELResidual:
     boundary: float
 
 
-def yamabe_quotient(ops: DiscreteOperators, u: np.ndarray) -> EnergyReport:
-    """Energy quotient of a nonnegative, not identically zero nodal function."""
-    u = np.asarray(u, dtype=float)
+def _finite(x: np.ndarray, what: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"the {what} must not contain infs or NaNs")
+    return x
+
+
+def _volume_norm(ops: DiscreteOperators, u: np.ndarray) -> tuple[np.ndarray, float]:
+    """u as a float array and its critical-exponent norm; refuses a function
+    that is not finite, nonnegative and nonzero."""
+    u = _finite(u, "nodal function")
     if np.any(u < 0):
         raise ValueError("the energy is only defined for nonnegative functions")
-    return _report(ops, u, ops.dirichlet(u, ops.grid.diff_matrix @ u))
-
-
-def _report(ops: DiscreteOperators, u: np.ndarray, dir_term: float) -> EnergyReport:
-    """The quotient's report at u, given its Dirichlet value u'Su."""
     nrm = lp_norm(ops, u, ops.two_star)
     if nrm == 0.0:
         raise ValueError("the energy is undefined for the zero function")
-    curv_term = float((u * ops.curv_weights) @ u)
-    bdry_term = float((u * ops.bdry_weights) @ u)
-    return EnergyReport(
-        Q=(dir_term + curv_term + bdry_term) / nrm**2,
-        dirichlet=dir_term,
-        curvature_term=curv_term,
-        boundary_term=bdry_term,
-        volume_norm=nrm,
-    )
+    return u, nrm
+
+
+def yamabe_quotient(ops: DiscreteOperators, u: np.ndarray) -> float:
+    """Energy quotient of a finite, nonnegative, not identically zero nodal
+    function."""
+    u, nrm = _volume_norm(ops, u)
+    dir_term = ops.dirichlet(u, ops.grid.diff_matrix @ u)
+    return (dir_term + float((u * ops.curv_weights) @ u)
+            + float((u * ops.bdry_weights) @ u)) / nrm**2
 
 
 def normalize(ops: DiscreteOperators, u: np.ndarray) -> NormalizedState:
-    """Scale a nonnegative function onto the unit-volume constraint manifold."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
-        raise ValueError("cannot normalize a function with negative values")
-    nrm = lp_norm(ops, u, ops.two_star)
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero function")
+    """Scale a finite, nonnegative, nonzero function onto the unit-volume
+    constraint manifold."""
+    u, nrm = _volume_norm(ops, u)
     return NormalizedState(u=u / nrm, ops=ops)
 
 
@@ -118,12 +135,12 @@ def gradient(v: NormalizedState) -> np.ndarray:
 
     G = 2 (A v - Q(v) p) with A the full energy form and p the constraint
     normal; G annihilates the radial direction, so it agrees with the
-    manifold-projected first variation on every direction.  A v and Q(v)
-    come from one D v (ops.apply_form), and Q has yamabe_quotient's bits.
+    manifold-projected first variation on every direction.  Q(v) is the
+    state's v.Q.
     """
     ops = v.ops
-    Av, dv = ops.apply_form(v.u, ops.curv_weights + ops.bdry_weights)
-    return 2.0 * (Av - _report(ops, v.u, ops.dirichlet(v.u, dv)).Q * volume_covector(v))
+    Av, _ = ops.apply_form(v.u, ops.curv_weights + ops.bdry_weights)
+    return 2.0 * (Av - v.Q * volume_covector(v))
 
 
 def second_variation(v: NormalizedState) -> np.ndarray:
@@ -142,11 +159,10 @@ def second_variation(v: NormalizedState) -> np.ndarray:
     reads: one N x N pass, and exactly symmetric because S is.
     """
     ops = v.ops
-    rep = yamabe_quotient(ops, v.u)
     ts = ops.two_star
     diag = ops.vol_weights * v.u ** (ts - 2.0)
     H = ops.with_diagonal(ops.curv_weights, ops.bdry_weights)
-    new_diag = 2.0 * (np.diagonal(H) - (ts - 1.0) * rep.Q * diag)
+    new_diag = 2.0 * (np.diagonal(H) - (ts - 1.0) * v.Q * diag)
     H *= 2.0
     H.flat[:: ops.N + 1] = new_diag
     return H
@@ -186,7 +202,7 @@ def energy_deficit(v: NormalizedState, xi: np.ndarray):
     ops = v.ops
     ts = ops.two_star
     m = ops.vol_weights
-    xi = np.asarray(xi, dtype=float)
+    xi = _finite(xi, "offset")
     vu = _colwise(v.u, xi)
     if np.any(vu + xi < 0):
         raise ValueError("perturbed state leaves the nonnegative cone")
@@ -219,9 +235,8 @@ def el_residual(v: NormalizedState) -> ELResidual:
     """
     ops = v.ops
     m = ops.model
-    rep = yamabe_quotient(ops, v.u)
     lap = laplace_profile(m, ops.grid, v.u)
-    res = -lap + ops.c_n * ops.curvature * v.u - rep.Q * v.u ** (ops.two_star - 1.0)
+    res = -lap + ops.c_n * ops.curvature * v.u - v.Q * v.u ** (ops.two_star - 1.0)
     if m.topology == "interval":
         sl = slice(1, -1)
     else:

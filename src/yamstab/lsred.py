@@ -89,7 +89,6 @@ class ReductionChart:
     radius: float = field(init=False)
     _C: np.ndarray = field(init=False, repr=False)
     _factor: BorderedFactor = field(init=False, repr=False)
-    _q0: float = field(init=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
@@ -110,7 +109,6 @@ class ReductionChart:
                 f"the bordered second variation is singular at v ({exc}); the "
                 "kernel split is suspect") from exc
         self.radius = LOCALITY_RADIUS * self.ops.w12_norm(self.v.u)
-        self._q0 = energy.yamabe_quotient(self.ops, self.v.u).Q
         # fixed references for the incremental residual evaluation
         ts = self.ops.two_star
         mvec = self.ops.vol_weights
@@ -155,7 +153,7 @@ class ReductionChart:
 
     @property
     def q0(self) -> float:
-        return self._q0
+        return self.v.Q
 
     def kernel_vector(self, phi_coords: np.ndarray) -> np.ndarray:
         return self.split.K_basis @ np.asarray(phi_coords, dtype=float)

@@ -20,35 +20,37 @@ quartic kernel Newton steps lower the energy while the gradient norm rises.
 The polish stops once the gradient norm is at most the tolerance.  Convergence
 is declared on the preconditioned gradient norm alone: degenerate minimizers
 move arbitrarily slowly along their kernel, so state movement is not a usable
-criterion.  A multistart run starts from the constant and from seeded smooth
+criterion.  Each iterate is an energy.NormalizedState, which evaluates its
+quotient, gradient and Riesz vector once.  A multistart run starts from the constant and from seeded smooth
 perturbations of it along the analytic modes of disc.low_modes.
 
-Nested iteration: run_multistart solves each start that does not already
-meet grad_tol on the N-node grid on one coarse grid of the same model,
-N/4 nodes rounded up to even (used when that is at least disc.MIN_NODES),
-from the same seeded start taken on the coarse nodes; it interpolates the
-coarse minimizer to the N-node grid (disc.interpolate) and finishes there
-with minimize_energy at the same grad_tol, so convergence is decided on N
-alone.  Newton's iteration count does not depend on the mesh (Allgower,
-Bohmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986), and at a
-degenerate minimizer the polish converges only linearly (Decker & Kelley,
-SIAM J. Numer. Anal. 17, 1980): its 20-30 factorizations cost (N/4)^3
-each on the coarse grid, while the interpolated state needs 0-3 iterations
-on N.  A start whose coarse or finishing run does not converge runs
-directly on N from its own N-node start, so no start is dropped.
+Nested iteration: run_multistart solves each start first on one coarse
+grid of the same model, N/4 nodes rounded up to even (used when that is at
+least disc.MIN_NODES), from the same seeded start taken on the coarse nodes;
+it interpolates the coarse minimizer to the N-node grid (disc.interpolate)
+and finishes there with minimize_energy at the same grad_tol, so
+convergence is decided on N alone.  Newton's iteration count does not
+depend on the mesh (Allgower, Bohmer, Potra & Rheinboldt, SIAM J. Numer.
+Anal. 23, 1986), and at a degenerate minimizer the polish converges only
+linearly (Decker & Kelley, SIAM J. Numer. Anal. 17, 1980): its 20-30
+factorizations cost (N/4)^3 each on the coarse grid, while the interpolated
+state needs 0-3 iterations on N.  A start that the coarse run finds already critical (0 iterations,
+as the constant start is) or whose coarse or finishing run does not
+converge runs directly on N from its own N-node start, so no start is
+dropped and no N-node gradient is evaluated outside minimize_energy.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from .disc import (MIN_NODES, BorderedFactor, DiscreteOperators, assemble_operators,
-                   build_grid, interpolate, low_modes)
+                   build_grid, interpolate, low_modes, rounding_floor)
 from .model import SymmetricModel, dim_constant, sphere_area
 from . import energy
 
@@ -77,7 +79,6 @@ class MinimizeReport:
     converged: bool
     start_index: int = 0
     coarse_iterations: int = 0  # iterations on the coarse grid of a nested start
-    q_history: tuple = field(default=())
 
 
 MAX_ITERS = 500  # descent steps
@@ -105,28 +106,17 @@ def _polish_step(state: energy.NormalizedState, H: np.ndarray, G: np.ndarray,
 
 def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
                     opts: MinimizeOptions = MinimizeOptions()) -> MinimizeReport:
-    """Minimize the quotient starting from a nonnegative nonzero function."""
-    u0 = np.asarray(u0, dtype=float)
-    if not np.all(np.isfinite(u0)):
-        raise ValueError("starting point must be finite")
-    if np.any(u0 < 0) or not np.any(u0 > 0):
-        raise ValueError("starting point must be nonnegative and nonzero")
-
+    """Minimize the quotient starting from a finite, nonnegative, nonzero
+    function (energy.normalize refuses any other)."""
     state = energy.normalize(ops, u0)
-    q_val = energy.yamabe_quotient(ops, state.u).Q
-    history = [q_val]
     iterations = 0
-
-    G = energy.gradient(state)
-    riesz = ops.riesz(G)
-    grad_norm = ops.dual_norm(G, riesz)
     switch_tol = max(opts.grad_tol, NEWTON_SWITCH)
 
     # --- preconditioned descent phase
     bb_step = 1.0  # Barzilai-Borwein trial step; 1 until a curvature pair exists
-    while grad_norm > switch_tol and iterations < MAX_ITERS:
-        eta = -energy.project_tangent(state, riesz)
-        slope = float(G @ eta)
+    while state.grad_norm > switch_tol and iterations < MAX_ITERS:
+        eta = -energy.project_tangent(state, state.riesz)
+        slope = float(state.G @ eta)
         if slope >= 0:
             break
         alpha = bb_step
@@ -137,23 +127,17 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
                 alpha *= 0.5
                 continue
             trial_state = energy.normalize(ops, trial)
-            trial_q = energy.yamabe_quotient(ops, trial_state.u).Q
-            if trial_q <= q_val + ARMIJO_C1 * alpha * slope:
+            if trial_state.Q <= state.Q + ARMIJO_C1 * alpha * slope:
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
             break
         s_step = trial_state.u - state.u
-        state, q_val = trial_state, trial_q
-        history.append(q_val)
-        iterations += 1
-        G_prev = G
-        G = energy.gradient(state)
-        riesz = ops.riesz(G)
-        grad_norm = ops.dual_norm(G, riesz)
-        curvature = float(s_step @ (G - G_prev))
+        curvature = float(s_step @ (trial_state.G - state.G))
         bb_step = ops.w12_norm(s_step) ** 2 / curvature if curvature > 0 else 1.0
+        state = trial_state
+        iterations += 1
 
     # --- damped Newton polish on the tangent space
     # Near a degenerate minimizer the energy decrease per step falls under the
@@ -161,16 +145,16 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
     # gradient-norm decrease with a round-off allowance on the energy.
     mu = 0.0
     newton_iters = 0
-    while grad_norm > opts.grad_tol and newton_iters < 80:
+    while state.grad_norm > opts.grad_tol and newton_iters < 80:
         H = energy.second_variation(state)
-        energy_slack = 1e-13 * max(abs(q_val), 1.0)
+        energy_slack = 1e-13 * max(abs(state.Q), 1.0)
         step_floor = POLISH_STEP_FLOOR * ops.w12_norm(state.u)
         accepted = False
         for _ in range(40):
             try:
                 # on a degenerate kernel the undamped system is singular;
                 # a garbage step is simply rejected and damping increased
-                step = _polish_step(state, H, G, mu)
+                step = _polish_step(state, H, state.G, mu)
             except sla.LinAlgError:
                 mu = max(10.0 * mu, 1e-10)
                 continue
@@ -179,10 +163,8 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
                 mu = max(10.0 * mu, 1e-10)
                 continue
             trial_state = energy.normalize(ops, trial)
-            trial_q = energy.yamabe_quotient(ops, trial_state.u).Q
-            trial_G = energy.gradient(trial_state)
-            trial_norm = ops.dual_norm(trial_G)
-            if trial_norm < grad_norm and trial_q <= q_val + energy_slack:
+            if (trial_state.grad_norm < state.grad_norm
+                    and trial_state.Q <= state.Q + energy_slack):
                 accepted = True
                 break
             # along a quartic kernel a Newton step lowers the energy while
@@ -195,21 +177,18 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
             mu = max(10.0 * mu, 1e-10)
         if not accepted:
             break
-        state, q_val = trial_state, trial_q
-        history.append(q_val)
+        state = trial_state
         iterations += 1
         newton_iters += 1
         mu *= 0.01
-        grad_norm, G = trial_norm, trial_G
 
     return MinimizeReport(
         v=state,
-        Y_est=q_val,
-        grad_norm=grad_norm,
+        Y_est=state.Q,
+        grad_norm=state.grad_norm,
         residual=energy.el_residual(state),
         iterations=iterations,
-        converged=bool(grad_norm <= opts.grad_tol),
-        q_history=tuple(history),
+        converged=bool(state.grad_norm <= opts.grad_tol),
     )
 
 
@@ -236,8 +215,8 @@ def random_starts(ops: DiscreteOperators, starts: int, seed: int) -> list[np.nda
 
 def run_multistart(m: SymmetricModel, N: int, starts: int,
                    opts: MinimizeOptions) -> list[MinimizeReport]:
-    """One report per start, converged or not, in start order; each start
-    that is not critical on N is solved by nested iteration (module
+    """One report per start, converged or not, in start order; each start is
+    solved by nested iteration where the coarse grid allows (module
     docstring)."""
     if starts < 1:
         raise ValueError("starts must be at least 1")
@@ -248,10 +227,7 @@ def run_multistart(m: SymmetricModel, N: int, starts: int,
     coarse_starts = random_starts(coarse, starts, opts.seed) if coarse is not None else []
     reports = []
     for j, u0 in enumerate(random_starts(ops, starts, opts.seed)):
-        rep = None
-        if coarse is not None and ops.dual_norm(
-                energy.gradient(energy.normalize(ops, u0))) > opts.grad_tol:
-            rep = _nested(coarse, coarse_starts[j], ops, opts)
+        rep = _nested(coarse, coarse_starts[j], ops, opts) if coarse is not None else None
         if rep is None:
             rep = minimize_energy(ops, u0, opts)
         reports.append(dataclasses.replace(rep, start_index=j))
@@ -261,9 +237,10 @@ def run_multistart(m: SymmetricModel, N: int, starts: int,
 def _nested(coarse: DiscreteOperators, u0: np.ndarray, ops: DiscreteOperators,
             opts: MinimizeOptions) -> MinimizeReport | None:
     """minimize_energy from u0 on the coarse operators, finished on ops from
-    the interpolated coarse minimizer; None unless both runs converge."""
+    the interpolated coarse minimizer; None unless the coarse run converges
+    in at least one iteration and the finish converges."""
     rough = minimize_energy(coarse, u0, opts)
-    if not rough.converged:
+    if not (rough.converged and rough.iterations):
         return None
     u = np.clip(interpolate(coarse.grid, ops.grid, rough.v.u), 0.0, None)
     rep = minimize_energy(ops, u, opts)
@@ -275,19 +252,17 @@ def best_converged(reports: list[MinimizeReport], m: SymmetricModel,
     """The lowest converged report of a multi-start run, up to round-off.
 
     Converged reports whose Y_est lies within the quotient's rounding floor
-    2 eps v'|A|v of the lowest one (v its state, A the energy form) are tied,
-    and the lowest start index among them wins: at a degenerate minimizer
-    starts a few 1e-4 apart along the kernel differ in Y_est by round-off
-    alone.  The reduction over starts is order-independent.
+    (disc.rounding_floor of the energy form A at the lowest one's state) of
+    the lowest one are tied, and the lowest start index among them wins: at
+    a degenerate minimizer starts a few 1e-4 apart along the kernel differ in
+    Y_est by round-off alone.  The reduction over starts is order-independent.
     """
     converged = [r for r in reports if r.converged]
     if not converged:
         raise ConvergenceError(f"no start converged on {m.label} at N={N}")
     lowest = min(converged, key=lambda r: (r.Y_est, r.start_index))
     ops = lowest.v.ops
-    v = lowest.v.u
-    floor = 2.0 * np.finfo(float).eps * float(
-        v @ (np.abs(ops.with_diagonal(ops.curv_weights, ops.bdry_weights)) @ v))
+    floor = rounding_floor(ops.with_diagonal(ops.curv_weights, ops.bdry_weights), lowest.v.u)
     tied = [r for r in converged if r.Y_est <= lowest.Y_est + floor]
     return min(tied, key=lambda r: (r.start_index, r.Y_est))
 

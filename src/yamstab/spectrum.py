@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla
 
-from .disc import BorderedFactor, low_modes
+from .disc import BorderedFactor, low_modes, rounding_floor
 from . import energy
 
 MAX_SWEEPS = 40  # inverse-iteration sweeps of lowest_pairs
@@ -93,8 +93,9 @@ def lowest_pairs(H: np.ndarray, B: np.ndarray, C: np.ndarray, X: np.ndarray, k: 
     C, is factored once at sigma = theta_1 - (theta_w - theta_1) / 10, its
     inertia certifying sigma below the spectrum.  Each sweep solves for B X
     and takes a Rayleigh-Ritz step, until each of the k lowest Ritz values
-    moves by at most 2 eps |x|'|A||x|, x its start Ritz vector.  A block as
-    wide as ker C' is exact, in 0 sweeps."""
+    moves by at most its rounding floor 2 eps |x|'|A||x| (disc.rounding_floor),
+    x its start Ritz vector.  A block as wide as ker C' is exact, in 0
+    sweeps."""
     apply_B = apply_B or ((lambda Y: B[:, None] * Y) if B.ndim == 1 else (lambda Y: B @ Y))
     theta, X, BX = _ritz(H, apply_B, X)
     if X.shape[1] == H.shape[0] - C.shape[1]:  # the block spans ker C'
@@ -113,8 +114,7 @@ def lowest_pairs(H: np.ndarray, B: np.ndarray, C: np.ndarray, X: np.ndarray, k: 
         raise SpectrumError(f"the inertia puts an eigenvalue below the shift {sigma:.6g}, "
                             f"under the start's lowest Ritz value {theta[0]:.6g}: the "
                             "start block misses the lowest mode")
-    absX = np.abs(X[:, :k])
-    floor = 2.0 * np.finfo(float).eps * np.einsum("ij,ij->j", absX, np.abs(A) @ absX)
+    floor = rounding_floor(A, X[:, :k])
     for sweeps in range(1, MAX_SWEEPS + 1):
         mu, X, BX = _ritz(A, apply_B, factor.solve(BX))
         change = np.abs(sigma + mu[:k] - theta[:k])
@@ -142,10 +142,9 @@ def eigen_decompose(v: energy.NormalizedState, k: int) -> SpectrumReport:
     ops = v.ops
     if not 1 <= k <= ops.N - 1:
         raise ValueError(f"k must lie in [1, {ops.N - 1}], got {k}")
-    grad_norm = ops.dual_norm(energy.gradient(v))
-    if grad_norm > 1e-6:
+    if v.grad_norm > 1e-6:
         warnings.warn(
-            f"spectrum requested at a non-critical state (grad norm {grad_norm:.3e}); "
+            f"spectrum requested at a non-critical state (grad norm {v.grad_norm:.3e}); "
             "reported eigenvalues are not a second-variation spectrum",
             stacklevel=2)
 

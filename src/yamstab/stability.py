@@ -88,9 +88,8 @@ def sample_deficit_distance(v: energy.NormalizedState, split: KernelSplit,
     deficits each come from one block evaluation.
     """
     ops = v.ops
-    gn = ops.dual_norm(energy.gradient(v))
-    if gn > member_tol:
-        raise ValueError(f"base state has gradient norm {gn:.3e} > {member_tol:.1e}; "
+    if v.grad_norm > member_tol:
+        raise ValueError(f"base state has gradient norm {v.grad_norm:.3e} > {member_tol:.1e}; "
                          "not a usable minimizer")
     delta = LOCALITY_RADIUS * ops.w12_norm(v.u)
     kd = split.kernel_dim

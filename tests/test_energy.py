@@ -37,9 +37,9 @@ def test_quotient_zero_homogeneity(frank_nondeg):
     _, rep, _, _ = frank_nondeg
     ops = rep.v.ops
     u = 1.0 + 0.3 * np.cos(2 * math.pi * ops.grid.nodes / ops.model.length)
-    q1 = energy.yamabe_quotient(ops, u).Q
+    q1 = energy.yamabe_quotient(ops, u)
     for c in (1e-3, 1.0, 1e3):
-        assert energy.yamabe_quotient(ops, c * u).Q == pytest.approx(q1, rel=1e-14)
+        assert energy.yamabe_quotient(ops, c * u) == pytest.approx(q1, rel=1e-14)
 
 
 def test_quotient_constant_on_frank_product():
@@ -47,7 +47,7 @@ def test_quotient_constant_on_frank_product():
     m = model.frank_product(5, r)
     g = disc.build_grid(m, 64)
     ops = disc.assemble_operators(m, g)
-    got = energy.yamabe_quotient(ops, np.ones(g.N)).Q
+    got = energy.yamabe_quotient(ops, np.ones(g.N))
     # closed form (9/4) (8 pi^3 / (3 sqrt 3))^(2/5)
     assert got == pytest.approx(2.25 * (8 * math.pi**3 / (3 * math.sqrt(3.0))) ** 0.4,
                                 rel=1e-12)
@@ -57,20 +57,9 @@ def test_quotient_constant_on_frank_product():
 def test_quotient_constant_on_ball(ball3):
     # only the boundary term survives: Q = 2 pi / (4 pi / 3)^(1/3)
     _, g, ops = ball3
-    rep = energy.yamabe_quotient(ops, np.ones(g.N))
-    assert rep.curvature_term == 0.0
-    assert rep.Q == pytest.approx(2 * math.pi / (4 * math.pi / 3) ** (1 / 3),
-                                  rel=1e-11)
-
-
-def test_report_consistency(frank_nondeg):
-    _, rep, _, _ = frank_nondeg
-    ops = rep.v.ops
-    st_ = random_positive_state(ops, 5)
-    r = energy.yamabe_quotient(ops, st_.u)
-    lhs = r.Q * r.volume_norm**2
-    rhs = r.dirichlet + r.curvature_term + r.boundary_term
-    assert lhs == pytest.approx(rhs, rel=1e-10)
+    assert not np.any(ops.curv_weights)
+    assert energy.yamabe_quotient(ops, np.ones(g.N)) == pytest.approx(
+        2 * math.pi / (4 * math.pi / 3) ** (1 / 3), rel=1e-11)
 
 
 def test_quotient_rejects_bad_input(frank_nondeg):
@@ -91,6 +80,39 @@ def test_normalized_state_rejects_a_nan(frank_nondeg):
     u[3] = math.nan
     with pytest.raises(ValueError, match="volume-normalized"):
         energy.NormalizedState(u=u, ops=ops)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nodal_entry_points_refuse_non_finite_values(frank_nondeg, bad):
+    # a NaN or inf node is refused by name, not passed on as a NaN quotient
+    # or deficit, or reported as a failed volume normalization
+    v = frank_nondeg[1].v
+    u = v.u.copy()
+    u[3] = bad
+    for call in (lambda: energy.normalize(v.ops, u), lambda: energy.yamabe_quotient(v.ops, u),
+                 lambda: energy.energy_deficit(v, u - v.u)):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            call()
+
+
+def test_normalized_state_evaluates_once(frank_nondeg, monkeypatch):
+    # a state's Q, G, Riesz vector and gradient norm are the functions'
+    # values, each evaluated once; u is read-only, so none can go stale
+    ops = frank_nondeg[1].v.ops
+    v = random_positive_state(ops, 3)
+    assert v.Q == energy.yamabe_quotient(ops, v.u)
+    assert v.grad_norm == ops.dual_norm(energy.gradient(v))
+    fresh = energy.normalize(ops, v.u)
+    gradient, riesz = energy.gradient, disc.DiscreteOperators.riesz
+    grads, solves = [], []
+    monkeypatch.setattr(energy, "gradient", lambda s: grads.append(s) or gradient(s))
+    monkeypatch.setattr(disc.DiscreteOperators, "riesz",
+                        lambda self, G: solves.append(G) or riesz(self, G))
+    for _ in range(3):
+        fresh.G, fresh.riesz, fresh.grad_norm
+    assert (len(grads), len(solves)) == (1, 1)
+    with pytest.raises(ValueError):
+        fresh.u[0] = 1.0
 
 
 def test_normalize(frank_nondeg):
@@ -135,7 +157,7 @@ def test_gradient_matches_finite_differences(frank_nondeg, hemisphere3, seed):
         rng = np.random.default_rng(seed)
         eta = rng.standard_normal(ops.N)
         eta /= ops.w12_norm(eta)
-        fd = richardson_first(lambda t: energy.yamabe_quotient(ops, v.u + t * eta).Q,
+        fd = richardson_first(lambda t: energy.yamabe_quotient(ops, v.u + t * eta),
                               0.02)
         assert fd == pytest.approx(float(G @ eta), rel=1e-6)
 
@@ -148,7 +170,7 @@ def test_hessian_matches_finite_differences(frank_nondeg, seed):
     rng = np.random.default_rng(seed)
     phi = energy.project_tangent(v, rng.standard_normal(ops.N))
     phi /= ops.w12_norm(phi)
-    fd = richardson_second(lambda t: energy.yamabe_quotient(ops, v.u + t * phi).Q,
+    fd = richardson_second(lambda t: energy.yamabe_quotient(ops, v.u + t * phi),
                            0.02)
     assert fd == pytest.approx(float(phi @ H @ phi), rel=1e-5)
 
@@ -166,7 +188,7 @@ def test_hessian_form_is_projected_second_variation(frank_nondeg):
     # projected form is built from it in the tests (conftest.projected_hessian)
     ops = frank_nondeg[1].v.ops
     v = random_positive_state(ops, 7)
-    Q = energy.yamabe_quotient(ops, v.u).Q
+    Q = energy.yamabe_quotient(ops, v.u)
     ts = ops.two_star
     diag = ops.vol_weights * v.u ** (ts - 2.0)
     A = ops.stiffness + np.diag(ops.curv_weights) + np.diag(ops.bdry_weights)
@@ -187,15 +209,15 @@ def test_lean_kernels_keep_reference_bits(kind):
     for seed in (1, 2, 3):
         v = random_positive_state(ops, seed)
         for u in (v.u, 1.7 * v.u):
-            Q = energy.yamabe_quotient(ops, u).Q
+            Q = energy.yamabe_quotient(ops, u)
             Q_ref, _ = factored_longdouble(ops, u)
             assert abs(float(np.longdouble(Q) - Q_ref)) <= ops.N * np.finfo(float).eps * abs(Q)
-        Q = energy.yamabe_quotient(ops, v.u).Q
+        Q = energy.yamabe_quotient(ops, v.u)
         diag = ops.vol_weights * v.u ** (ts - 2.0)
         H0 = 2.0 * (A - (ts - 1.0) * Q * np.diag(diag))
         assert np.array_equal(energy.second_variation(v), H0)
     if kind == "ball":
-        assert energy.yamabe_quotient(ops, v.u).boundary_term != 0.0
+        assert np.any(ops.bdry_weights)
     # with_diagonal adds the diagonal weights to S in the dense sums' order
     assert np.array_equal(ops.with_diagonal(ops.curv_weights, ops.bdry_weights), A)
     assert np.array_equal(ops.with_diagonal(ops.vol_weights), S + np.diag(ops.vol_weights))
@@ -233,9 +255,9 @@ def test_raw_derivatives_match_finite_differences(frank_nondeg):
     H = raw_hessian_reference(ops, w)
     eta = rng.standard_normal(ops.N)
     eta /= np.linalg.norm(eta)
-    fd1 = richardson_first(lambda t: energy.yamabe_quotient(ops, w + t * eta).Q, 0.02)
+    fd1 = richardson_first(lambda t: energy.yamabe_quotient(ops, w + t * eta), 0.02)
     assert fd1 == pytest.approx(float(G @ eta), rel=1e-8, abs=1e-12)
-    fd2 = richardson_second(lambda t: energy.yamabe_quotient(ops, w + t * eta).Q, 0.02)
+    fd2 = richardson_second(lambda t: energy.yamabe_quotient(ops, w + t * eta), 0.02)
     assert fd2 == pytest.approx(float(eta @ H @ eta), rel=1e-6)
     # at a normalized state, along a tangent direction (p.eta = 0), the
     # second derivative of the quotient is the second variation
@@ -243,7 +265,7 @@ def test_raw_derivatives_match_finite_differences(frank_nondeg):
     eta = energy.project_tangent(v, rng.standard_normal(ops.N))
     eta /= np.linalg.norm(eta)
     assert abs(float(energy.volume_covector(v) @ eta)) <= 1e-14
-    fd2 = richardson_second(lambda t: energy.yamabe_quotient(ops, v.u + t * eta).Q, 0.02)
+    fd2 = richardson_second(lambda t: energy.yamabe_quotient(ops, v.u + t * eta), 0.02)
     assert fd2 == pytest.approx(float(eta @ energy.second_variation(v) @ eta), rel=1e-6)
 
 
@@ -298,19 +320,19 @@ def test_conformal_covariance_of_quotient(model_name, hemisphere3, frank_nondeg)
     ops_d = disc.assemble_operators(model.conformal_deform(m, w, g), g)
     for seed in range(5):
         u = random_positive_state(ops, 300 + seed).u
-        q_def = energy.yamabe_quotient(ops_d, u).Q
-        q_pull = energy.yamabe_quotient(ops, u * w).Q
+        q_def = energy.yamabe_quotient(ops_d, u)
+        q_pull = energy.yamabe_quotient(ops, u * w)
         assert q_def == pytest.approx(q_pull, rel=1e-6)
 
 
 def test_energy_deficit_matches_direct_difference(frank_deg):
     _, rep, _, split = frank_deg
     ops = rep.v.ops
-    q0 = energy.yamabe_quotient(ops, rep.v.u).Q
+    q0 = energy.yamabe_quotient(ops, rep.v.u)
     phi = split.K_basis[:, 0]
     for s in (0.05, 0.01):
         xi = s * phi
-        direct = energy.yamabe_quotient(ops, np.clip(rep.v.u + xi, 0, None)).Q - q0
+        direct = energy.yamabe_quotient(ops, np.clip(rep.v.u + xi, 0, None)) - q0
         incremental = energy.energy_deficit(rep.v, xi)
         assert incremental == pytest.approx(direct, rel=1e-4, abs=1e-12)
 
@@ -336,7 +358,7 @@ def test_energy_deficit_on_column_blocks(frank_deg):
     incr = energy.power_increment(v.u, Xi, ts)
     AXi = ops.apply_form(Xi, cb)[0]
     eps = np.finfo(float).eps
-    floor = eps * energy.yamabe_quotient(ops, v.u).Q
+    floor = eps * energy.yamabe_quotient(ops, v.u)
     absD = np.abs(ops.grid.diff_matrix)
     for j in range(Xi.shape[1]):
         xi, col = Xi[:, j], Xi[:, j:j + 1]
@@ -384,5 +406,5 @@ def test_quotient_homogeneity_property(c, seed):
     g = disc.build_grid(m, 32)
     ops = disc.assemble_operators(m, g)
     u = np.abs(np.random.default_rng(seed).standard_normal(g.N)) + 0.1
-    assert energy.yamabe_quotient(ops, c * u).Q == pytest.approx(
-        energy.yamabe_quotient(ops, u).Q, rel=1e-12)
+    assert energy.yamabe_quotient(ops, c * u) == pytest.approx(
+        energy.yamabe_quotient(ops, u), rel=1e-12)

@@ -33,7 +33,7 @@ def test_minimize_rejects_a_non_finite_start(frank_nondeg, bad):
     ops = frank_nondeg[1].v.ops
     u0 = np.ones(ops.N)
     u0[5] = bad
-    with pytest.raises(ValueError, match="starting point must be finite"):
+    with pytest.raises(ValueError, match="infs or NaNs"):
         minimize.minimize_energy(ops, u0)
 
 
@@ -58,11 +58,25 @@ def test_critical_start_is_fixed_point(frank_nondeg):
     assert np.allclose(again.v.u, rep.v.u, atol=1e-10)
 
 
-def test_monotone_descent(frank_nondeg):
+def _record_iterates(monkeypatch):
+    """The quotients of minimize_energy's iterates, in order: each descent
+    iteration calls project_tangent and each polish iteration
+    second_variation once with its current state."""
+    qs = []
+    for name in ("project_tangent", "second_variation"):
+        fn = getattr(energy, name)
+        monkeypatch.setattr(energy, name,
+                            lambda v, *args, fn=fn: qs.append(v.Q) or fn(v, *args))
+    return qs
+
+
+def test_monotone_descent(frank_nondeg, monkeypatch):
     ops = frank_nondeg[1].v.ops
     u0 = 1.0 + 0.3 * np.cos(2 * math.pi * ops.grid.nodes / ops.model.length)
+    qs = _record_iterates(monkeypatch)
     rep = minimize.minimize_energy(ops, u0)
-    qs = rep.q_history
+    qs.append(rep.Y_est)
+    assert len(qs) == rep.iterations + 1
     assert all(qs[i + 1] <= qs[i] + 1e-12 * abs(qs[i]) for i in range(len(qs) - 1))
 
 
@@ -72,7 +86,7 @@ def test_reported_quotient_is_the_returned_states():
     reports = minimize.run_multistart(model.frank_product(5, BIF_RADIUS), 64, 3,
                                       minimize.MinimizeOptions(seed=0))
     for rep in reports:
-        assert rep.Y_est == energy.yamabe_quotient(rep.v.ops, rep.v.u).Q
+        assert rep.Y_est == energy.yamabe_quotient(rep.v.ops, rep.v.u)
 
 
 def test_converged_implies_small_residual(frank_nondeg, frank_deg):
@@ -103,7 +117,7 @@ def test_estimate_never_beats_constant_upper_bound(cylinder3):
     m, g, ops = cylinder3
     rep = minimize.estimate_yamabe_constant(
         m, 96, starts=3, opts=minimize.MinimizeOptions(seed=1, grad_tol=1e-9))
-    assert rep.Y_est <= energy.yamabe_quotient(ops, np.ones(g.N)).Q + 1e-12
+    assert rep.Y_est <= energy.yamabe_quotient(ops, np.ones(g.N)) + 1e-12
 
 
 def test_minimizer_conformal_covariance(frank_nondeg):
@@ -175,7 +189,7 @@ def test_hemisphere_comparison_value():
     m = model.hemisphere(3)
     g = disc.build_grid(m, 96)
     ops = disc.assemble_operators(m, g)
-    q_const = energy.yamabe_quotient(ops, np.ones(g.N)).Q
+    q_const = energy.yamabe_quotient(ops, np.ones(g.N))
     assert minimize.hemisphere_comparison_value(3) == pytest.approx(q_const, rel=1e-11)
 
 
@@ -343,12 +357,45 @@ def test_unconverged_coarse_run_falls_back_to_direct(monkeypatch):
     monkeypatch.setattr(minimize, "minimize_energy", coarse_fails)
     nested = minimize.run_multistart(m, N, 3, opts)
     monkeypatch.setattr(minimize, "minimize_energy", run)
-    assert grids == [N, N // 4, N, N // 4, N]  # start 0 is critical on N
+    assert grids == [N // 4, N, N // 4, N, N // 4, N]
     for a, b in zip(nested, _direct_reports(m, N, 3, opts), strict=True):
         assert (a.start_index, a.converged, a.coarse_iterations, a.iterations) == \
             (b.start_index, b.converged, 0, b.iterations)
         assert a.Y_est == b.Y_est
         assert np.array_equal(a.v.u, b.v.u)
+
+
+def test_a_start_critical_on_N_evaluates_one_N_node_gradient(monkeypatch):
+    # no N-node gradient is evaluated outside minimize_energy: a start whose
+    # run on N takes 0 iterations evaluates only its start state's gradient
+    m, N = model.frank_product(5, BIF_RADIUS), 128
+    events = []
+    gradient, run = energy.gradient, minimize.minimize_energy
+
+    def counted_gradient(v):
+        if v.ops.N == N:
+            events.append("gradient")
+        return gradient(v)
+
+    def marked_run(ops, u0, opts):
+        rep = run(ops, u0, opts)
+        if ops.N == N:
+            events.append(rep)
+        return rep
+
+    monkeypatch.setattr(energy, "gradient", counted_gradient)
+    monkeypatch.setattr(minimize, "minimize_energy", marked_run)
+    reports = minimize.run_multistart(m, N, 3, minimize.MinimizeOptions(seed=1))
+    assert all(r.converged for r in reports)
+    per_start, count = [], 0
+    for event in events:
+        if isinstance(event, str):
+            count += 1
+        else:
+            per_start.append((event.iterations, count))
+            count = 0
+    assert len(per_start) == 3 and count == 0
+    assert [c for it, c in per_start if it == 0] == [1] * 3
 
 
 @pytest.fixture(scope="module")
@@ -447,12 +494,13 @@ def test_polish_accepts_an_energy_drop_with_rising_gradient(monkeypatch):
     ops, t, u0, state = _all_polish_start(SUB_RADIUS, 1e-4)
     trial = energy.normalize(ops, 1.0 + 1.5e-5 * np.cos(3 * t))
     step = trial.u - state.u
-    q = energy.yamabe_quotient(ops, state.u).Q
+    q = energy.yamabe_quotient(ops, state.u)
     assert energy.energy_deficit(state, step) < -1e-13 * abs(q)
     assert ops.dual_norm(energy.gradient(trial)) > ops.dual_norm(energy.gradient(state))
     calls = _first_try_replaced(monkeypatch, step)
+    qs = _record_iterates(monkeypatch)
     rep = minimize.minimize_energy(ops, u0)
-    assert rep.q_history[1] == energy.yamabe_quotient(ops, trial.u).Q
+    assert qs[1] == energy.yamabe_quotient(ops, trial.u)
     assert np.array_equal(calls[1][0], trial.u)  # the next iterate is the trial
     assert calls[1][1] == 0.0                    # reached without damping
     assert rep.converged
@@ -462,7 +510,7 @@ def test_polish_rejects_rising_gradient_without_energy_drop(monkeypatch):
     ops, t, u0, state = _all_polish_start(SUB_RADIUS, 1e-4)
     trial = energy.normalize(ops, 1.0 + 2e-4 * np.cos(t))
     step = trial.u - state.u
-    q = energy.yamabe_quotient(ops, state.u).Q
+    q = energy.yamabe_quotient(ops, state.u)
     assert energy.energy_deficit(state, step) > -1e-13 * abs(q)
     assert ops.dual_norm(energy.gradient(trial)) > ops.dual_norm(energy.gradient(state))
     calls = _first_try_replaced(monkeypatch, step)

@@ -188,7 +188,7 @@ def test_kernel_strong_form_residual(frank_deg):
     # kernel vectors solve the linearized equation with the Robin condition
     _, rep, _, split = frank_deg
     ops = rep.v.ops
-    q0 = energy.yamabe_quotient(ops, rep.v.u).Q
+    q0 = energy.yamabe_quotient(ops, rep.v.u)
     ts = ops.two_star
     for j in range(split.kernel_dim):
         phi = split.K_basis[:, j]

@@ -312,7 +312,7 @@ def test_block_sampler_matches_per_sample_evaluation(deg):
     records = iter(batch.records)
     # a quartic kernel deficit near the round-off floor of the incremental
     # form, eps |Q|, agrees to that floor only (about 1e-18 apart here)
-    floor = np.finfo(float).eps * energy.yamabe_quotient(ops, v.u).Q
+    floor = np.finfo(float).eps * energy.yamabe_quotient(ops, v.u)
     rng = np.random.default_rng(sample_spec.seed)
     transverse = spec.eigenvectors[:, split.kernel_dim: split.kernel_dim + 6]
     for kind in sample_spec.kinds:
