@@ -13,6 +13,7 @@ second variation that is not positive off its kernel, 4 fit rejection.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -502,7 +503,10 @@ def _load_config(path: str, experiment: str | None, out: str | None,
     return ExperimentConfig.from_dict(raw)
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves it
+    unchanged, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="yamstab",
         description="boundary Yamabe stability experiments on model manifolds")
@@ -514,8 +518,11 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, help="seed override")
     pv = sub.add_parser("validate", help="check a config without computing")
     pv.add_argument("--config", required=True, help="JSON config path")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "validate":
         try:

@@ -250,8 +250,10 @@ class DiscreteOperators:
 
     @functools.cached_property
     def w12_cho(self):
-        """Cholesky factor of S + M, computed once per operator set."""
-        return sla.cho_factor(self.with_diagonal(self.vol_weights), overwrite_a=True)
+        """Cholesky factor of S + M, computed once per operator set.  S + M is
+        exactly symmetric, so its transpose, a Fortran-ordered view, is the
+        same matrix and LAPACK factors it in place, with no copy."""
+        return sla.cho_factor(self.with_diagonal(self.vol_weights).T, overwrite_a=True)
 
     def riesz(self, G: np.ndarray) -> np.ndarray:
         """Sobolev Riesz representative (S+M)^-1 G of a covector.  Only G is
@@ -322,7 +324,14 @@ def assemble_operators(m: SymmetricModel, grid: Grid) -> DiscreteOperators:
         k_nyq = math.pi * N / m.length
         e_nyq = 0.5 * k_nyq**2 * float(q @ np.clip(s, 0.0, None))
         y = np.where(np.arange(N) % 2 == 0, 1.0, -1.0) / N
-        S += e_nyq * np.outer(y, y)
+        # e y y' is +c on same-parity entries and -c elsewhere, c = e (1/N)^2
+        # rounded as np.outer's product: four strided in-place updates add
+        # its bits without an N x N temporary
+        c = e_nyq * (y[0] * y[0])
+        S[::2, ::2] += c
+        S[1::2, 1::2] += c
+        S[::2, 1::2] -= c
+        S[1::2, ::2] -= c
         nyquist = (e_nyq, y)
     # Push the round-off row sums into the diagonal so constants are
     # annihilated exactly by the dense form the Hessian starts from; S stays

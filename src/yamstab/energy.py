@@ -16,10 +16,12 @@ it agrees with the projected form P'H0P up to a multiple of the constraint
 normal, which the Newton polish, the eigensolves and the chart's bordered
 factor absorb, so none of them builds the projection.
 
-A NormalizedState evaluates its quotient, gradient, Riesz vector and
-gradient norm once each, on first use, and keeps them; every stage reads
-them from the state.  yamabe_quotient, normalize and energy_deficit refuse
-infs and NaNs.
+A NormalizedState evaluates its quotient, constraint normal, gradient,
+Riesz vector and gradient norm once each, on first use, and keeps them;
+every stage reads them from the state.  The state keeps the volume norm its
+constructor checks, and its Q divides by that norm, so a state's quotient
+costs no second norm or input check.  yamabe_quotient, normalize and
+energy_deficit refuse infs and NaNs.
 
 The quotient, the gradient and the deficit apply the energy form factored
 (ops.apply_form with d = c + b, ops.dirichlet): one N x N pass (D u) for the
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,11 +46,13 @@ from .model import laplace_profile
 @dataclass(frozen=True, eq=False)
 class NormalizedState:
     """Nonnegative nodal function with unit critical-exponent norm.  u is
-    read-only, so Q (yamabe_quotient), G (gradient), riesz (ops.riesz of G)
+    read-only, so Q (the quotient over the norm volume_norm the constructor
+    checks), p (the constraint normal), G (gradient), riesz (ops.riesz of G)
     and grad_norm (ops.dual_norm of G) are evaluated on first use and kept."""
 
     u: np.ndarray
     ops: DiscreteOperators
+    volume_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -60,10 +64,17 @@ class NormalizedState:
         nrm = lp_norm(self.ops, self.u, self.ops.two_star)
         if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
             raise ValueError(f"state is not volume-normalized: ||u|| = {nrm}")
+        object.__setattr__(self, "volume_norm", nrm)
 
     @functools.cached_property
     def Q(self) -> float:
-        return yamabe_quotient(self.ops, self.u)
+        return _quotient(self.ops, self.u, self.volume_norm)
+
+    @functools.cached_property
+    def p(self) -> np.ndarray:
+        p = self.ops.vol_weights * self.u ** (self.ops.two_star - 1.0)
+        p.flags.writeable = False
+        return p
 
     @functools.cached_property
     def G(self) -> np.ndarray:
@@ -106,7 +117,11 @@ def _volume_norm(ops: DiscreteOperators, u: np.ndarray) -> tuple[np.ndarray, flo
 def yamabe_quotient(ops: DiscreteOperators, u: np.ndarray) -> float:
     """Energy quotient of a finite, nonnegative, not identically zero nodal
     function."""
-    u, nrm = _volume_norm(ops, u)
+    return _quotient(ops, *_volume_norm(ops, u))
+
+
+def _quotient(ops: DiscreteOperators, u: np.ndarray, nrm: float) -> float:
+    """The quotient of a checked u whose critical-exponent norm is nrm."""
     dir_term = ops.dirichlet(u, ops.grid.diff_matrix @ u)
     return (dir_term + float((u * ops.curv_weights) @ u)
             + float((u * ops.bdry_weights) @ u)) / nrm**2
@@ -120,8 +135,9 @@ def normalize(ops: DiscreteOperators, u: np.ndarray) -> NormalizedState:
 
 
 def volume_covector(v: NormalizedState) -> np.ndarray:
-    """p with p.u = integral of v^(2*-1) u dvol; the constraint normal at v."""
-    return v.ops.vol_weights * v.u ** (v.ops.two_star - 1.0)
+    """p with p.u = integral of v^(2*-1) u dvol; the constraint normal at v,
+    the state's v.p."""
+    return v.p
 
 
 def project_tangent(v: NormalizedState, u: np.ndarray) -> np.ndarray:

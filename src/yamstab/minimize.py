@@ -21,8 +21,12 @@ The polish stops once the gradient norm is at most the tolerance.  Convergence
 is declared on the preconditioned gradient norm alone: degenerate minimizers
 move arbitrarily slowly along their kernel, so state movement is not a usable
 criterion.  Each iterate is an energy.NormalizedState, which evaluates its
-quotient, gradient and Riesz vector once.  A multistart run starts from the constant and from seeded smooth
-perturbations of it along the analytic modes of disc.low_modes.
+quotient, constraint normal, gradient and Riesz vector once.  A polish
+iteration takes the step floor's |u|_W only once a rung is rejected, and a
+MinimizeReport evaluates its strong-form residual (energy.el_residual) on
+first read, which only the minimize experiment's outputs do.  A multistart
+run starts from the constant and from seeded smooth perturbations of it
+along the analytic modes of disc.low_modes.
 
 Nested iteration: run_multistart solves each start first on one coarse
 grid of the same model, N/4 nodes rounded up to even (used when that is at
@@ -43,6 +47,7 @@ dropped and no N-node gradient is evaluated outside minimize_energy.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,11 +79,15 @@ class MinimizeReport:
     v: energy.NormalizedState
     Y_est: float
     grad_norm: float
-    residual: energy.ELResidual
     iterations: int
     converged: bool
     start_index: int = 0
     coarse_iterations: int = 0  # iterations on the coarse grid of a nested start
+
+    @functools.cached_property
+    def residual(self) -> energy.ELResidual:
+        """energy.el_residual of v, evaluated on first read."""
+        return energy.el_residual(self.v)
 
 
 MAX_ITERS = 500  # descent steps
@@ -148,7 +157,7 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
     while state.grad_norm > opts.grad_tol and newton_iters < 80:
         H = energy.second_variation(state)
         energy_slack = 1e-13 * max(abs(state.Q), 1.0)
-        step_floor = POLISH_STEP_FLOOR * ops.w12_norm(state.u)
+        step_floor = None  # taken on the first rejected rung
         accepted = False
         for _ in range(40):
             try:
@@ -172,6 +181,8 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
             if energy.energy_deficit(state, trial - state.u) < -energy_slack:
                 accepted = True
                 break
+            if step_floor is None:
+                step_floor = POLISH_STEP_FLOOR * ops.w12_norm(state.u)
             if ops.w12_norm(step) <= step_floor:
                 break
             mu = max(10.0 * mu, 1e-10)
@@ -186,7 +197,6 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
         v=state,
         Y_est=state.Q,
         grad_norm=state.grad_norm,
-        residual=energy.el_residual(state),
         iterations=iterations,
         converged=bool(state.grad_norm <= opts.grad_tol),
     )

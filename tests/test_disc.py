@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yamstab import disc, energy, minimize, model
-from conftest import fourier_diff_reference, w12_norm_longdouble
+from conftest import SUB_RADIUS, fourier_diff_reference, w12_norm_longdouble
 
 
 def test_uniform_circle_weights():
@@ -286,6 +287,38 @@ def test_dual_norm_factors_once():
     assert ops.dual_norm(G) == pytest.approx(math.sqrt(G @ r), rel=1e-12)
     assert np.allclose(ops.riesz(G), r, rtol=1e-10, atol=0)
     assert ops.w12_cho is ops.w12_cho
+
+
+@pytest.mark.parametrize("N", [64, 96])
+def test_nyquist_term_keeps_the_outer_product_bits(N):
+    # the strided in-place Nyquist updates give the stiffness the bits of
+    # S += e * np.outer(y, y), also at N = 96, where 1/N is not a power of two
+    m = model.frank_product(5, SUB_RADIUS)
+    g = disc.build_grid(m, N)
+    ops = disc.assemble_operators(m, g)
+    e, y = ops.nyquist
+    Dw = np.sqrt(ops.stiff_weights)[:, None] * g.diff_matrix
+    S = Dw.T @ Dw
+    S += e * np.outer(y, y)
+    S.flat[:: N + 1] -= S @ np.ones(N)
+    assert np.array_equal(ops.stiffness, S)
+
+
+@pytest.mark.parametrize("m", [model.frank_product(5, SUB_RADIUS), model.cylinder(3, 1.0)],
+                         ids=["circle", "interval"])
+def test_sobolev_factor_is_fortran_ordered_with_reference_bits(m, monkeypatch):
+    # S + M is factored in place through its transpose; the Riesz solve still
+    # goes through scipy's cho_solve and has the bits of the factor of S + M
+    ops = disc.assemble_operators(m, disc.build_grid(m, 64))
+    assert ops.w12_cho[0].flags.f_contiguous
+    G = np.column_stack([np.linspace(-1.0, 1.0, ops.N), np.cos(ops.grid.nodes)])
+    ref = sla.cho_solve(sla.cho_factor(ops.with_diagonal(ops.vol_weights)), G)
+    solves = []
+    cho_solve = sla.cho_solve
+    monkeypatch.setattr(disc.sla, "cho_solve", lambda *a, **k: solves.append(1) or cho_solve(*a, **k))
+    assert np.array_equal(ops.riesz(G), ref)
+    assert np.array_equal(ops.riesz(G[:, 0]), ref[:, 0])
+    assert len(solves) == 2
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

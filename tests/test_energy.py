@@ -115,6 +115,23 @@ def test_normalized_state_evaluates_once(frank_nondeg, monkeypatch):
         fresh.u[0] = 1.0
 
 
+def test_state_quotient_divides_by_the_kept_norm(frank_nondeg, monkeypatch):
+    # reading a state's Q takes no second input check or volume norm, and
+    # gives yamabe_quotient's bits; its constraint normal is kept as well
+    ops = frank_nondeg[1].v.ops
+    v = random_positive_state(ops, 5)
+    norms = []
+    volume_norm = energy._volume_norm
+    monkeypatch.setattr(energy, "_volume_norm", lambda *a: norms.append(1) or volume_norm(*a))
+    q = v.Q
+    assert norms == []
+    assert q == energy.yamabe_quotient(ops, v.u)
+    assert energy.volume_covector(v) is v.p
+    assert np.array_equal(v.p, ops.vol_weights * v.u ** (ops.two_star - 1.0))
+    with pytest.raises(ValueError):
+        v.p[0] = 1.0
+
+
 def test_normalize(frank_nondeg):
     ops = frank_nondeg[1].v.ops
     v = random_positive_state(ops, 7)

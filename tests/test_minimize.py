@@ -286,6 +286,40 @@ def test_polish_evaluates_one_gradient_per_try(monkeypatch):
     assert len(grads) == 1 + len(solves)    # the start's, then one per try
 
 
+def test_polish_takes_no_step_floor_when_its_first_rung_is_accepted(monkeypatch):
+    # the step floor's Sobolev norm is taken only for a rejected rung: at a
+    # nondegenerate minimizer every undamped Newton step is accepted
+    m = model.frank_product(5, SUB_RADIUS)
+    ops = disc.assemble_operators(m, disc.build_grid(m, 64))
+    t = 2 * math.pi * ops.grid.nodes / m.length
+    u0 = 1.0 + 1e-4 * (np.cos(t) + np.sin(2 * t))
+    # close enough to the constant that the run is all polish, no descent step
+    assert ops.dual_norm(energy.gradient(energy.normalize(ops, u0))) <= minimize.NEWTON_SWITCH
+    norms, solves = [], []
+    w12_norm, factor = disc.DiscreteOperators.w12_norm, minimize.BorderedFactor
+    monkeypatch.setattr(disc.DiscreteOperators, "w12_norm",
+                        lambda self, u: norms.append(1) or w12_norm(self, u))
+    monkeypatch.setattr(minimize, "BorderedFactor", lambda *a: solves.append(1) or factor(*a))
+    rep = minimize.minimize_energy(ops, u0)
+    assert rep.converged
+    assert len(solves) == rep.iterations >= 1  # all polish, one rung each
+    assert norms == []
+
+
+def test_report_residual_is_evaluated_on_first_read(frank_nondeg, monkeypatch):
+    ops = frank_nondeg[1].v.ops
+    calls = []
+    el_residual = energy.el_residual
+    monkeypatch.setattr(energy, "el_residual", lambda v: calls.append(v) or el_residual(v))
+    t = 2 * math.pi * ops.grid.nodes / ops.model.length
+    rep = minimize.minimize_energy(ops, 1.0 + 0.1 * np.cos(t))
+    assert calls == []
+    first = rep.residual
+    assert rep.residual is first
+    assert calls == [rep.v]
+    assert first == el_residual(rep.v)
+
+
 def test_descent_takes_few_iterations_on_cylinder():
     # with Barzilai-Borwein trial steps the descent does not crawl along the
     # low modes: every start here takes at most 5 descent and polish
