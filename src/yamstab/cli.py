@@ -13,7 +13,6 @@ second variation that is not positive off its kernel, 4 fit rejection.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import math
@@ -308,7 +307,7 @@ def _spectral_pipeline(cfg: ExperimentConfig):
 
 def run_spectrum(cfg: ExperimentConfig):
     best, spec, split = _spectral_pipeline(cfg)
-    p = energy.volume_covector(best.v)
+    p = best.v.p
     rows = []
     for j, lam in enumerate(spec.eigenvalues):
         tang = abs(float(p @ spec.eigenvectors[:, j]))
@@ -503,10 +502,7 @@ def _load_config(path: str, experiment: str | None, out: str | None,
     return ExperimentConfig.from_dict(raw)
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; parse_args leaves it
-    unchanged, so every main call shares it."""
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="yamstab",
         description="boundary Yamabe stability experiments on model manifolds")
@@ -518,11 +514,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="seed override")
     pv = sub.add_parser("validate", help="check a config without computing")
     pv.add_argument("--config", required=True, help="JSON config path")
-    return parser
 
-
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = parser.parse_args(argv)
 
     if args.command == "validate":
         try:

@@ -250,15 +250,13 @@ class DiscreteOperators:
 
     @functools.cached_property
     def w12_cho(self):
-        """Cholesky factor of S + M, computed once per operator set.  S + M is
-        exactly symmetric, so its transpose, a Fortran-ordered view, is the
-        same matrix and LAPACK factors it in place, with no copy."""
-        return sla.cho_factor(self.with_diagonal(self.vol_weights).T, overwrite_a=True)
+        """Cholesky factor of S + M, computed once per operator set."""
+        return sla.cho_factor(self.with_diagonal(self.vol_weights), overwrite_a=True)
 
     def riesz(self, G: np.ndarray) -> np.ndarray:
         """Sobolev Riesz representative (S+M)^-1 G of a covector.  Only G is
         checked for NaN and inf, not the cached factor (an N^2 scan a call)."""
-        if not np.all(np.isfinite(G)):
+        if not np.isfinite(G).all():
             raise ValueError("the covector must not contain infs or NaNs")
         return sla.cho_solve(self.w12_cho, G, check_finite=False)
 
@@ -431,7 +429,7 @@ def rounding_floor(A: np.ndarray, x: np.ndarray):
 def lp_norm(ops: DiscreteOperators, u: np.ndarray, p: float):
     """(integral |u|^p a dt)^(1/p) via the grid quadrature; the S column
     norms of an N x S block."""
-    if not np.isfinite(p) or p < 1:
+    if not math.isfinite(p) or p < 1:
         raise ValueError(f"p must be a finite real >= 1, got {p}")
     u = np.asarray(u, dtype=float)
-    return np.sum(_colwise(ops.vol_weights, u) * np.abs(u) ** p, axis=0) ** (1.0 / p)
+    return (_colwise(ops.vol_weights, u) * np.abs(u) ** p).sum(axis=0) ** (1.0 / p)

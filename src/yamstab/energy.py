@@ -47,7 +47,8 @@ from .model import laplace_profile
 class NormalizedState:
     """Nonnegative nodal function with unit critical-exponent norm.  u is
     read-only, so Q (the quotient over the norm volume_norm the constructor
-    checks), p (the constraint normal), G (gradient), riesz (ops.riesz of G)
+    checks), p (the constraint normal: p.u is the integral of v^(2*-1) u
+    dvol), G (gradient), riesz (ops.riesz of G)
     and grad_norm (ops.dual_norm of G) are evaluated on first use and kept."""
 
     u: np.ndarray
@@ -56,9 +57,9 @@ class NormalizedState:
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
-        if np.any(u < -1e-12):
+        if (u < -1e-12).any():
             raise ValueError("normalized state must be nonnegative")
-        u = np.clip(u, 0.0, None)
+        u = np.maximum(u, 0.0)
         u.flags.writeable = False
         object.__setattr__(self, "u", u)
         nrm = lp_norm(self.ops, self.u, self.ops.two_star)
@@ -97,7 +98,7 @@ class ELResidual:
 
 def _finite(x: np.ndarray, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"the {what} must not contain infs or NaNs")
     return x
 
@@ -106,7 +107,7 @@ def _volume_norm(ops: DiscreteOperators, u: np.ndarray) -> tuple[np.ndarray, flo
     """u as a float array and its critical-exponent norm; refuses a function
     that is not finite, nonnegative and nonzero."""
     u = _finite(u, "nodal function")
-    if np.any(u < 0):
+    if (u < 0).any():
         raise ValueError("the energy is only defined for nonnegative functions")
     nrm = lp_norm(ops, u, ops.two_star)
     if nrm == 0.0:
@@ -134,16 +135,10 @@ def normalize(ops: DiscreteOperators, u: np.ndarray) -> NormalizedState:
     return NormalizedState(u=u / nrm, ops=ops)
 
 
-def volume_covector(v: NormalizedState) -> np.ndarray:
-    """p with p.u = integral of v^(2*-1) u dvol; the constraint normal at v,
-    the state's v.p."""
-    return v.p
-
-
 def project_tangent(v: NormalizedState, u: np.ndarray) -> np.ndarray:
     """Project u, or each column of an N x S block, onto the tangent space of
     the constraint manifold at v: u - (p.u) v."""
-    return u - np.multiply.outer(v.u, volume_covector(v) @ u)
+    return u - np.multiply.outer(v.u, v.p @ u)
 
 
 def gradient(v: NormalizedState) -> np.ndarray:
@@ -156,7 +151,7 @@ def gradient(v: NormalizedState) -> np.ndarray:
     """
     ops = v.ops
     Av, _ = ops.apply_form(v.u, ops.curv_weights + ops.bdry_weights)
-    return 2.0 * (Av - v.Q * volume_covector(v))
+    return 2.0 * (Av - v.Q * v.p)
 
 
 def second_variation(v: NormalizedState) -> np.ndarray:

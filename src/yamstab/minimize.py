@@ -104,7 +104,7 @@ def _polish_step(state: energy.NormalizedState, H: np.ndarray, G: np.ndarray,
     """Levenberg step min 1/2 d'(H + mu W)d + G.d over the tangent space p.d = 0,
     with H the unprojected second variation at state (energy.second_variation).
     """
-    p = energy.volume_covector(state)
+    p = state.p
     if mu > 0.0:
         W = state.ops.with_diagonal(state.ops.vol_weights)
         W *= mu
@@ -131,8 +131,8 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
         alpha = bb_step
         accepted = False
         for _ in range(MAX_BACKTRACK):
-            trial = np.clip(state.u + alpha * eta, 0.0, None)
-            if not np.any(trial > 0):
+            trial = np.maximum(state.u + alpha * eta, 0.0)
+            if not (trial > 0).any():
                 alpha *= 0.5
                 continue
             trial_state = energy.normalize(ops, trial)
@@ -167,8 +167,8 @@ def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
             except sla.LinAlgError:
                 mu = max(10.0 * mu, 1e-10)
                 continue
-            trial = np.clip(state.u + step, 0.0, None)
-            if not np.any(trial > 0):
+            trial = np.maximum(state.u + step, 0.0)
+            if not (trial > 0).any():
                 mu = max(10.0 * mu, 1e-10)
                 continue
             trial_state = energy.normalize(ops, trial)

@@ -61,7 +61,7 @@ def constraint_covectors(v: energy.NormalizedState,
         raise ValueError(
             "the constraint geometry needs a positive-definite mass matrix; "
             "models with pole endpoints carry a zero-mass node")
-    p = energy.volume_covector(v)
+    p = v.p
     return p[:, None] if K is None else np.column_stack([p, mvec[:, None] * K])
 
 

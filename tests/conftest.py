@@ -59,7 +59,7 @@ def one_sided(chart, *phis):
 def projected_hessian(v: energy.NormalizedState) -> np.ndarray:
     """Second variation projected onto the tangent space, P'H0P symmetrized,
     with P = I - v p'; rows and columns of the radial direction vanish."""
-    proj = np.eye(v.ops.N) - np.outer(v.u, energy.volume_covector(v))
+    proj = np.eye(v.ops.N) - np.outer(v.u, v.p)
     H = proj.T @ energy.second_variation(v) @ proj
     return 0.5 * (H + H.T)
 

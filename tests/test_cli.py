@@ -1,9 +1,7 @@
-import argparse
 import json
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
@@ -93,28 +91,6 @@ def test_pole_models_refuse_mass_geometry_experiments(tmp_path, capsys, monkeypa
 def test_validate_unreadable_file(tmp_path):
     assert cli.main(["validate", "--config", str(tmp_path / "nope.json")]) == \
         cli.EXIT_CONFIG
-
-
-def test_main_builds_its_parser_once(tmp_path, monkeypatch):
-    # two runs with different subcommands share one parser
-    built = []
-
-    class CountingParser(argparse.ArgumentParser):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=CountingParser))
-    cli._parser.cache_clear()
-    try:
-        path, _ = base_config(tmp_path, "minimize", N=32)
-        assert cli.main(["validate", "--config", str(path)]) == 0
-        first = len(built)
-        assert cli.main(["minimize", "--config", str(path)]) == 0
-        assert built.count("yamstab") == 1
-        assert len(built) == first
-    finally:
-        cli._parser.cache_clear()
 
 
 def test_minimize_summary_matches_formula(tmp_path, capsys):

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -302,23 +301,6 @@ def test_nyquist_term_keeps_the_outer_product_bits(N):
     S += e * np.outer(y, y)
     S.flat[:: N + 1] -= S @ np.ones(N)
     assert np.array_equal(ops.stiffness, S)
-
-
-@pytest.mark.parametrize("m", [model.frank_product(5, SUB_RADIUS), model.cylinder(3, 1.0)],
-                         ids=["circle", "interval"])
-def test_sobolev_factor_is_fortran_ordered_with_reference_bits(m, monkeypatch):
-    # S + M is factored in place through its transpose; the Riesz solve still
-    # goes through scipy's cho_solve and has the bits of the factor of S + M
-    ops = disc.assemble_operators(m, disc.build_grid(m, 64))
-    assert ops.w12_cho[0].flags.f_contiguous
-    G = np.column_stack([np.linspace(-1.0, 1.0, ops.N), np.cos(ops.grid.nodes)])
-    ref = sla.cho_solve(sla.cho_factor(ops.with_diagonal(ops.vol_weights)), G)
-    solves = []
-    cho_solve = sla.cho_solve
-    monkeypatch.setattr(disc.sla, "cho_solve", lambda *a, **k: solves.append(1) or cho_solve(*a, **k))
-    assert np.array_equal(ops.riesz(G), ref)
-    assert np.array_equal(ops.riesz(G[:, 0]), ref[:, 0])
-    assert len(solves) == 2
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

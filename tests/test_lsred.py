@@ -45,7 +45,7 @@ def test_correction_lives_in_complement(frank_deg_chart):
     chart = frank_deg_chart
     ops = chart.ops
     z = one_sided(chart, [0.02, -0.01])[0][:, 0]
-    p = energy.volume_covector(chart.v)
+    p = chart.v.p
     assert abs(float(p @ z)) <= 1e-9
     for j in range(chart.kernel_dim):
         k = chart.split.K_basis[:, j]

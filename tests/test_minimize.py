@@ -205,7 +205,7 @@ def test_polish_step_matches_tangent_basis_step():
     H = projected_hessian(state)
     H0 = energy.second_variation(state)
     G = energy.gradient(state)
-    p = energy.volume_covector(state)
+    p = state.p
     frame = np.column_stack([p, np.eye(ops.N)[:, : ops.N - 1]])
     B = np.linalg.qr(frame, mode="complete")[0][:, 1:]
     W = ops.stiffness + np.diag(ops.vol_weights)

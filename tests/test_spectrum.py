@@ -42,7 +42,7 @@ def test_nondegenerate_spectrum(frank_nondeg):
 def test_eigenvector_tangency_and_rayleigh(frank_nondeg):
     _, rep, spec, _ = frank_nondeg
     ops = rep.v.ops
-    p = energy.volume_covector(rep.v)
+    p = rep.v.p
     H = projected_hessian(rep.v)
     for j in range(spec.k):
         w = spec.eigenvectors[:, j]
