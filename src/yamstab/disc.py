@@ -9,8 +9,9 @@ exactly symmetric rank-k update, is the one dense form an operator set holds
 a vector or a column block is taken factored, D'(w * D u), by the one applier
 apply_form, which rounds far less than S u (S has entries up to 2e6 at
 N=512).  The mass, curvature and boundary forms are diagonal and are kept as
-node vectors; with_diagonal adds them to a fresh copy of S for the matrices
-that are factored or eigensolved.  The Sobolev
+node vectors.  Every matrix that is factored, eigensolved or bounded is
+alpha S + diag(d), a Form on the stored S that is written only into its
+factor's own LAPACK block and applied by one product with S.  The Sobolev
 Cholesky factor is computed once per operator set, and linearly constrained
 Newton steps go through a bordered (KKT) factor instead of an explicit
 null-space basis: one LAPACK ?sytrf factorization, then one ?sytrs call per
@@ -175,10 +176,10 @@ class DiscreteOperators:
 
     apply_form(u, d), dirichlet and w12_norm apply the forms factored, to a
     vector or an N x S column block alike: a block gives the S column values
-    and a vector a numpy float64 scalar (a float subclass).  The dense sums
+    and a vector a numpy float64 scalar (a float subclass).  The sums
     S + diag(d) that the Hessian, the eigensolves, the Sobolev Cholesky
-    factor and the start pick's rounding floor need are built on each use by
-    with_diagonal and not kept.
+    factor and the start pick's rounding floor need are Forms (form(d)), an
+    O(N) diagonal on the stored S, and never N x N copies of S.
     """
 
     model: SymmetricModel
@@ -240,18 +241,19 @@ class DiscreteOperators:
         Au += _colwise(d, u) * u
         return Au, du
 
-    def with_diagonal(self, *diagonals: np.ndarray) -> np.ndarray:
-        """A fresh S + diag(d1) + diag(d2) + ..., with the dense sum's bits:
-        the vectors are added in order to the diagonal only."""
-        A = self.stiffness.copy()
+    def form(self, *diagonals: np.ndarray) -> Form:
+        """The Form S + diag(d1) + diag(d2) + ..., with the dense sum's bits:
+        the vectors are added in order to the diagonal of S."""
+        diag = np.diagonal(self.stiffness)
         for d in diagonals:
-            A.flat[:: self.N + 1] += d
-        return A
+            diag = diag + d
+        return Form(self.stiffness, 1.0, diag)
 
     @functools.cached_property
     def w12_cho(self):
-        """Cholesky factor of S + M, computed once per operator set."""
-        return sla.cho_factor(self.with_diagonal(self.vol_weights), overwrite_a=True)
+        """Cholesky factor of S + M, computed once per operator set in place
+        in the Fortran block that form(m) is written into."""
+        return sla.cho_factor(self.form(self.vol_weights).write(), overwrite_a=True)
 
     def riesz(self, G: np.ndarray) -> np.ndarray:
         """Sobolev Riesz representative (S+M)^-1 G of a covector.  Only G is
@@ -354,6 +356,41 @@ def assemble_operators(m: SymmetricModel, grid: Grid) -> DiscreteOperators:
     )
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class Form:
+    """The matrix alpha S + diag(d), S exactly symmetric and C-ordered (the
+    stiffness, or any symmetric matrix with alpha = 1) and d the full
+    diagonal, kept as S, alpha and d and never as an N x N array of its own."""
+
+    S: np.ndarray
+    alpha: float
+    diag: np.ndarray
+
+    def write(self, K: np.ndarray | None = None) -> np.ndarray:
+        """alpha S' and then d into the leading N x N block of the
+        Fortran-ordered K (a fresh N x N one by default), read contiguously
+        from S; S' = S holds the bits."""
+        N = self.diag.size
+        K = np.empty((N, N), order="F") if K is None else K
+        np.multiply(self.S.T, self.alpha, out=K[:N, :N])
+        # K' is C-ordered, so its diagonal is a strided slice of its flat view
+        K.T.flat[: N * (K.shape[0] + 1): K.shape[0] + 1] = self.diag
+        return K
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        """alpha (S X) + (d - alpha diag S) * X, one product with S."""
+        extra = self.diag - self.alpha * np.diagonal(self.S)
+        return self.alpha * (self.S @ X) + _colwise(extra, X) * X
+
+    def shifted(self, sigma: float, B) -> Form:
+        """self - sigma B for a node vector B or a Form B on the same S."""
+        if not isinstance(B, Form):
+            return Form(self.S, self.alpha, self.diag - sigma * B)
+        if B.S is not self.S:
+            raise ValueError("only Forms on the same matrix S combine")
+        return Form(self.S, self.alpha - sigma * B.alpha, self.diag - sigma * B.diag)
+
+
 class BorderedFactor:
     """Bunch-Kaufman LDL' factor of the bordered matrix [[A, C], [C', 0]].
 
@@ -369,19 +406,19 @@ class BorderedFactor:
     LinAlgError here; an ill-conditioned system gives its (possibly poor)
     solutions silently, and callers judge the steps instead.
 
-    A must be exactly symmetric: ?sytrf reads only one triangle of the
-    block.  A is copied into the Fortran-ordered block through its
-    transpose, a contiguous copy for a C-ordered A, and the factor is kept
-    in the Fortran order ?sytrf returns, so ?sytrs never copies it.
+    A is a Form, written straight into the Fortran-ordered block (its S must
+    be exactly symmetric: ?sytrf reads only the upper triangle, so C' is not
+    written), and the block is the only N x N array a factor allocates; the
+    factor is kept in the Fortran order ?sytrf returns, so ?sytrs never
+    copies it.
     """
 
-    def __init__(self, A: np.ndarray, C: np.ndarray):
+    def __init__(self, A: Form, C: np.ndarray):
         N, k = C.shape
         n = N + k
         K = np.zeros((n, n), order="F")
-        K[:N, :N] = A.T
+        A.write(K)
         K[:N, N:] = C
-        K[N:, :N] = C.T
         sytrf, sytrf_lwork, self._sytrs = sla.get_lapack_funcs(
             ("sytrf", "sytrf_lwork", "sytrs"), (K,))
         self._ldu, self._ipiv, info = sytrf(
@@ -418,12 +455,21 @@ class BorderedFactor:
         return int(np.count_nonzero(d[~pair] < 0) + blocks.sum())
 
 
-def rounding_floor(A: np.ndarray, x: np.ndarray):
+def rounding_floor(A: Form, x: np.ndarray):
     """2 eps |x|'|A||x|, the rounding floor of the quadratic form x'Ax (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1);
-    the S column floors of an N x S block."""
+    the S column floors of an N x S block.  |A| is taken over row blocks of
+    S of 256 KB, never as an N x N array."""
     ax = np.abs(x)
-    return 2.0 * np.finfo(float).eps * np.einsum("i...,i...->...", ax, np.abs(A) @ ax)
+    N = A.diag.size
+    rows = max(1, 2**15 // N)
+    abs_ax = np.empty_like(ax)
+    for r in range(0, N, rows):
+        blk = np.abs(A.S[r:r + rows])
+        blk *= abs(A.alpha)
+        blk.flat[r::N + 1] = np.abs(A.diag[r:r + rows])  # row i's diagonal is column r + i
+        abs_ax[r:r + rows] = blk @ ax
+    return 2.0 * np.finfo(float).eps * np.einsum("i...,i...->...", ax, abs_ax)
 
 
 def lp_norm(ops: DiscreteOperators, u: np.ndarray, p: float):

@@ -26,7 +26,8 @@ energy_deficit refuse infs and NaNs.
 The quotient, the gradient and the deficit apply the energy form factored
 (ops.apply_form with d = c + b, ops.dirichlet): one N x N pass (D u) for the
 quotient, two for the gradient, which reads the state's Q, and two (D v,
-D xi) for the deficit.  Only second_variation builds the dense S + C + B.
+D xi) for the deficit.  second_variation is a disc.Form, 2S plus an O(N)
+diagonal, and no N x N array of its own.
 power_increment and energy_deficit take an offset or a block of offset
 columns alike; a vector's deficit is a numpy float64 scalar.
 """
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disc import DiscreteOperators, _colwise, lp_norm
+from .disc import DiscreteOperators, Form, _colwise, lp_norm
 from .model import laplace_profile
 
 
@@ -154,8 +155,8 @@ def gradient(v: NormalizedState) -> np.ndarray:
     return 2.0 * (Av - v.Q * v.p)
 
 
-def second_variation(v: NormalizedState) -> np.ndarray:
-    """Unprojected second-variation form at v, O(N^2) to build.
+def second_variation(v: NormalizedState) -> Form:
+    """Unprojected second-variation form at v, a disc.Form built in O(N).
 
     H0 = 2 ( A - (2*-1) Q(v) diag(m v^(2*-2)) ).
 
@@ -166,17 +167,15 @@ def second_variation(v: NormalizedState) -> np.ndarray:
     tangent space never sees it, so the Newton polish and the eigensolves use
     H0 and skip the projection's two N^3 products.
 
-    Built as 2A with its diagonal replaced, each entry rounded as the formula
-    reads: one N x N pass, and exactly symmetric because S is.
+    The Form 2S + diag(h) keeps the stored S, which makes it exactly
+    symmetric, and rounds each entry as the dense formula does: 2 S_ij is
+    exact, and h = 2 (diag A - (2*-1) Q m v^(2*-2)).
     """
     ops = v.ops
     ts = ops.two_star
     diag = ops.vol_weights * v.u ** (ts - 2.0)
-    H = ops.with_diagonal(ops.curv_weights, ops.bdry_weights)
-    new_diag = 2.0 * (np.diagonal(H) - (ts - 1.0) * v.Q * diag)
-    H *= 2.0
-    H.flat[:: ops.N + 1] = new_diag
-    return H
+    A = ops.form(ops.curv_weights, ops.bdry_weights)
+    return Form(ops.stiffness, 2.0, 2.0 * (A.diag - (ts - 1.0) * v.Q * diag))
 
 
 def power_increment(v: np.ndarray, xi: np.ndarray, p: float) -> np.ndarray:

@@ -11,8 +11,10 @@ W.  Each polish step is one bordered (KKT) solve of
 (energy.second_variation) and p the volume covector: the Levenberg
 step restricted to p.d = 0, obtained without building a tangent basis, and
 the same step the projected Hessian gives, because the multiplier absorbs the
-projection's p term.  A rejected step is retried with ten times the damping
-until it shrinks to round-off (POLISH_STEP_FLOOR), where the polish stops.
+projection's p term.  H0 + mu W is the disc.Form (2 + mu) S + diag(...),
+written only into the factor's block.  A rejected step is retried with ten
+times the damping until it shrinks to round-off (POLISH_STEP_FLOOR), where
+the polish stops.
 A step is accepted when it lowers the gradient norm without raising the
 quotient by more than 1e-13 max(|Q|, 1), or when its incremental energy
 deficit (energy.energy_deficit) is below minus that allowance: along a
@@ -54,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .disc import (MIN_NODES, BorderedFactor, DiscreteOperators, assemble_operators,
-                   build_grid, interpolate, low_modes, rounding_floor)
+from .disc import (MIN_NODES, BorderedFactor, DiscreteOperators, Form,
+                   assemble_operators, build_grid, interpolate, low_modes, rounding_floor)
 from .model import SymmetricModel, dim_constant, sphere_area
 from . import energy
 
@@ -99,18 +101,15 @@ MAX_BACKTRACK = 60
 POLISH_STEP_FLOOR = np.finfo(float).eps
 
 
-def _polish_step(state: energy.NormalizedState, H: np.ndarray, G: np.ndarray,
+def _polish_step(state: energy.NormalizedState, H: Form, G: np.ndarray,
                  mu: float) -> np.ndarray:
     """Levenberg step min 1/2 d'(H + mu W)d + G.d over the tangent space p.d = 0,
-    with H the unprojected second variation at state (energy.second_variation).
+    with H the unprojected second variation at state (energy.second_variation)
+    and H + mu W = (2 + mu) S + diag(h + mu (diag S + m)) its shifted Form.
     """
-    p = state.p
     if mu > 0.0:
-        W = state.ops.with_diagonal(state.ops.vol_weights)
-        W *= mu
-        W += H
-        H = W
-    return BorderedFactor(H, p[:, None]).solve(-G)
+        H = H.shifted(-mu, state.ops.form(state.ops.vol_weights))
+    return BorderedFactor(H, state.p[:, None]).solve(-G)
 
 
 def minimize_energy(ops: DiscreteOperators, u0: np.ndarray,
@@ -272,7 +271,7 @@ def best_converged(reports: list[MinimizeReport], m: SymmetricModel,
         raise ConvergenceError(f"no start converged on {m.label} at N={N}")
     lowest = min(converged, key=lambda r: (r.Y_est, r.start_index))
     ops = lowest.v.ops
-    floor = rounding_floor(ops.with_diagonal(ops.curv_weights, ops.bdry_weights), lowest.v.u)
+    floor = rounding_floor(ops.form(ops.curv_weights, ops.bdry_weights), lowest.v.u)
     tied = [r for r in converged if r.Y_est <= lowest.Y_est + floor]
     return min(tied, key=lambda r: (r.start_index, r.Y_est))
 

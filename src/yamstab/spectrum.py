@@ -6,6 +6,8 @@ whose inertia certifies the shift (Ericsson & Ruhe, Math. Comp. 35 (1980);
 Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15 (1994)): B = M in
 eigen_decompose, S+M in stability.  H is the unprojected second variation,
 equal to P'H0P on the tangent space, and bordered solves stay in ker C'.
+H, a B that is not diagonal and the shift H - sigma B are disc.Forms on one
+S: the shift is written only into its factor's block, and no input changes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla
 
-from .disc import BorderedFactor, low_modes, rounding_floor
+from .disc import BorderedFactor, Form, low_modes, rounding_floor
 from . import energy
 
 MAX_SWEEPS = 40  # inverse-iteration sweeps of lowest_pairs
@@ -65,7 +67,7 @@ def constraint_covectors(v: energy.NormalizedState,
     return p[:, None] if K is None else np.column_stack([p, mvec[:, None] * K])
 
 
-def _ritz(A: np.ndarray, apply_B, X: np.ndarray):
+def _ritz(A: Form, apply_B, X: np.ndarray):
     """Rayleigh-Ritz step for the pencil (A, B) on the span of X: ascending
     Ritz values, the B-orthonormal Ritz vectors, and B applied to them."""
     BX = apply_B(X)
@@ -73,7 +75,7 @@ def _ritz(A: np.ndarray, apply_B, X: np.ndarray):
     return theta, X @ Y, BX @ Y
 
 
-def positive_factor(A: np.ndarray, C: np.ndarray) -> BorderedFactor | None:
+def positive_factor(A: Form, C: np.ndarray) -> BorderedFactor | None:
     """The bordered factor of A and C if A is positive definite on ker C', else
     None: certified by its inertia, exactly C.shape[1] negative eigenvalues."""
     try:
@@ -83,32 +85,28 @@ def positive_factor(A: np.ndarray, C: np.ndarray) -> BorderedFactor | None:
     return factor if factor.negative_eigenvalues() == C.shape[1] else None
 
 
-def lowest_pairs(H: np.ndarray, B: np.ndarray, C: np.ndarray, X: np.ndarray, k: int,
+def lowest_pairs(H: Form, B, C: np.ndarray, X: np.ndarray, k: int,
                  width: int | None = None, apply_B=None) -> SpectrumReport:
     """The k lowest eigenpairs of the pencil (H, B) on ker C', B positive
-    definite there (a matrix, or the node vector of a diagonal B; apply_B(Y)
-    is B Y), by block inverse iteration from the columns of X in ker C'.
-    Rayleigh-Ritz keeps the width lowest Ritz pairs of X (all by default),
-    theta_1 <= ... <= theta_w.  A = H - sigma B, built in H and bordered by
-    C, is factored once at sigma = theta_1 - (theta_w - theta_1) / 10, its
+    definite there (a Form on H's S, or the node vector of a diagonal B;
+    apply_B(Y) is B Y), by block inverse iteration from the columns of X in
+    ker C'.  Rayleigh-Ritz keeps the width lowest Ritz pairs of X (all by
+    default), theta_1 <= ... <= theta_w.  The Form A = H - sigma B, bordered
+    by C, is factored once at sigma = theta_1 - (theta_w - theta_1) / 10, its
     inertia certifying sigma below the spectrum.  Each sweep solves for B X
     and takes a Rayleigh-Ritz step, until each of the k lowest Ritz values
     moves by at most its rounding floor 2 eps |x|'|A||x| (disc.rounding_floor),
     x its start Ritz vector.  A block as wide as ker C' is exact, in 0
-    sweeps."""
-    apply_B = apply_B or ((lambda Y: B[:, None] * Y) if B.ndim == 1 else (lambda Y: B @ Y))
+    sweeps.  No argument is changed."""
+    apply_B = apply_B or (B.__matmul__ if isinstance(B, Form) else lambda Y: B[:, None] * Y)
     theta, X, BX = _ritz(H, apply_B, X)
-    if X.shape[1] == H.shape[0] - C.shape[1]:  # the block spans ker C'
+    if X.shape[1] == H.diag.size - C.shape[1]:  # the block spans ker C'
         return SpectrumReport(eigenvalues=theta[:k], eigenvectors=X[:, :k])
     theta, X, BX = theta[:width], X[:, :width], BX[:, :width]
     # the shift speeds a sweep up from lambda_j / lambda_w+1 of the pencil
     # to (lambda_j - sigma) / (lambda_w+1 - sigma)
     sigma = float(theta[0] - 0.1 * (theta[-1] - theta[0]))
-    A = H  # built in place: H is the caller's to give up
-    if B.ndim == 1:
-        A.flat[:: A.shape[0] + 1] -= sigma * B
-    else:
-        A -= sigma * B
+    A = H.shifted(sigma, B)
     factor = positive_factor(A, C)
     if factor is None:
         raise SpectrumError(f"the inertia puts an eigenvalue below the shift {sigma:.6g}, "

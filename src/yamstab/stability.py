@@ -248,12 +248,13 @@ def coercivity_data(v: energy.NormalizedState, split: KernelSplit,
     """The Sobolev spectral gap lambda1_w and its conversion to the envelope.
 
     lambda1_w is the lowest eigenvalue of the pencil (H, W), H the second
-    variation at v and W = S+M (applied factored), on ker C', C the
-    constraint covectors of v and the kernel: spectrum.lowest_pairs with k = 1
-    from the first N_TRANSVERSE_MODES eigenvectors of spectrum past the
-    kernel.  Only if it fails is H factored, bordered by C, to tell a second
-    variation not positive off the kernel (also refused if lambda1_w <= 0)
-    from a start block that misses the lowest mode; both are CoercivityErrors.
+    variation at v and W = S+M (ops.form(m), applied factored), on ker C', C
+    the constraint covectors of v and the kernel: spectrum.lowest_pairs with
+    k = 1 from the first N_TRANSVERSE_MODES eigenvectors of spectrum past the
+    kernel.  Only if it fails is the same H factored, bordered by C, to tell
+    a second variation not positive off the kernel (also refused if
+    lambda1_w <= 0) from a start block that misses the lowest mode; both are
+    CoercivityErrors.
     """
     ops = v.ops
     # first: S+M is positive definite even at a pole, so nothing after this
@@ -264,11 +265,12 @@ def coercivity_data(v: energy.NormalizedState, split: KernelSplit,
     if start.shape[1] == 0:
         raise ValueError("the Sobolev gap needs modes beyond the kernel, "
                          "and the spectrum holds none")
+    H = energy.second_variation(v)
     try:
-        gap = lowest_pairs(energy.second_variation(v), ops.with_diagonal(ops.vol_weights),
-                           C, start, 1, apply_B=lambda Y: ops.apply_form(Y, ops.vol_weights)[0])
+        gap = lowest_pairs(H, ops.form(ops.vol_weights), C, start, 1,
+                           apply_B=lambda Y: ops.apply_form(Y, ops.vol_weights)[0])
     except SpectrumError as exc:
-        if positive_factor(energy.second_variation(v), C) is not None:
+        if positive_factor(H, C) is not None:
             raise CoercivityError(str(exc)) from exc
         gap = None
     if gap is None or gap.eigenvalues[0] <= 0:

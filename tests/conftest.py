@@ -56,11 +56,22 @@ def one_sided(chart, *phis):
     return Z, deficits, iters, res, dual
 
 
+def dense(A: disc.Form) -> np.ndarray:
+    """The N x N matrix of a Form, written as its factor's block holds it:
+    the one reference builder of the tests that read a dense matrix."""
+    return A.write()
+
+
+def as_form(X: np.ndarray) -> disc.Form:
+    """An exactly symmetric matrix X as a Form with alpha = 1, which writes X."""
+    return disc.Form(X, 1.0, np.diagonal(X).copy())
+
+
 def projected_hessian(v: energy.NormalizedState) -> np.ndarray:
     """Second variation projected onto the tangent space, P'H0P symmetrized,
     with P = I - v p'; rows and columns of the radial direction vanish."""
     proj = np.eye(v.ops.N) - np.outer(v.u, v.p)
-    H = proj.T @ energy.second_variation(v) @ proj
+    H = proj.T @ dense(energy.second_variation(v)) @ proj
     return 0.5 * (H + H.T)
 
 
@@ -119,8 +130,8 @@ def sobolev_gap_reference(v: energy.NormalizedState, split) -> float:
     The reference that the bordered inverse iteration behind
     stability.coercivity_data is checked against."""
     B = tangent_frame(v, split.K_basis)
-    W = v.ops.with_diagonal(v.ops.vol_weights)
-    return float(sla.eigh(B.T @ energy.second_variation(v) @ B, B.T @ W @ B,
+    W = dense(v.ops.form(v.ops.vol_weights))
+    return float(sla.eigh(B.T @ dense(energy.second_variation(v)) @ B, B.T @ W @ B,
                           eigvals_only=True, subset_by_index=(0, 0))[0])
 
 

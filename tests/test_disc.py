@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scipy.linalg as sla
+
 from yamstab import disc, energy, minimize, model
-from conftest import SUB_RADIUS, fourier_diff_reference, w12_norm_longdouble
+from conftest import SUB_RADIUS, as_form, dense, fourier_diff_reference, w12_norm_longdouble
 
 
 def test_uniform_circle_weights():
@@ -101,8 +103,8 @@ def test_mass_matches_volume(hemisphere3):
 
 
 def test_stiffness_is_the_only_stored_dense_form():
-    # the diagonal forms are node vectors, and the dense sums S + diag(d) of
-    # the Hessian, the damped polish step and the start pick's floor are
+    # the diagonal forms are node vectors, and the sums S + diag(d) of the
+    # Hessian, the damped polish step and the start pick's floor are Forms
     # built on each use; only the Cholesky factor of S + M is kept beside S,
     # after a multistart run and a Riesz solve too
     m = model.ball(3)
@@ -202,12 +204,12 @@ def test_bordered_solve_constrained_minimizer():
     A = Q @ Q.T + np.eye(6)
     c = rng.standard_normal((6, 1))
     b = rng.standard_normal(6)
-    x = disc.BorderedFactor(A, c).solve(b)
+    x = disc.BorderedFactor(as_form(A), c).solve(b)
     assert abs(float(c[:, 0] @ x)) <= 1e-12
     g = A @ x - b
     assert np.linalg.norm(g - (c[:, 0] @ g) / (c[:, 0] @ c[:, 0]) * c[:, 0]) <= 1e-12
     with pytest.raises(np.linalg.LinAlgError):
-        disc.BorderedFactor(np.zeros((3, 3)), np.zeros((3, 1))).solve(np.ones(3))
+        disc.BorderedFactor(as_form(np.zeros((3, 3))), np.zeros((3, 1))).solve(np.ones(3))
 
 
 def test_bordered_factor_solves_many_right_hand_sides():
@@ -217,7 +219,7 @@ def test_bordered_factor_solves_many_right_hand_sides():
     A = Q + Q.T
     C = rng.standard_normal((40, 3))
     B = rng.standard_normal((40, 3))
-    factor = disc.BorderedFactor(A, C)
+    factor = disc.BorderedFactor(as_form(A), C)
     assert np.any(factor._ipiv < 0)
     # ?sytrs copies a factor that is not Fortran-ordered on every call
     assert factor._ldu.flags.f_contiguous
@@ -228,7 +230,7 @@ def test_bordered_factor_solves_many_right_hand_sides():
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.linalg.norm(C.T @ x) <= 1e-12 * np.linalg.norm(C) * np.linalg.norm(x)
     with pytest.raises(np.linalg.LinAlgError):
-        disc.BorderedFactor(np.zeros((3, 3)), np.zeros((3, 1)))
+        disc.BorderedFactor(as_form(np.zeros((3, 3))), np.zeros((3, 1)))
 
 
 def test_bordered_factor_block_solve_and_inertia():
@@ -237,7 +239,7 @@ def test_bordered_factor_block_solve_and_inertia():
     C = rng.standard_normal((40, 3))
     B = rng.standard_normal((40, 5))
     for A in (Q + Q.T, Q @ Q.T + np.eye(40)):
-        factor = disc.BorderedFactor(A, C)
+        factor = disc.BorderedFactor(as_form(A), C)
         X = factor.solve(B)
         for j in range(B.shape[1]):
             x = factor.solve(B[:, j])
@@ -286,6 +288,43 @@ def test_dual_norm_factors_once():
     assert ops.dual_norm(G) == pytest.approx(math.sqrt(G @ r), rel=1e-12)
     assert np.allclose(ops.riesz(G), r, rtol=1e-10, atol=0)
     assert ops.w12_cho is ops.w12_cho
+
+
+def test_w12_cho_is_factored_in_its_own_fortran_block():
+    # S + M is written into one Fortran block and factored there in place,
+    # with the bits of the factor of the dense sum
+    m = model.cylinder(3, 1.0)
+    ops = disc.assemble_operators(m, disc.build_grid(m, 64))
+    c, lower = ops.w12_cho
+    ref, ref_lower = sla.cho_factor(ops.stiffness + np.diag(ops.vol_weights))
+    assert c.flags.f_contiguous
+    assert lower == ref_lower and np.array_equal(c, ref)
+
+
+def test_form_products_shifts_and_rounding_floor(frank_nondeg):
+    # a Form applies, shifts and bounds like the dense matrix it stands for
+    v = frank_nondeg[1].v
+    ops = v.ops
+    H, W = energy.second_variation(v), ops.form(ops.vol_weights)
+    Hd, Wd = dense(H), dense(W)
+    X = disc.low_modes(ops.grid, 6)
+    eps = np.finfo(float).eps
+    bound = ops.N * eps * (np.abs(Hd) @ np.abs(X))
+    assert np.all(np.abs(H @ X - Hd @ X) <= bound)
+    assert np.all(np.abs(H @ X[:, 0] - Hd @ X[:, 0]) <= bound[:, 0])
+    sigma = 0.3
+    # a diagonal shift changes only the diagonal, as the dense one does
+    Hd_shift = Hd.copy()
+    Hd_shift.flat[:: ops.N + 1] -= sigma * ops.vol_weights
+    assert np.array_equal(dense(H.shifted(sigma, ops.vol_weights)), Hd_shift)
+    assert np.all(np.abs(dense(H.shifted(sigma, W)) - (Hd - sigma * Wd))
+                  <= 2 * eps * (np.abs(Hd) + sigma * np.abs(Wd)))
+    with pytest.raises(ValueError, match="same matrix"):
+        H.shifted(sigma, as_form(Wd))
+    # the floor's |A| is taken by row blocks of S (two of them at N = 256)
+    for x in (v.u, X):
+        ref = 2 * eps * np.einsum("i...,i...->...", np.abs(x), np.abs(Hd) @ np.abs(x))
+        assert np.allclose(disc.rounding_floor(H, x), ref, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("N", [64, 96])

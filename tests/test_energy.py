@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yamstab import disc, energy, minimize, model
-from conftest import (SUB_RADIUS, factored_longdouble, projected_hessian,
+from conftest import (SUB_RADIUS, dense, factored_longdouble, projected_hessian,
                       random_positive_state, raw_gradient, raw_hessian_reference,
                       richardson_first, richardson_second)
 
@@ -210,15 +210,15 @@ def test_hessian_form_is_projected_second_variation(frank_nondeg):
     diag = ops.vol_weights * v.u ** (ts - 2.0)
     A = ops.stiffness + np.diag(ops.curv_weights) + np.diag(ops.bdry_weights)
     H0 = 2.0 * (A - (ts - 1.0) * Q * np.diag(diag))
-    assert np.array_equal(energy.second_variation(v), H0)
+    assert np.array_equal(dense(energy.second_variation(v)), H0)
 
 
 @pytest.mark.parametrize("kind", sorted(OPERATOR_SETS))
 def test_lean_kernels_keep_reference_bits(kind):
     # the factored quotient is within N eps |Q| of its long-double value (the
     # dense u'Su exceeded that bound by 3x to 37x at worst on these sets),
-    # on and off the unit-volume manifold, and the in-place Hessian gives the
-    # bits of the dense formula it replaces
+    # on and off the unit-volume manifold, and the block the Hessian's Form
+    # writes has the bits of the dense formula it replaces
     ops = operator_set(kind)
     ts = ops.two_star
     S = ops.stiffness
@@ -232,12 +232,12 @@ def test_lean_kernels_keep_reference_bits(kind):
         Q = energy.yamabe_quotient(ops, v.u)
         diag = ops.vol_weights * v.u ** (ts - 2.0)
         H0 = 2.0 * (A - (ts - 1.0) * Q * np.diag(diag))
-        assert np.array_equal(energy.second_variation(v), H0)
+        assert np.array_equal(dense(energy.second_variation(v)), H0)
     if kind == "ball":
         assert np.any(ops.bdry_weights)
-    # with_diagonal adds the diagonal weights to S in the dense sums' order
-    assert np.array_equal(ops.with_diagonal(ops.curv_weights, ops.bdry_weights), A)
-    assert np.array_equal(ops.with_diagonal(ops.vol_weights), S + np.diag(ops.vol_weights))
+    # ops.form adds the diagonal weights to S in the dense sums' order
+    assert np.array_equal(dense(ops.form(ops.curv_weights, ops.bdry_weights)), A)
+    assert np.array_equal(dense(ops.form(ops.vol_weights)), S + np.diag(ops.vol_weights))
 
 
 def test_gradient_rounding_error_at_N512():
@@ -255,13 +255,14 @@ def test_gradient_rounding_error_at_N512():
 
 @pytest.mark.parametrize("kind", sorted(OPERATOR_SETS))
 def test_forms_are_exactly_symmetric(kind):
-    # disc.BorderedFactor copies its block through the transpose, so every
-    # matrix it factors must equal its transpose bit for bit
+    # a Form writes alpha S' into its factor's block, so S and every matrix
+    # the package factors must equal their transposes bit for bit
     ops = operator_set(kind)
     v = random_positive_state(ops, 4)
-    for X in (ops.with_diagonal(ops.curv_weights, ops.bdry_weights),
-              ops.with_diagonal(ops.vol_weights), energy.second_variation(v)):
-        assert np.array_equal(X, X.T)
+    for X in (ops.form(ops.curv_weights, ops.bdry_weights),
+              ops.form(ops.vol_weights), energy.second_variation(v)):
+        assert np.array_equal(X.S, X.S.T)
+        assert np.array_equal(dense(X), dense(X).T)
 
 
 def test_raw_derivatives_match_finite_differences(frank_nondeg):
@@ -283,7 +284,7 @@ def test_raw_derivatives_match_finite_differences(frank_nondeg):
     eta /= np.linalg.norm(eta)
     assert abs(float(v.p @ eta)) <= 1e-14
     fd2 = richardson_second(lambda t: energy.yamabe_quotient(ops, v.u + t * eta), 0.02)
-    assert fd2 == pytest.approx(float(eta @ energy.second_variation(v) @ eta), rel=1e-6)
+    assert fd2 == pytest.approx(float(eta @ dense(energy.second_variation(v)) @ eta), rel=1e-6)
 
 
 def test_el_residual_critical_states(frank_nondeg, hemisphere3):

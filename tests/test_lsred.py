@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from yamstab import cli, disc, energy, lsred, minimize, model, spectrum, stability
-from conftest import (BIF_RADIUS, one_sided, projected_hessian, raw_hessian_reference,
-                      tangent_frame)
+from conftest import (BIF_RADIUS, as_form, one_sided, projected_hessian,
+                      raw_hessian_reference, tangent_frame)
 
 
 def _synthetic_samples(power, coeff=1.0, scales=None, q0=10.0, direction=0):
@@ -279,7 +279,8 @@ def test_correction_step_matches_projected_hessian_solve(frank_deg_chart):
     H = raw_hessian_reference(chart.ops, chart.v.u + xi)
     for mu in (0.0, 1e-3):
         ref = Z @ np.linalg.solve(Z.T @ H @ Z + mu * np.eye(Z.shape[1]), -Z.T @ res_vec)
-        step = disc.BorderedFactor(H + mu * np.diag(chart.ops.vol_weights), C).solve(-res_vec)
+        step = disc.BorderedFactor(as_form(H + mu * np.diag(chart.ops.vol_weights)),
+                                   C).solve(-res_vec)
         assert chart.ops.w12_norm(step - ref) <= 1e-9 * chart.ops.w12_norm(ref)
 
 
@@ -298,7 +299,8 @@ def test_chart_factor_matches_raw_hessian_step(N, frank_deg):
     for phi_coords in ([0.02, -0.01], [0.0, 0.05]):
         res_vec = chart.complement_residual(chart.kernel_vector(np.array(phi_coords)))
         step = chart._factor.solve(-res_vec)
-        ref = disc.BorderedFactor(raw_hessian_reference(chart.ops, v.u), chart._C).solve(-res_vec)
+        ref = disc.BorderedFactor(as_form(raw_hessian_reference(chart.ops, v.u)),
+                                  chart._C).solve(-res_vec)
         assert chart.ops.w12_norm(step - ref) <= 1e-10 * chart.ops.w12_norm(ref)
 
 

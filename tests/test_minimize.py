@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg as sla
 
 from yamstab import disc, energy, minimize, model
-from conftest import BIF_RADIUS, SUB_RADIUS, projected_hessian
+from conftest import BIF_RADIUS, SUB_RADIUS, as_form, dense, projected_hessian
 from test_energy import frank_constant_quotient
 
 
@@ -211,8 +211,10 @@ def test_polish_step_matches_tangent_basis_step():
     W = ops.stiffness + np.diag(ops.vol_weights)
     for mu in (0.0, 1e-3):
         ref = B @ np.linalg.solve(B.T @ (H + mu * W) @ B, -(B.T @ G))
-        for hess in (H, H0):
-            step = minimize._polish_step(state, hess, G, mu)
+        # a Form shifts only by a Form on its own S, so the projected
+        # H + mu W is wrapped whole and taken undamped
+        for step in (minimize._polish_step(state, as_form(H + mu * W), G, 0.0),
+                     minimize._polish_step(state, H0, G, mu)):
             assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
             assert abs(float(p @ step)) <= 1e-12 * np.linalg.norm(p) * np.linalg.norm(step)
 
@@ -342,7 +344,7 @@ def test_default_tolerance_converges_every_start_at_N512(seed, monkeypatch):
     orders = []
     factor = minimize.BorderedFactor
     monkeypatch.setattr(minimize, "BorderedFactor",
-                        lambda A, C: orders.append(A.shape[0] + C.shape[1]) or factor(A, C))
+                        lambda A, C: orders.append(A.diag.size + C.shape[1]) or factor(A, C))
     reports = minimize.run_multistart(model.frank_product(5, BIF_RADIUS), 512, 3,
                                       minimize.MinimizeOptions(seed=seed))
     assert [r.converged for r in reports] == [True, True, True]
@@ -370,7 +372,7 @@ def test_nested_agrees_with_direct(m, N):
     assert minimize.best_converged(nested, m, N).start_index == best.start_index
     ops, v = best.v.ops, best.v.u
     floor = 2.0 * np.finfo(float).eps * float(
-        v @ (np.abs(ops.with_diagonal(ops.curv_weights, ops.bdry_weights)) @ v))
+        v @ (np.abs(dense(ops.form(ops.curv_weights, ops.bdry_weights))) @ v))
     for a, b in zip(nested, direct):
         assert abs(a.Y_est - b.Y_est) <= floor
     # the perturbed starts are not critical on N, so they run nested

@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from yamstab import disc, energy, minimize, model, spectrum, stability
-from conftest import (BIF_RADIUS, SUB_RADIUS, frank_mode_eigenvalue, projected_hessian,
-                      tangent_frame)
+from yamstab import disc, energy, lsred, minimize, model, spectrum, stability
+from conftest import (BIF_RADIUS, SUB_RADIUS, as_form, frank_mode_eigenvalue,
+                      projected_hessian, tangent_frame)
 
 
 def test_degenerate_kernel_pair(frank_deg):
@@ -144,9 +145,9 @@ def test_engine_refuses_a_blind_start_block(frank_nondeg):
     C = spectrum.constraint_covectors(v)
     with pytest.raises(spectrum.SpectrumError, match="misses the lowest mode"):
         spectrum.lowest_pairs(energy.second_variation(v), m, C, spec.eigenvectors[:, 2:8], 1)
-    # the same block with the k = 1 pair settles on the exact pairs, and a
-    # dense B gives them too
-    for B in (m, np.diag(m)):
+    # the same block with the k = 1 pair settles on the exact pairs, and
+    # diag(m) given as a Form on S with alpha = 0 gives them too
+    for B in (m, disc.Form(v.ops.stiffness, 0.0, m)):
         got = spectrum.lowest_pairs(energy.second_variation(v), B, C, spec.eigenvectors[:, :6], 2)
         assert got.sweeps >= 1
         assert np.allclose(got.eigenvalues, frank_mode_eigenvalue(5, SUB_RADIUS, 1),
@@ -253,3 +254,81 @@ def test_pole_models_rejected(hemisphere3):
     spec = spectrum.SpectrumReport(eigenvalues=np.ones(1), eigenvectors=np.ones((g.N, 1)))
     with pytest.raises(ValueError, match="pole"):
         stability.coercivity_data(v, split, spec)
+
+
+def _peak_arrays(fn, N: int) -> float:
+    """The tracemalloc peak of fn() above the size traced before the call, in
+    N x N float64 arrays."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - before) / (8.0 * N * N)
+    finally:
+        tracemalloc.stop()
+
+
+def test_factors_allocate_only_their_own_block():
+    # each stage's one N x N array is its factor's block; the dense second
+    # variation, its shifted copy, a dense S + M and |A| made it 2.1 arrays
+    # for the chart, 3.3 for eigen_decompose and 4.0 for coercivity_data
+    N = 512
+    peaks = {}
+    for r in (SUB_RADIUS, BIF_RADIUS):
+        m = model.frank_product(5, r)
+        ops = disc.assemble_operators(m, disc.build_grid(m, N))
+        v = energy.normalize(ops, np.ones(N))
+        assert v.grad_norm <= 1e-9  # the constant is critical; its Riesz factor exists
+        spec = spectrum.eigen_decompose(v, 12)
+        split = spectrum.kernel_split(spec)
+        if r == SUB_RADIUS:
+            peaks["eigen_decompose"] = _peak_arrays(lambda: spectrum.eigen_decompose(v, 12), N)
+            peaks["coercivity_data"] = _peak_arrays(
+                lambda: stability.coercivity_data(v, split, spec), N)
+            sub_case = v, spec
+        else:
+            peaks["chart"] = _peak_arrays(lambda: lsred.ReductionChart(v=v, split=split), N)
+    assert peaks["chart"] < 1.5, peaks
+    assert peaks["eigen_decompose"] < 2.0, peaks
+    assert peaks["coercivity_data"] < 2.0, peaks
+    # the engine shifts into a new Form and leaves every argument as it was
+    v, spec = sub_case
+    ops = v.ops
+    C = spectrum.constraint_covectors(v)
+    X = spec.eigenvectors[:, :6]
+    for B in (ops.vol_weights, ops.form(ops.vol_weights)):
+        H = energy.second_variation(v)
+        args = [H.S, H.diag, C, X] + ([B] if isinstance(B, np.ndarray) else [B.S, B.diag])
+        before = [a.copy() for a in args]
+        spectrum.lowest_pairs(H, B, C, X, 2)
+        assert all(np.array_equal(a, b) for a, b in zip(args, before))
+        assert H.alpha == 2.0 and (isinstance(B, np.ndarray) or B.alpha == 1.0)
+
+
+def test_factors_keep_the_dense_blocks_bits(frank_deg, frank_deg_chart, monkeypatch):
+    # the chart's factor and eigen_decompose's shifted factor are written
+    # from Forms; their LDL' blocks are those factored from the dense closed
+    # formula H0 = 2 (S + C + B - (2*-1) Q diag(m v^(2*-2))), the latter
+    # shifted on its diagonal by -sigma m
+    _, rep, _, _ = frank_deg
+    v, ops = rep.v, rep.v.ops
+    ts = ops.two_star
+    A = ops.stiffness + np.diag(ops.curv_weights) + np.diag(ops.bdry_weights)
+    H0 = 2.0 * (A - (ts - 1.0) * v.Q * np.diag(ops.vol_weights * v.u ** (ts - 2.0)))
+    chart = frank_deg_chart
+    ref = disc.BorderedFactor(as_form(H0), chart._C)
+    assert np.array_equal(chart._factor._ldu, ref._ldu)
+    assert np.array_equal(chart._factor._ipiv, ref._ipiv)
+    shifts, factors = [], []
+    shifted, positive = disc.Form.shifted, spectrum.positive_factor
+    monkeypatch.setattr(disc.Form, "shifted",
+                        lambda self, sigma, B: shifts.append(sigma) or shifted(self, sigma, B))
+    monkeypatch.setattr(spectrum, "positive_factor",
+                        lambda A, C: factors.append(positive(A, C)) or factors[-1])
+    spectrum.eigen_decompose(v, 12)
+    (sigma,), (factor,) = shifts, factors
+    H0.flat[:: ops.N + 1] -= sigma * ops.vol_weights
+    ref = disc.BorderedFactor(as_form(H0), spectrum.constraint_covectors(v))
+    assert np.array_equal(factor._ldu, ref._ldu)
+    assert np.array_equal(factor._ipiv, ref._ipiv)
