@@ -1,6 +1,8 @@
 """Print one sha256 per CLI config over everything its run writes.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/output_digest.py CONFIG...
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/output_digest.py \
+        --expect scripts/parity/digests.txt scripts/parity/*.json
 
 Each config runs through the `yamstab` CLI with its output redirected to a
 temporary directory.  The digest covers the exit code, the JSON report
@@ -9,6 +11,12 @@ output path), and the CSV bytes.  Two checkouts give the same digest for a
 config exactly when they write the same numbers, so pointing PYTHONPATH at
 another checkout's `src` shows byte identity against it in one command.
 Byte identity across processes holds at a fixed BLAS thread count.
+
+With --expect FILE, a file of lines as this script prints them, each config
+is reported as `same` (its line is in the file), `moved` (its path is, with
+another digest or exit code) or `missing`, and the exit status is 1 unless
+every config is the same.  `scripts/parity/digests.txt` holds the lines of
+the committed parity set at one BLAS thread.
 """
 
 import argparse
@@ -17,6 +25,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 from yamstab import cli
@@ -42,14 +51,30 @@ def digest(config_path: str) -> tuple[str, int]:
     return h.hexdigest(), code
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("configs", nargs="+", metavar="CONFIG", help="JSON config paths")
+    ap.add_argument("--expect", metavar="FILE",
+                    help="digest lines to check each config against")
     args = ap.parse_args()
+    expected = None
+    if args.expect is not None:
+        with open(args.expect) as fh:
+            expected = {line.split(None, 2)[2]: line for line in fh.read().splitlines()}
+    status = 0
     for path in args.configs:
         hexdigest, code = digest(path)
-        print(f"{hexdigest}  exit={code}  {path}")
+        line = f"{hexdigest}  exit={code}  {path}"
+        if expected is None:
+            print(line)
+            continue
+        verdict = ("same" if expected.get(path) == line
+                   else "moved" if path in expected else "missing")
+        if verdict != "same":
+            status = 1
+        print(f"{verdict}  {line}")
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,8 +29,6 @@ from .minimize import ConvergenceError
 from .lsred import ChartError, FitRejectedError, InsufficientDataError
 from .spectrum import KernelThresholdError, SpectrumError
 from .stability import CoercivityError
-
-EXPERIMENTS = ("minimize", "spectrum", "lsred", "stability", "covariance")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,49 +59,6 @@ DEFAULT_SAMPLING = {"directions": 2, "scales": [], "count": 4, "kinds": []}
 # (lsred, and stability at a degenerate minimizer), and transverse to it
 KERNEL_SCALES = tuple(np.geomspace(1e-3, 1e-1, 8))
 TRANSVERSE_SCALES = tuple(np.geomspace(1e-3, 1.5e-2, 8))
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    model_kind: str
-    model_params: dict
-    N: int
-    experiment: str
-    seed: int
-    output: str
-    tolerances: dict = field(default_factory=dict)
-    sampling: dict = field(default_factory=dict)
-
-    @staticmethod
-    def from_dict(raw: dict) -> "ExperimentConfig":
-        diags = validate_dict(raw)
-        if diags:
-            raise ConfigError("; ".join(diags))
-        tol = dict(DEFAULT_TOLERANCES)
-        tol.update(raw.get("tolerances", {}))
-        samp = dict(DEFAULT_SAMPLING)
-        samp.update(raw.get("sampling", {}))
-        return ExperimentConfig(
-            model_kind=raw["model"]["kind"],
-            model_params=dict(raw["model"].get("params", {})),
-            N=int(raw["N"]),
-            experiment=raw["experiment"],
-            seed=int(raw["seed"]),
-            output=raw["output"],
-            tolerances=tol,
-            sampling=samp,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "model": {"kind": self.model_kind, "params": self.model_params},
-            "N": self.N,
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "output": self.output,
-            "tolerances": self.tolerances,
-            "sampling": self.sampling,
-        }
 
 
 def _is_int(x) -> bool:
@@ -162,9 +116,9 @@ def validate_dict(raw: dict) -> list[str]:
     exp = raw.get("experiment")
     if exp is None:
         diags.append("experiment: missing required field")
-    elif exp not in EXPERIMENTS:
+    elif exp not in RUNNERS:
         diags.append(f"experiment: unknown experiment {exp!r}; "
-                     f"choose from {sorted(EXPERIMENTS)}")
+                     f"choose from {sorted(RUNNERS)}")
     elif exp in ("spectrum", "lsred", "stability") and built is not None \
             and any(built.pole_endpoints()):
         diags.append(f"experiment: {exp} needs a positive-definite mass matrix; "
@@ -214,6 +168,22 @@ def validate_dict(raw: dict) -> list[str]:
     return diags
 
 
+def load_config(raw: dict) -> dict:
+    """The validated config with its defaults filled in, the one form of it
+    that a run reads and its report embeds and hashes; ConfigError lists
+    every diagnostic of validate_dict.  Fields the schema does not name are
+    dropped."""
+    diags = validate_dict(raw)
+    if diags:
+        raise ConfigError("; ".join(diags))
+    model = raw["model"]
+    return {"model": {"kind": model["kind"], "params": dict(model.get("params", {}))},
+            "N": raw["N"], "experiment": raw["experiment"], "seed": raw["seed"],
+            "output": raw["output"],
+            "tolerances": {**DEFAULT_TOLERANCES, **raw.get("tolerances", {})},
+            "sampling": {**DEFAULT_SAMPLING, **raw.get("sampling", {})}}
+
+
 # ---------------------------------------------------------------------------
 # deterministic serialization
 # ---------------------------------------------------------------------------
@@ -228,8 +198,8 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def config_hash(cfg: ExperimentConfig) -> str:
-    canon = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+def config_hash(cfg: dict) -> str:
+    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -242,42 +212,37 @@ def _atomic_write(path: str, text: str):
     os.replace(tmp, path)
 
 
-def write_outputs(cfg: ExperimentConfig, results: dict, columns: list[str],
-                  rows: list[list]):
+def write_outputs(cfg: dict, results: dict, columns: list[str], rows: list[list]):
     report = {
-        "config": cfg.to_dict(),
+        "config": cfg,
         "config_hash": config_hash(cfg),
         "version": __version__,
         "results": results,
     }
-    _atomic_write(cfg.output + ".json",
+    _atomic_write(cfg["output"] + ".json",
                   json.dumps(report, sort_keys=True, indent=2) + "\n")
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
-    _atomic_write(cfg.output + ".csv", "\n".join(lines) + "\n")
+    _atomic_write(cfg["output"] + ".csv", "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # experiment bodies
 # ---------------------------------------------------------------------------
 
-def _opts(cfg: ExperimentConfig) -> minimize.MinimizeOptions:
-    return minimize.MinimizeOptions(grad_tol=cfg.tolerances["grad_tol"],
-                                    seed=cfg.seed)
+def _model(cfg: dict):
+    return make_model(cfg["model"]["kind"], **cfg["model"]["params"])
 
 
-def _model(cfg: ExperimentConfig):
-    return make_model(cfg.model_kind, **cfg.model_params)
-
-
-def _multistart(cfg: ExperimentConfig):
+def _multistart(cfg: dict):
     m = _model(cfg)
-    reports = minimize.run_multistart(m, cfg.N, cfg.sampling["count"], _opts(cfg))
-    return m, reports, minimize.best_converged(reports, m, cfg.N)
+    opts = minimize.MinimizeOptions(grad_tol=cfg["tolerances"]["grad_tol"], seed=cfg["seed"])
+    reports = minimize.run_multistart(m, cfg["N"], cfg["sampling"]["count"], opts)
+    return m, reports, minimize.best_converged(reports, m, cfg["N"])
 
 
-def run_minimize(cfg: ExperimentConfig):
+def run_minimize(cfg: dict):
     m, reports, best = _multistart(cfg)
     rows = [[r.start_index, r.converged, r.coarse_iterations, r.iterations, r.Y_est, r.grad_norm,
              r.residual.interior, r.residual.boundary] for r in reports]
@@ -298,20 +263,20 @@ def run_minimize(cfg: ExperimentConfig):
     return results, cols, rows, summary
 
 
-def _spectral_pipeline(cfg: ExperimentConfig):
+def _spectral_pipeline(cfg: dict):
     _, _, best = _multistart(cfg)
-    spec = spectrum.eigen_decompose(best.v, min(12, cfg.N - 2))
-    split = spectrum.kernel_split(spec, cfg.tolerances["kernel_tol"])
+    spec = spectrum.eigen_decompose(best.v, min(12, cfg["N"] - 2))
+    split = spectrum.kernel_split(spec, cfg["tolerances"]["kernel_tol"])
     return best, spec, split
 
 
-def run_spectrum(cfg: ExperimentConfig):
+def run_spectrum(cfg: dict):
     best, spec, split = _spectral_pipeline(cfg)
     p = best.v.p
     rows = []
     for j, lam in enumerate(spec.eigenvalues):
         tang = abs(float(p @ spec.eigenvectors[:, j]))
-        rows.append([j, lam, tang, bool(abs(lam) <= split.threshold)])
+        rows.append([j, lam, tang, bool(split.in_kernel[j])])
     results = {
         "Y_est": best.Y_est,
         "grad_norm": best.grad_norm,
@@ -331,7 +296,7 @@ def _unit_directions(dim: int, count: int, seed: int) -> list[np.ndarray]:
     return [np.eye(dim)[:, 0], *(row / np.linalg.norm(row) for row in rows)]
 
 
-def run_lsred(cfg: ExperimentConfig):
+def run_lsred(cfg: dict):
     best, spec, split = _spectral_pipeline(cfg)
     cols = ["direction_index", "scale", "q_value", "deficit",
             "correction_norm", "newton_iters", "residual"]
@@ -349,13 +314,13 @@ def run_lsred(cfg: ExperimentConfig):
         return results, cols, [], f"classification={classification}"
 
     chart = lsred.ReductionChart(v=best.v, split=split,
-                                 newton_tol=cfg.tolerances["newton_tol"])
-    scales = cfg.sampling["scales"] or KERNEL_SCALES
-    dirs = _unit_directions(split.kernel_dim, cfg.sampling["directions"], cfg.seed)
+                                 newton_tol=cfg["tolerances"]["newton_tol"])
+    scales = cfg["sampling"]["scales"] or KERNEL_SCALES
+    dirs = _unit_directions(split.kernel_dim, cfg["sampling"]["directions"], cfg["seed"])
     samples = lsred.sample_reduced(chart, dirs, scales)
     fit = lsred.fit_growth_exponent(samples)
     classification = lsred.detect_integrability(
-        samples, q0=chart.q0, kernel_dim=split.kernel_dim)
+        samples, q0=chart.v.Q, kernel_dim=split.kernel_dim)
     rows = [[s.direction_index, s.scale, s.q_value, s.deficit,
              s.correction_norm, s.newton_iters, s.residual] for s in samples]
     results = {
@@ -369,16 +334,16 @@ def run_lsred(cfg: ExperimentConfig):
         "r2": fit.r2,
         "window": list(fit.window),
         "n_below_floor": fit.n_below_floor,
-        "max_dual_residual": max(s.dual_residual for s in samples),
+        "max_dual_residual": max(s.residual for s in samples),
         "spectrum_sweeps": spec.sweeps,
     }
     summary = f"exponent={_fmt(fit.exponent)} classification={classification}"
     return results, cols, rows, summary
 
 
-def run_stability(cfg: ExperimentConfig):
+def run_stability(cfg: dict):
     best, spec, split = _spectral_pipeline(cfg)
-    kinds = tuple(cfg.sampling["kinds"]) or (
+    kinds = tuple(cfg["sampling"]["kinds"]) or (
         ("kernel",) if split.kernel_dim > 0 else ("transverse",))
     if split.kernel_dim == 0:
         flat = [k for k in kinds if k in ("kernel", "mixed")]
@@ -386,13 +351,13 @@ def run_stability(cfg: ExperimentConfig):
             raise ConfigError(
                 f"sampling.kinds: {', '.join(flat)} sampling needs a Hessian "
                 "kernel, and this minimizer has kernel_dim 0")
-    scales = tuple(cfg.sampling["scales"]) or (
+    scales = tuple(cfg["sampling"]["scales"]) or (
         KERNEL_SCALES if split.kernel_dim > 0 else TRANSVERSE_SCALES)
     batch = stability.sample_deficit_distance(
         best.v, split, spec,
         stability.SampleSpec(kinds=kinds, scales=scales,
-                             count=cfg.sampling["count"], seed=cfg.seed),
-        member_tol=1e4 * cfg.tolerances["grad_tol"])
+                             count=cfg["sampling"]["count"], seed=cfg["seed"]),
+        member_tol=1e4 * cfg["tolerances"]["grad_tol"])
     fit = stability.fit_stability_exponent(batch.records)
     coer = stability.coercivity_data(best.v, split, spec)
     rows = [[r.sample_id, r.perturbation_kind, r.direction_index, r.scale,
@@ -422,18 +387,18 @@ def run_stability(cfg: ExperimentConfig):
 COVARIANCE_AMPLITUDES = (0.2, 0.35, 0.5)
 
 
-def run_covariance(cfg: ExperimentConfig):
+def run_covariance(cfg: dict):
     m = _model(cfg)
-    grid = build_grid(m, cfg.N)
+    grid = build_grid(m, cfg["N"])
     ops = assemble_operators(m, grid)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg["seed"])
     modes = low_modes(grid, 3)
     rows = []
     worst = 0.0
     for f_idx, amp in enumerate(COVARIANCE_AMPLITUDES):
         w = np.exp(amp * modes[:, 0])
         ops_def = assemble_operators(conformal_deform(m, w, grid), grid)
-        for s_idx in range(cfg.sampling["count"]):
+        for s_idx in range(cfg["sampling"]["count"]):
             coeffs = rng.standard_normal(3)
             pert = sum(c * modes[:, j] for j, c in enumerate(coeffs))
             u = np.clip(1.0 + 0.3 * pert / max(1.0, np.max(np.abs(pert))), 0.1, None)
@@ -457,9 +422,9 @@ RUNNERS = {
 }
 
 
-def run(cfg: ExperimentConfig) -> int:
+def run(cfg: dict) -> int:
     """Execute one experiment config; writes outputs, prints the summary."""
-    results, cols, rows, summary = RUNNERS[cfg.experiment](cfg)
+    results, cols, rows, summary = RUNNERS[cfg["experiment"]](cfg)
     write_outputs(cfg, results, cols, rows)
     print(summary)
     return EXIT_OK
@@ -480,26 +445,16 @@ def _read_json(path: str):
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 
-def _load_config(path: str, experiment: str | None, out: str | None,
-                 seed: int | None) -> ExperimentConfig:
+def _load_config(path: str, experiment: str, out: str | None, seed: int | None) -> dict:
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")
-    if experiment is not None:
-        stated = raw.get("experiment")
-        if stated is not None and stated != experiment:
-            raise ConfigError(
-                f"experiment: config says {stated!r} but the "
-                f"{experiment!r} subcommand was invoked")
-        raw = dict(raw)
-        raw["experiment"] = experiment
-    if out is not None:
-        raw = dict(raw)
-        raw["output"] = out
-    if seed is not None:
-        raw = dict(raw)
-        raw["seed"] = seed
-    return ExperimentConfig.from_dict(raw)
+    stated = raw.get("experiment")
+    if stated is not None and stated != experiment:
+        raise ConfigError(f"experiment: config says {stated!r} but the "
+                          f"{experiment!r} subcommand was invoked")
+    overrides = {"experiment": experiment, "output": out, "seed": seed}
+    return load_config({**raw, **{k: v for k, v in overrides.items() if v is not None}})
 
 
 def main(argv=None) -> int:
@@ -507,7 +462,7 @@ def main(argv=None) -> int:
         prog="yamstab",
         description="boundary Yamabe stability experiments on model manifolds")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENTS:
+    for name in RUNNERS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", help="output prefix override")

@@ -5,13 +5,17 @@ the dense Chebyshev differentiation matrix; circle models use uniform nodes
 with trapezoid weights and the Fourier differentiation matrix.  The stiffness
 S = D' diag(w) D, one product X'X of X = diag(sqrt w) D that BLAS takes as an
 exactly symmetric rank-k update, is the one dense form an operator set holds
-(the grids are desk-scale, N of a few hundred).  Every product of a form with
-a vector or a column block is taken factored, D'(w * D u), by the one applier
-apply_form, which rounds far less than S u (S has entries up to 2e6 at
-N=512).  The mass, curvature and boundary forms are diagonal and are kept as
-node vectors.  Every matrix that is factored, eigensolved or bounded is
-alpha S + diag(d), a Form on the stored S that is written only into its
-factor's own LAPACK block and applied by one product with S.  The Sobolev
+(the grids are desk-scale, N of a few hundred).  The mass, curvature and
+boundary forms are diagonal and are kept as node vectors.  The gradient and
+the chart residual (apply_form), the quotient and the deficit (dirichlet)
+and the Sobolev norms (w12_norm) take their products factored, D'(w * D u),
+which rounds far less than S u (S has entries up to 2e6 at N=512): they
+resolve a 1e-11 gradient tolerance and deficits near 1e-13.  Every matrix
+that is factored, eigensolved or bounded is alpha S + diag(d), a Form on the
+stored S that is written only into its factor's own LAPACK block.  The
+spectral engine's Rayleigh-Ritz blocks apply Forms densely, Form @ X: one
+GEMM with S against two passes over D, and a Ritz value is resolved only to
+the dense form's rounding floor, where its sweeps stop.  The Sobolev
 Cholesky factor is computed once per operator set, and linearly constrained
 Newton steps go through a bordered (KKT) factor instead of an explicit
 null-space basis: one LAPACK ?sytrf factorization, then one ?sytrs call per
@@ -174,12 +178,12 @@ class DiscreteOperators:
     bdry_weights  b with sum b u^2 ~ sum over boundary ends of ((n-2)/2) h b u(e)^2
     normal_derivs per-boundary-end row functionals approximating du/dnu
 
-    apply_form(u, d), dirichlet and w12_norm apply the forms factored, to a
-    vector or an N x S column block alike: a block gives the S column values
-    and a vector a numpy float64 scalar (a float subclass).  The sums
-    S + diag(d) that the Hessian, the eigensolves, the Sobolev Cholesky
-    factor and the start pick's rounding floor need are Forms (form(d)), an
-    O(N) diagonal on the stored S, and never N x N copies of S.
+    apply_form(u, d) (S u + d * u), dirichlet and w12_norm apply the forms
+    factored, to a vector or an N x S column block alike: a block gives the S
+    column values and a vector a numpy float64 scalar (a float subclass).
+    The sums S + diag(d) that the Hessian, the eigensolves, the Sobolev
+    Cholesky factor and the start pick's rounding floor need are Forms
+    (form(d)), an O(N) diagonal on the stored S, and never N x N copies of S.
     """
 
     model: SymmetricModel
@@ -222,15 +226,16 @@ class DiscreteOperators:
             val += e * (y @ u) * (y @ x)
         return val
 
-    def apply_form(self, u: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(S u + d * u, D u) of a vector or N x S column block u and a node
-        vector d: c + b gives the energy form A = S + C + B, m the Sobolev form.
+    def apply_form(self, u: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """S u + d * u of a vector or N x S column block u and a node vector
+        d, with c + b the energy form A = S + C + B (the gradient and the
+        chart residual read it).
 
-        S u = D'(w * D u) + e y (y.u), and u'Su is dirichlet(u, D u): two
-        N x N passes over D and no dense S.  Against a long-double
-        evaluation, the gradient built from it on cylinder(3, 1) at N=512
-        errs by about 2e-12 in the Sobolev dual norm; built from the dense
-        (S + C + B) @ u it erred by 4e-10 to 1.4e-9.
+        S u = D'(w * D u) + e y (y.u): two N x N passes over D and no dense
+        S.  Against a long-double evaluation, the gradient built from it on
+        cylinder(3, 1) at N=512 errs by about 2e-12 in the Sobolev dual
+        norm; built from the dense (S + C + B) @ u it erred by 4e-10 to
+        1.4e-9.
         """
         D = self.grid.diff_matrix
         du = D @ u
@@ -239,7 +244,7 @@ class DiscreteOperators:
             e, y = self.nyquist
             Au += np.multiply.outer(y, e * (y @ u))
         Au += _colwise(d, u) * u
-        return Au, du
+        return Au
 
     def form(self, *diagonals: np.ndarray) -> Form:
         """The Form S + diag(d1) + diag(d2) + ..., with the dense sum's bits:

@@ -151,7 +151,7 @@ def gradient(v: NormalizedState) -> np.ndarray:
     state's v.Q.
     """
     ops = v.ops
-    Av, _ = ops.apply_form(v.u, ops.curv_weights + ops.bdry_weights)
+    Av = ops.apply_form(v.u, ops.curv_weights + ops.bdry_weights)
     return 2.0 * (Av - v.Q * v.p)
 
 

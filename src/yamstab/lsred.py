@@ -27,13 +27,10 @@ that does not, or a solve that reaches MAX_NEWTON steps, ends the solve, and
 the ChartError that follows names the cause.  A step that stops contracting
 ends the solve successfully instead when the residual already meets the
 tolerance in the Sobolev dual norm, the floor that float64 can reach at
-N=1024.  A sample's newton_iters counts its accepted chord steps, and its
-dual_residual bounds that dual norm: it is the dual norm where that norm met
-the tolerance, else the M^-1 norm, which is never smaller.  So a sample that
-meets the tolerance in the M^-1 norm reports that looser bound: on the
-default N=1024 ladder at the bifurcation radius, 15 of 16 samples end so in
-a block against 8 of 16 in one-column solves, and max_dual_residual reads
-9.1e-12 against 3.3e-12, while every column's dual norm stays below 1.7e-12.
+N=1024.  Each column reports one residual, the bound that met the
+tolerance: that dual norm where a chord step stalled, else the M^-1 norm,
+which is never smaller (S + M >= M), so no solve is spent on a column whose
+M^-1 norm suffices.  A sample's newton_iters counts its accepted chord steps.
 
 The offsets of a chart are solved together: the N x S block Phi = K coords
 runs the chord iteration in lockstep, each sweep one multi-column solve of
@@ -113,7 +110,7 @@ class ReductionChart:
         ts = self.ops.two_star
         mvec = self.ops.vol_weights
         self._diag = self.ops.curv_weights + self.ops.bdry_weights  # A = S + diag(c + b)
-        self._Av, _ = self.ops.apply_form(self.v.u, self._diag)
+        self._Av = self.ops.apply_form(self.v.u, self._diag)
         self._Ev = float(self.v.u @ self._Av)
         self._Pv = float(np.sum(mvec * self.v.u**ts))
         # range(C) holds p = M v^(2*-1), so of g(v) only A v has a complement part
@@ -131,7 +128,7 @@ class ReductionChart:
         ts = ops.two_star
         m = _colwise(ops.vol_weights, xi)
         v = self.v.u
-        Axi, _ = ops.apply_form(xi, self._diag)
+        Axi = ops.apply_form(xi, self._diag)
         E = self._Ev + 2.0 * (self._Av @ xi) + np.einsum("i...,i...->...", xi, Axi)
         P = self._Pv + np.sum(m * energy.power_increment(v, xi, ts), axis=0)
         dg = Axi - (E / P) * m * energy.power_increment(v, xi, ts - 1.0)
@@ -151,10 +148,6 @@ class ReductionChart:
     def kernel_dim(self) -> int:
         return self.split.kernel_dim
 
-    @property
-    def q0(self) -> float:
-        return self.v.Q
-
     def kernel_vector(self, phi_coords: np.ndarray) -> np.ndarray:
         return self.split.K_basis @ np.asarray(phi_coords, dtype=float)
 
@@ -166,23 +159,22 @@ class ReducedSample:
     correction_norm: float
     newton_iters: int
     deficit: float
-    residual: float
+    residual: float              # the bound that met newton_tol
     direction_index: int = 0
     scale: float = 0.0
-    dual_residual: float = 0.0   # bounds the residual's Sobolev dual norm
 
 
 def solve_corrections(chart: ReductionChart, coords: np.ndarray):
     """Corrections F(phi) at the k x S kernel coordinates coords, solved as
     one lockstep chord block.
 
-    Returns per column (Z, newton_iters, residual, dual_residual, stops):
-    the N x S corrections, their accepted chord steps, the complement
-    residual's norm sqrt(r'M^-1 r), a bound on its Sobolev dual norm (see the
-    module docstring), and the ChartError text of a column whose solve failed
-    (None where it met the tolerance).  A column of Z is mass-orthogonal to
-    the kernel basis and to the radial direction; phi = 0 gives the zero
-    column exactly, with 0 steps.
+    Returns per column (Z, newton_iters, residual, stops): the N x S
+    corrections, their accepted chord steps, the complement residual's norm
+    that met the tolerance (its Sobolev dual norm where a chord step stalled,
+    else sqrt(r'M^-1 r); see the module docstring), and the ChartError text
+    of a column whose solve failed (None where it met the tolerance).  A
+    column of Z is mass-orthogonal to the kernel basis and to the radial
+    direction; phi = 0 gives the zero column exactly, with 0 steps.
     """
     if coords.shape[0] != chart.kernel_dim:
         raise ValueError(f"expected {chart.kernel_dim} kernel coordinates")
@@ -191,7 +183,6 @@ def solve_corrections(chart: ReductionChart, coords: np.ndarray):
     S = Phi.shape[1]
     Z, R = np.zeros_like(Phi), np.zeros_like(Phi)
     iters, res = np.zeros(S, dtype=int), np.zeros(S)
-    dual = np.full(S, np.nan)  # computed only where a chord step stalls
     stops = [None] * S
     for j, (nrm, low) in enumerate(zip(ops.w12_norm(Phi), np.min(vu + Phi, axis=0))):
         if nrm > chart.radius * (1.0 + 1e-12):
@@ -215,7 +206,7 @@ def solve_corrections(chart: ReductionChart, coords: np.ndarray):
             stop(j, f"MAX_NEWTON = {MAX_NEWTON} chord steps reached")
         a = np.flatnonzero(active)
         if not a.size:
-            return Z, iters, res, np.where(np.isnan(dual), res, dual), stops
+            return Z, iters, res, stops
         cand = Z[:, a] + chart._factor.solve(-R[:, a])
         Xi = Phi[:, a] + cand
         inside = np.all(vu + Xi > 0, axis=0)
@@ -226,12 +217,14 @@ def solve_corrections(chart: ReductionChart, coords: np.ndarray):
         cand_res = chart.residual_norm(cand_R)
         kept = cand_res <= CHORD_CONTRACTION * res[a]  # a NaN residual fails too
         for j, ratio in zip(a[~kept], cand_res[~kept] / res[a[~kept]]):
-            dual[j] = ops.dual_norm(R[:, j])
+            dual = ops.dual_norm(R[:, j])
             active[j] = False
-            if not dual[j] <= tol:
+            if dual <= tol:
+                res[j] = dual
+            else:
                 stop(j, f"a chord step's residual ratio {ratio:.3g} exceeds "
                         f"CHORD_CONTRACTION = {CHORD_CONTRACTION}, and the residual's "
-                        f"dual norm {dual[j]:.3e} misses the tolerance too")
+                        f"dual norm {dual:.3e} misses the tolerance too")
         a = a[kept]
         Z[:, a], R[:, a], res[a] = cand[:, kept], cand_R[:, kept], cand_res[kept]
         iters[a] += 1
@@ -262,7 +255,7 @@ def sample_reduced(chart: ReductionChart, directions, scales) -> list[ReducedSam
     if not labels:
         return []
     offsets = np.array([sign * s * units[d] for d, s, sign in labels])
-    Z, iters, res, dual, stops = solve_corrections(chart, offsets.T)
+    Z, iters, res, stops = solve_corrections(chart, offsets.T)
     for (d, s, sign), why in zip(labels, stops):
         if why is not None:
             raise ChartError(f"sample at direction {d}, scale {s:.3e}, "
@@ -274,14 +267,13 @@ def sample_reduced(chart: ReductionChart, directions, scales) -> list[ReducedSam
         deficit = 0.5 * (deficits[j] + deficits[j + 1])
         out.append(ReducedSample(
             phi_coords=offsets[j],
-            q_value=chart.q0 + deficit,
+            q_value=chart.v.Q + deficit,
             correction_norm=0.5 * (cnorms[j] + cnorms[j + 1]),
             newton_iters=int(max(iters[j], iters[j + 1])),
             deficit=deficit,
             residual=max(res[j], res[j + 1]),
             direction_index=labels[j][0],
             scale=labels[j][1],
-            dual_residual=max(dual[j], dual[j + 1]),
         ))
     return out
 

@@ -8,7 +8,7 @@ gradient covector (step 1 on the first iteration and whenever s.y <= 0): the
 fixed step 1 crawls along the low modes, where the Hessian is small against
 W.  Each polish step is one bordered (KKT) solve of
 [[H0 + mu W, p], [p', 0]] with H0 the unprojected second variation
-(energy.second_variation) and p the volume covector: the Levenberg
+(energy.second_variation) and p = v.p the constraint normal: the Levenberg
 step restricted to p.d = 0, obtained without building a tangent basis, and
 the same step the projected Hessian gives, because the multiplier absorbs the
 projection's p term.  H0 + mu W is the disc.Form (2 + mu) S + diag(...),

@@ -50,6 +50,7 @@ class KernelSplit:
     lambda1: float
     kernel_dim: int
     threshold: float
+    in_kernel: np.ndarray         # which computed modes form the kernel
 
 
 def constraint_covectors(v: energy.NormalizedState,
@@ -67,10 +68,10 @@ def constraint_covectors(v: energy.NormalizedState,
     return p[:, None] if K is None else np.column_stack([p, mvec[:, None] * K])
 
 
-def _ritz(A: Form, apply_B, X: np.ndarray):
+def _ritz(A: Form, B, X: np.ndarray):
     """Rayleigh-Ritz step for the pencil (A, B) on the span of X: ascending
     Ritz values, the B-orthonormal Ritz vectors, and B applied to them."""
-    BX = apply_B(X)
+    BX = B @ X if isinstance(B, Form) else B[:, None] * X
     theta, Y = sla.eigh(X.T @ (A @ X), X.T @ BX)
     return theta, X @ Y, BX @ Y
 
@@ -86,20 +87,19 @@ def positive_factor(A: Form, C: np.ndarray) -> BorderedFactor | None:
 
 
 def lowest_pairs(H: Form, B, C: np.ndarray, X: np.ndarray, k: int,
-                 width: int | None = None, apply_B=None) -> SpectrumReport:
+                 width: int | None = None) -> SpectrumReport:
     """The k lowest eigenpairs of the pencil (H, B) on ker C', B positive
-    definite there (a Form on H's S, or the node vector of a diagonal B;
-    apply_B(Y) is B Y), by block inverse iteration from the columns of X in
-    ker C'.  Rayleigh-Ritz keeps the width lowest Ritz pairs of X (all by
-    default), theta_1 <= ... <= theta_w.  The Form A = H - sigma B, bordered
+    definite there (a Form on H's S, applied as B @ Y, or the node vector of
+    a diagonal B, applied as B * Y), by block inverse iteration from the
+    columns of X in ker C'.  Rayleigh-Ritz keeps the width lowest Ritz pairs
+    of X (all by default), theta_1 <= ... <= theta_w.  The Form A = H - sigma B, bordered
     by C, is factored once at sigma = theta_1 - (theta_w - theta_1) / 10, its
     inertia certifying sigma below the spectrum.  Each sweep solves for B X
     and takes a Rayleigh-Ritz step, until each of the k lowest Ritz values
     moves by at most its rounding floor 2 eps |x|'|A||x| (disc.rounding_floor),
     x its start Ritz vector.  A block as wide as ker C' is exact, in 0
     sweeps.  No argument is changed."""
-    apply_B = apply_B or (B.__matmul__ if isinstance(B, Form) else lambda Y: B[:, None] * Y)
-    theta, X, BX = _ritz(H, apply_B, X)
+    theta, X, BX = _ritz(H, B, X)
     if X.shape[1] == H.diag.size - C.shape[1]:  # the block spans ker C'
         return SpectrumReport(eigenvalues=theta[:k], eigenvectors=X[:, :k])
     theta, X, BX = theta[:width], X[:, :width], BX[:, :width]
@@ -114,7 +114,7 @@ def lowest_pairs(H: Form, B, C: np.ndarray, X: np.ndarray, k: int,
                             "start block misses the lowest mode")
     floor = rounding_floor(A, X[:, :k])
     for sweeps in range(1, MAX_SWEEPS + 1):
-        mu, X, BX = _ritz(A, apply_B, factor.solve(BX))
+        mu, X, BX = _ritz(A, B, factor.solve(BX))
         change = np.abs(sigma + mu[:k] - theta[:k])
         theta = sigma + mu
         if np.all(change <= floor):
@@ -182,4 +182,4 @@ def kernel_split(spec: SpectrumReport, tol_rel: float = 1e-6) -> KernelSplit:
                 f"|last kernel| = {last_kernel:.3e}, |first retained| = {abs(lambda1):.3e}; "
                 "change the tolerance or the resolution")
     return KernelSplit(K_basis=spec.eigenvectors[:, in_kernel], lambda1=lambda1,
-                       kernel_dim=kernel_dim, threshold=threshold)
+                       kernel_dim=kernel_dim, threshold=threshold, in_kernel=in_kernel)

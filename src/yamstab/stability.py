@@ -141,7 +141,6 @@ class StabilityFit:
     window: tuple
     n_records: int
     n_below_floor: int
-    hull_size: int
 
 
 def _binned_minima(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -215,8 +214,7 @@ def fit_stability_exponent(records) -> StabilityFit:
     c_lower = float(np.min(y / d**slope))
     return StabilityFit(exponent=slope, c_lower=c_lower, r2=r2,
                         window=(float(d.min()), float(d.max())),
-                        n_records=len(usable), n_below_floor=n_below,
-                        hull_size=int(hull.size))
+                        n_records=len(usable), n_below_floor=n_below)
 
 
 class CoercivityError(RuntimeError):
@@ -237,7 +235,6 @@ class CoercivityData:
 
     lambda1_m: float
     lambda1_w: float
-    v_norm_sq: float
     conversion: float
     floor: float
     sweeps: int
@@ -248,8 +245,8 @@ def coercivity_data(v: energy.NormalizedState, split: KernelSplit,
     """The Sobolev spectral gap lambda1_w and its conversion to the envelope.
 
     lambda1_w is the lowest eigenvalue of the pencil (H, W), H the second
-    variation at v and W = S+M (ops.form(m), applied factored), on ker C', C
-    the constraint covectors of v and the kernel: spectrum.lowest_pairs with
+    variation at v and W = S+M the Form ops.form(m), on ker C', C the
+    constraint covectors of v and the kernel: spectrum.lowest_pairs with
     k = 1 from the first N_TRANSVERSE_MODES eigenvectors of spectrum past the
     kernel.  Only if it fails is the same H factored, bordered by C, to tell
     a second variation not positive off the kernel (also refused if
@@ -267,8 +264,7 @@ def coercivity_data(v: energy.NormalizedState, split: KernelSplit,
                          "and the spectrum holds none")
     H = energy.second_variation(v)
     try:
-        gap = lowest_pairs(H, ops.form(ops.vol_weights), C, start, 1,
-                           apply_B=lambda Y: ops.apply_form(Y, ops.vol_weights)[0])
+        gap = lowest_pairs(H, ops.form(ops.vol_weights), C, start, 1)
     except SpectrumError as exc:
         if positive_factor(H, C) is not None:
             raise CoercivityError(str(exc)) from exc
@@ -281,6 +277,5 @@ def coercivity_data(v: energy.NormalizedState, split: KernelSplit,
     vnsq = ops.w12_norm(v.u) ** 2
     lam_m = split.lambda1
     conversion = 2.0 * vnsq * lam_w / lam_m
-    return CoercivityData(lambda1_m=lam_m, lambda1_w=lam_w, v_norm_sq=vnsq,
-                          conversion=conversion, floor=0.5 * lam_w * vnsq,
-                          sweeps=gap.sweeps)
+    return CoercivityData(lambda1_m=lam_m, lambda1_w=lam_w, conversion=conversion,
+                          floor=0.5 * lam_w * vnsq, sweeps=gap.sweeps)

@@ -46,14 +46,14 @@ def tangent_frame(v: energy.NormalizedState, K: np.ndarray | None = None) -> np.
 
 def one_sided(chart, *phis):
     """One-sided corrections at the kernel coordinate vectors phis, solved as
-    one block: lsred.solve_corrections' (Z, newton_iters, residual,
-    dual_residual) columns with the energy deficits Q(v + phi + F(phi)) - Q(v)
-    in second place.  Every column must meet the chart's tolerance."""
+    one block: lsred.solve_corrections' (Z, newton_iters, residual) columns
+    with the energy deficits Q(v + phi + F(phi)) - Q(v) in second place.
+    Every column must meet the chart's tolerance."""
     coords = np.column_stack(phis).astype(float)
-    Z, iters, res, dual, stops = lsred.solve_corrections(chart, coords)
+    Z, iters, res, stops = lsred.solve_corrections(chart, coords)
     assert stops == [None] * coords.shape[1], stops
     deficits = energy.energy_deficit(chart.v, chart.kernel_vector(coords) + Z)
-    return Z, deficits, iters, res, dual
+    return Z, deficits, iters, res
 
 
 def dense(A: disc.Form) -> np.ndarray:

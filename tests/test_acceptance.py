@@ -144,16 +144,10 @@ def test_criterion_4_kernel_detection():
                f"{elapsed:.1f}s")
 
 
-def _grad_tol(N):
-    # the gradient dual-norm noise floor grows with the stiffness scale;
-    # 1e-11 is attainable through N=256, the doubled grid needs 5e-11
-    return 1e-11 if N <= 256 else 5e-11
-
-
 def _degenerate_chart(N=256):
     m = model.frank_product(5, BIF_RADIUS)
     rep = minimize.estimate_yamabe_constant(
-        m, N, starts=2, opts=minimize.MinimizeOptions(seed=1, grad_tol=_grad_tol(N)))
+        m, N, starts=2, opts=minimize.MinimizeOptions(seed=1))
     spec = spectrum.eigen_decompose(rep.v, 12)
     split = spectrum.kernel_split(spec)
     return rep, spec, split, lsred.ReductionChart(v=rep.v, split=split)
@@ -183,7 +177,7 @@ def run_quartic_fit(N=256):
     dirs = [np.array([1.0, 0.0]), np.array([1.0, 1.0]) / math.sqrt(2)]
     samples = lsred.sample_reduced(chart, dirs, np.geomspace(1e-3, 1e-1, 8))
     fit = lsred.fit_growth_exponent(samples)
-    classification = lsred.detect_integrability(samples, q0=chart.q0,
+    classification = lsred.detect_integrability(samples, q0=chart.v.Q,
                                                 kernel_dim=split.kernel_dim)
     return fit, classification
 
@@ -203,7 +197,7 @@ def test_criterion_6_quartic_degeneracy():
 def run_stability_fit(N=256):
     m = model.frank_product(5, SUB_RADIUS)
     rep = minimize.estimate_yamabe_constant(
-        m, N, starts=2, opts=minimize.MinimizeOptions(seed=1, grad_tol=_grad_tol(N)))
+        m, N, starts=2, opts=minimize.MinimizeOptions(seed=1))
     spec = spectrum.eigen_decompose(rep.v, 12)
     split = spectrum.kernel_split(spec)
     batch = stability.sample_deficit_distance(rep.v, split, spec, stability.SampleSpec(

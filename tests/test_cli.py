@@ -112,7 +112,10 @@ def test_byte_identical_reruns(tmp_path):
     assert (tmp_path / "out_stability.csv").read_bytes() == c1
 
 
-def test_spectrum_csv_kernel_entries(tmp_path):
+def test_spectrum_csv_kernel_entries(tmp_path, monkeypatch):
+    splits, kernel_split = [], spectrum.kernel_split
+    monkeypatch.setattr(spectrum, "kernel_split",
+                        lambda *a: splits.append(kernel_split(*a)) or splits[-1])
     path, cfg = base_config(tmp_path, "spectrum", r=BIF_RADIUS, N=128)
     assert cli.main(["spectrum", "--config", str(path)]) == 0
     lines = (tmp_path / "out_spectrum.csv").read_text().strip().split("\n")
@@ -123,17 +126,20 @@ def test_spectrum_csv_kernel_entries(tmp_path):
     kernel = np.sort(np.abs(eigs))[:2]
     assert np.all(kernel <= 1e-6 * scale)
     assert sum(r[3] == "true" for r in rows) == 2
+    # the column is the split's own kernel mask
+    assert [r[3] == "true" for r in rows] == splits[0].in_kernel.tolist()
 
 
 def test_json_round_trips_config(tmp_path):
     path, cfg = base_config(tmp_path, "minimize")
     cli.main(["minimize", "--config", str(path)])
     report = json.loads((tmp_path / "out_minimize.json").read_text())
-    parsed = cli.ExperimentConfig.from_dict(report["config"])
-    assert parsed == cli.ExperimentConfig.from_dict(
-        {**cfg, "tolerances": report["config"]["tolerances"],
-         "sampling": report["config"]["sampling"]})
+    # the report embeds the run's one config, defaults filled in, which
+    # loads back to itself
+    assert report["config"] == cli.load_config(cfg)
+    assert cli.load_config(report["config"]) == report["config"]
     assert report["version"]
+    assert report["config_hash"] == cli.config_hash(report["config"])
     assert len(report["config_hash"]) == 64
 
 

@@ -258,7 +258,7 @@ def test_sobolev_forms_on_column_blocks(frank_nondeg):
     U = np.column_stack([1.0 + 0.1 * np.cos(2 * math.pi * k * t) for k in (1, 2, 5)])
     cb = ops.curv_weights + ops.bdry_weights
     norms, volumes = ops.w12_norm(U), disc.lp_norm(ops, U, 3.0)
-    WU, AU = ops.apply_form(U, ops.vol_weights)[0], ops.apply_form(U, cb)[0]
+    WU, AU = ops.apply_form(U, ops.vol_weights), ops.apply_form(U, cb)
     absD = np.abs(ops.grid.diff_matrix)
     eps = np.finfo(float).eps
     for j in range(U.shape[1]):
@@ -267,7 +267,7 @@ def test_sobolev_forms_on_column_blocks(frank_nondeg):
         assert volumes[j] == pytest.approx(disc.lp_norm(ops, u, 3.0), rel=1e-14)
         # (S+M) u of a smooth u cancels sums of size |D|'(w |D| |u|)
         sums = absD.T @ (ops.stiff_weights * (absD @ np.abs(u)))
-        Wu, Au = ops.apply_form(u, ops.vol_weights)[0], ops.apply_form(u, cb)[0]
+        Wu, Au = ops.apply_form(u, ops.vol_weights), ops.apply_form(u, cb)
         assert np.all(np.abs(WU[:, j] - Wu) <= ops.N * eps * sums)
         assert np.all(np.abs(AU[:, j] - Au) <= ops.N * eps * (sums + np.abs(cb * u)))
         assert float(u @ WU[:, j]) == pytest.approx(ops.w12_norm(u) ** 2, rel=1e-13)
@@ -276,7 +276,7 @@ def test_sobolev_forms_on_column_blocks(frank_nondeg):
         assert disc.lp_norm(ops, col, 3.0)[0] == pytest.approx(
             disc.lp_norm(ops, u, 3.0), rel=4 * eps)
         for d, Du in ((ops.vol_weights, Wu), (cb, Au)):
-            assert np.all(np.abs(ops.apply_form(col, d)[0][:, 0] - Du)
+            assert np.all(np.abs(ops.apply_form(col, d)[:, 0] - Du)
                           <= 4 * eps * (sums + np.abs(d * u)))
 
 

@@ -374,7 +374,7 @@ def test_energy_deficit_on_column_blocks(frank_deg):
     cb = ops.curv_weights + ops.bdry_weights
     block = energy.energy_deficit(v, Xi)
     incr = energy.power_increment(v.u, Xi, ts)
-    AXi = ops.apply_form(Xi, cb)[0]
+    AXi = ops.apply_form(Xi, cb)
     eps = np.finfo(float).eps
     floor = eps * energy.yamabe_quotient(ops, v.u)
     absD = np.abs(ops.grid.diff_matrix)
@@ -385,7 +385,7 @@ def test_energy_deficit_on_column_blocks(frank_deg):
         ref = energy.power_increment(v.u, xi, ts)
         assert np.max(np.abs(incr[:, j] - ref)) <= 1e-15 * np.max(np.abs(ref))
         # A xi cancels sums of size |D|'(w |D| |xi|) + |(c + b) xi|
-        Axi = ops.apply_form(xi, cb)[0]
+        Axi = ops.apply_form(xi, cb)
         sums = absD.T @ (ops.stiff_weights * (absD @ np.abs(xi))) + np.abs(cb * xi)
         assert np.all(np.abs(AXi[:, j] - Axi) <= ops.N * eps * sums)
         # a one-column block gives the vector call's values to a few eps
@@ -393,7 +393,7 @@ def test_energy_deficit_on_column_blocks(frank_deg):
                                                                  abs=4 * floor)
         assert np.max(np.abs(energy.power_increment(v.u, col, ts)[:, 0] - ref)) \
             <= 4 * eps * np.max(np.abs(ref))
-        assert np.all(np.abs(ops.apply_form(col, cb)[0][:, 0] - Axi) <= 4 * eps * sums)
+        assert np.all(np.abs(ops.apply_form(col, cb)[:, 0] - Axi) <= 4 * eps * sums)
     with pytest.raises(ValueError, match="nonnegative cone"):
         energy.energy_deficit(v, np.column_stack([Xi[:, 0], -2.0 * v.u]))
 

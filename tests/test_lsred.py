@@ -38,7 +38,7 @@ def test_correction_at_origin_is_exact_zero(frank_deg_chart):
     Z, deficits, iters, *_ = one_sided(frank_deg_chart, np.zeros(2))
     assert np.all(Z == 0.0)
     assert iters[0] == 0
-    assert frank_deg_chart.q0 + deficits[0] == pytest.approx(frank_deg_chart.q0, abs=1e-14)
+    assert frank_deg_chart.v.Q + deficits[0] == pytest.approx(frank_deg_chart.v.Q, abs=1e-14)
 
 
 def test_correction_lives_in_complement(frank_deg_chart):
@@ -82,12 +82,12 @@ def test_residual_below_tolerance(frank_deg_chart):
 
 
 def test_reduced_q_evenness(frank_deg_chart):
-    qp, qm = frank_deg_chart.q0 + one_sided(frank_deg_chart, [0.01, 0.0], [-0.01, 0.0])[1]
+    qp, qm = frank_deg_chart.v.Q + one_sided(frank_deg_chart, [0.01, 0.0], [-0.01, 0.0])[1]
     assert abs(qp - qm) <= 1e-10
 
 
 def test_reduced_q_rotation_invariance(frank_deg_chart):
-    qs = frank_deg_chart.q0 + one_sided(
+    qs = frank_deg_chart.v.Q + one_sided(
         frank_deg_chart, *([0.01 * math.cos(a), 0.01 * math.sin(a)]
                            for a in np.linspace(0, 2 * math.pi, 8, endpoint=False)))[1]
     assert max(qs) - min(qs) <= 1e-9
@@ -99,7 +99,7 @@ def test_reduced_q_minimality(frank_deg_chart):
         [np.array([1.0, 0.0]), np.array([0.6, 0.8])],
         np.geomspace(1e-3, 1e-1, 6))
     for s in samples:
-        assert s.q_value >= frank_deg_chart.q0 - 1e-10
+        assert s.q_value >= frank_deg_chart.v.Q - 1e-10
 
 
 def test_sample_sweep_shape_and_order(frank_deg_chart):
@@ -137,7 +137,7 @@ def test_offset_outside_positive_cone_names_its_cause():
     bump = np.exp(-0.5 * ((t - math.pi) / 0.3) ** 2)
     bump /= math.sqrt(bump @ (ops.vol_weights * bump))
     split = spectrum.KernelSplit(K_basis=bump[:, None], lambda1=1.0,
-                                 kernel_dim=1, threshold=1e-6)
+                                 kernel_dim=1, threshold=1e-6, in_kernel=np.ones(1, bool))
     chart = lsred.ReductionChart(v=v, split=split)
     scale = 0.99 * chart.radius / ops.w12_norm(bump)
     with pytest.raises(lsred.ChartError,
@@ -249,7 +249,7 @@ def test_detect_integrability_cases(frank_deg_chart):
                                       kernel_dim=1) == "integrable"
     samples = lsred.sample_reduced(frank_deg_chart, [np.array([1.0, 0.0])],
                                    np.geomspace(1e-2, 1e-1, 4))
-    assert lsred.detect_integrability(samples, q0=frank_deg_chart.q0,
+    assert lsred.detect_integrability(samples, q0=frank_deg_chart.v.Q,
                                       kernel_dim=2) == "nonintegrable"
 
 
@@ -341,7 +341,7 @@ def test_chord_correction_matches_full_newton(frank_deg_chart):
             coeffs = coeffs + np.linalg.solve(Z.T @ H @ Z, -res_vec)
             res_vec = Z.T @ chart.complement_residual(phi + Z @ coeffs)
         z_ref = Z @ coeffs
-        F, _, _, res, _ = one_sided(chart, phi_coords)
+        F, _, _, res = one_sided(chart, phi_coords)
         assert res[0] <= chart.newton_tol
         assert ops.w12_norm(F[:, 0] - z_ref) <= 1e-9 * ops.w12_norm(z_ref)
 
@@ -375,21 +375,27 @@ def test_quartic_sweep_factors_once(frank_deg, monkeypatch):
 def test_stalled_chord_step_meets_tolerance_in_dual_norm(frank_deg):
     # at newton_tol 1e-12 on the N=256 grid, the sqrt(r'M^-1 r) residual at
     # the chart's edge stalls near 2e-12, which its chord step cannot halve,
-    # while the Sobolev dual norm of the same residual is about 4e-13
+    # while the Sobolev dual norm of the same residual is about 4e-13: the
+    # column reports that dual norm, the bound that met the tolerance
     _, rep, _, split = frank_deg
     chart = lsred.ReductionChart(v=rep.v, split=split, newton_tol=1e-12)
-    phi_coords = np.array([0.1, 0.0])
-    Z, _, _, res, dual = one_sided(chart, phi_coords)
-    assert res[0] > chart.newton_tol
-    assert dual[0] <= chart.newton_tol
-    res_vec = chart.complement_residual(chart.kernel_vector(phi_coords) + Z[:, 0])
-    assert chart.ops.dual_norm(res_vec) == dual[0]
-    # where the M^-1 norm met the tolerance it bounds the dual norm
-    _, _, _, res, dual = one_sided(chart, [1e-3, 0.0])
-    assert dual[0] == res[0] <= chart.newton_tol
+
+    def solved_residual(phi_coords):
+        """The reported residual and the complement residual vector of a
+        one-column solve, re-evaluated as the solve's N x 1 block."""
+        coords = np.array(phi_coords)[:, None]
+        Z, _, _, res = one_sided(chart, phi_coords)
+        return res[0], chart.complement_residual(chart.kernel_vector(coords) + Z)[:, 0]
+
+    res, res_vec = solved_residual([0.1, 0.0])
+    assert chart.residual_norm(res_vec) > chart.newton_tol
+    assert res == chart.ops.dual_norm(res_vec) <= chart.newton_tol
+    # where the M^-1 norm met the tolerance it is the residual reported
+    res, res_vec = solved_residual([1e-3, 0.0])
+    assert res == chart.residual_norm(res_vec) <= chart.newton_tol
     # a tolerance below the dual norm's floor still ends in a ChartError
     tight = lsred.ReductionChart(v=rep.v, split=split, newton_tol=1e-14)
-    stops = lsred.solve_corrections(tight, phi_coords[:, None])[4]
+    stops = lsred.solve_corrections(tight, np.array([[0.1], [0.0]]))[3]
     assert re.search("dual norm .* misses the tolerance", stops[0])
 
 
@@ -491,6 +497,11 @@ def test_block_residuals_meet_tolerance_in_long_double():
     chart = lsred.ReductionChart(v=rep.v, split=split)
     coords = _default_ladder(chart)
     Z = one_sided(chart, *coords.T)[0]
+    # every sample reports the bound that met the tolerance
+    samples = lsred.sample_reduced(chart, cli._unit_directions(chart.kernel_dim, 2, 1),
+                                   cli.KERNEL_SCALES)
+    assert len(samples) == 16
+    assert max(s.residual for s in samples) <= chart.newton_tol
     phi = chart.kernel_vector(coords)
     xi = phi + Z
     exact = _complement_residual_longdouble(chart, xi).astype(float)

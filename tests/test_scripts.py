@@ -36,6 +36,26 @@ def test_output_digest_ignores_output_path(tmp_path, monkeypatch, capsys):
     assert lines[0][0] == lines[1][0] and len(lines[0][0]) == 64
 
 
+def test_output_digest_expect_mode(tmp_path, monkeypatch, capsys):
+    # the expected line comes from a first run in this process, so the check
+    # does not depend on the BLAS thread count
+    main = runpy.run_path(str(SCRIPTS / "output_digest.py"))["main"]
+    cfg = {"model": {"kind": "frank_product", "params": {"d": 5, "r": 0.5}},
+           "N": 32, "experiment": "minimize", "seed": 1,
+           "output": str(tmp_path / "run"), "sampling": {"count": 2}}
+    config, expect = tmp_path / "c.json", tmp_path / "digests.txt"
+    config.write_text(json.dumps(cfg))
+    monkeypatch.setattr(sys, "argv", ["output_digest.py", str(config)])
+    assert main() == 0
+    line = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["output_digest.py", "--expect", str(expect), str(config)])
+    for text, code, verdict in ((line, 0, "same"), ("0" * 64 + line[64:], 1, "moved"),
+                                (line.replace("c.json", "d.json"), 1, "missing")):
+        expect.write_text(text)
+        assert main() == code
+        assert capsys.readouterr().out == f"{verdict}  {line}"
+
+
 def test_reference_experiments_write_four_reports(tmp_path, monkeypatch, capsys):
     # the script writes under ./reference_runs/, so it runs in a scratch cwd
     main = runpy.run_path(str(SCRIPTS / "run_reference_experiments.py"))["main"]

@@ -185,6 +185,15 @@ def test_kernel_split_all_below_threshold():
         spectrum.kernel_split(fake, 1e-6)
 
 
+def test_kernel_mask_selects_the_kernel_basis(frank_deg, frank_nondeg):
+    # the split's mask is the one record of which computed modes are kernel
+    for _, _, spec, split in (frank_deg, frank_nondeg):
+        assert split.in_kernel.dtype == bool and split.in_kernel.shape == (spec.k,)
+        assert int(split.in_kernel.sum()) == split.kernel_dim
+        assert np.array_equal(spec.eigenvectors[:, split.in_kernel], split.K_basis)
+    assert frank_deg[3].in_kernel.tolist() == [True, True] + [False] * 10
+
+
 def test_kernel_strong_form_residual(frank_deg):
     # kernel vectors solve the linearized equation with the Robin condition
     _, rep, _, split = frank_deg
@@ -250,7 +259,7 @@ def test_pole_models_rejected(hemisphere3):
     # S+M stays positive definite at the pole, so only the constraint
     # covectors stand between coercivity_data and a silent number
     split = spectrum.KernelSplit(K_basis=np.zeros((g.N, 0)), lambda1=1.0,
-                                 kernel_dim=0, threshold=0.0)
+                                 kernel_dim=0, threshold=0.0, in_kernel=np.zeros(1, bool))
     spec = spectrum.SpectrumReport(eigenvalues=np.ones(1), eigenvectors=np.ones((g.N, 1)))
     with pytest.raises(ValueError, match="pole"):
         stability.coercivity_data(v, split, spec)

@@ -108,7 +108,7 @@ def test_transverse_samples_quadratic_bracket(nondeg):
     coer = stability.coercivity_data(v, split, spec)
     lam_max_m = float(np.max(spec.eigenvalues))
     lo = 0.8 * (coer.lambda1_m / 4.0) * coer.conversion
-    hi = 1.2 * lam_max_m * coer.v_norm_sq  # crude but rigorous upper bound
+    hi = 1.2 * lam_max_m * v.ops.w12_norm(v.u) ** 2  # crude but rigorous upper bound
     for r in batch.records:
         ratio = r.deficit / r.distance**2
         assert lo <= ratio <= hi
